@@ -54,7 +54,7 @@ fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
 impl Gate {
     /// Build a gate from the command line and environment.
     /// `default_runs` is the bench's min-of-K default (cheap benches
-    /// use 3; the semester sweep defaults to 1).
+    /// use 3; the semester sweep defaults to 2).
     pub fn from_env(args: &[String], default_runs: usize) -> Gate {
         let check = args.iter().any(|a| a == "--check");
         let tolerance: f64 = env_parse("PERFGATE_TOLERANCE", 0.10);

@@ -31,7 +31,7 @@
 //! explicitly suppressed for `opml-detlint` — the measured times are
 //! reported, never fed back into simulation state.
 
-use crate::digest::{fnv1a64, Fnv64};
+use crate::digest::Fnv64;
 use opml_cohort::semester::{
     simulate_semester, simulate_semester_serial, SemesterConfig, SemesterOutcome,
 };
@@ -43,7 +43,8 @@ use opml_profiler::RssSampler;
 use opml_report::table::{fmt_num, Table};
 use opml_simkernel::parallel::with_thread_count;
 use opml_telemetry::Telemetry;
-use opml_testbed::ledger::UsageRecord;
+use opml_testbed::ledger::{UsageKind, UsageRecord};
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -122,25 +123,32 @@ pub struct ScaleReport {
 }
 
 /// Digest every determinism-relevant byte of an outcome: the full
-/// serialized ledger plus the scalar counters and fault stats.
+/// serialized ledger plus the scalar counters and fault stats. This is
+/// the [`OutcomeDigest`] fold over the materialized ledger, so the
+/// in-memory and out-of-core paths share one digest code path.
 pub fn digest_outcome(outcome: &SemesterOutcome) -> u64 {
-    let mut blob = serde_json::to_string(&outcome.ledger).expect("ledger serializes");
-    blob.push_str(&format!(
-        "|qd={}|pb={}|faults={:?}",
-        outcome.quota_denials, outcome.slot_pushbacks, outcome.faults
-    ));
-    fnv1a64(blob.as_bytes())
+    let mut digest = OutcomeDigest::new();
+    for record in outcome.ledger.records() {
+        digest.push(record);
+    }
+    digest.finish(
+        outcome.quota_denials,
+        outcome.slot_pushbacks,
+        &outcome.faults,
+    )
 }
 
-/// Incremental form of [`digest_outcome`] for the streaming path:
-/// records are folded one at a time as the merge delivers them, and
-/// the result is bit-identical to digesting the materialized outcome
-/// (`Ledger` serializes as `{"records":[...]}` and a record's
-/// standalone serialization equals its in-array serialization).
+/// Incremental outcome digest: records are folded one at a time, in
+/// merge order. The hashed bytes are exactly the compact JSON of the
+/// ledger (`{"records":[...]}`, each record as [`write_record_json`]
+/// renders it) followed by the scalar suffix, so the digest is defined
+/// by the serialized outcome without ever holding it: each record is
+/// written into one reused buffer and hashed.
 #[derive(Debug)]
 pub struct OutcomeDigest {
     hash: Fnv64,
     first: bool,
+    buf: String,
 }
 
 impl OutcomeDigest {
@@ -148,18 +156,23 @@ impl OutcomeDigest {
     pub fn new() -> OutcomeDigest {
         let mut hash = Fnv64::new();
         hash.update(b"{\"records\":[");
-        OutcomeDigest { hash, first: true }
+        OutcomeDigest {
+            hash,
+            first: true,
+            buf: String::new(),
+        }
     }
 
     /// Fold the next merged record.
     pub fn push(&mut self, record: &UsageRecord) {
+        self.buf.clear();
         if self.first {
             self.first = false;
         } else {
-            self.hash.update(b",");
+            self.buf.push(',');
         }
-        let json = serde_json::to_string(record).expect("record serializes");
-        self.hash.update(json.as_bytes());
+        write_record_json(&mut self.buf, record);
+        self.hash.update(self.buf.as_bytes());
     }
 
     /// Close the envelope, fold the scalar counters, return the digest.
@@ -178,6 +191,40 @@ impl Default for OutcomeDigest {
     }
 }
 
+/// Append `r`'s compact JSON exactly as `serde_json::to_string(r)`
+/// renders it — fields in declaration order, `UsageKind` externally
+/// tagged, unit variants as their name (a `FlavorId`'s derived `Debug`)
+/// — without building the intermediate `serde::Node` tree. String and
+/// float rules come from the shim itself;
+/// `record_json_matches_the_serializer` pins the rest.
+fn write_record_json(out: &mut String, r: &UsageRecord) {
+    out.push_str("{\"name\":");
+    serde_json::write_escaped(out, &r.name);
+    out.push_str(",\"kind\":");
+    // Writing into a `String` cannot fail.
+    let _ = match r.kind {
+        UsageKind::Instance {
+            flavor,
+            auto_terminated,
+        } => write!(
+            out,
+            "{{\"Instance\":{{\"flavor\":\"{flavor:?}\",\"auto_terminated\":{auto_terminated}}}}}"
+        ),
+        UsageKind::FloatingIp => {
+            out.push_str("\"FloatingIp\"");
+            Ok(())
+        }
+        UsageKind::Volume { size_gb } => write!(out, "{{\"Volume\":{{\"size_gb\":{size_gb}}}}}"),
+        UsageKind::ObjectStorage { gb } => {
+            out.push_str("{\"ObjectStorage\":{\"gb\":");
+            serde_json::write_f64(out, gb);
+            out.push_str("}}");
+            Ok(())
+        }
+    };
+    let _ = write!(out, ",\"start\":{},\"end\":{}}}", r.start.0, r.end.0);
+}
+
 /// Labs-only config for the sweep (projects plan against per-shard
 /// campuses too, but the scale story in the paper is about labs).
 fn sweep_config(config: &ScaleConfig) -> SemesterConfig {
@@ -190,11 +237,13 @@ fn sweep_config(config: &ScaleConfig) -> SemesterConfig {
 }
 
 /// Estimated in-memory peak RSS for a cohort of `enrollment` students,
-/// in MB. Calibrated from observed peaks of the in-memory path
-/// (~30 GB at 1M students ≈ 32 KiB/student); deliberately coarse — it
-/// only decides *whether* to spill under `--mem-budget-mb`.
+/// in MB, rounded up. Calibrated from observed `VmHWM` peaks of the
+/// in-memory path (`scale --digest-only`: ~5.1 KiB/student at 100k and
+/// ~6.0 at 200k on one thread, ~7.2 at 1M on two), rounded up to
+/// 8 KiB/student; deliberately coarse — it only decides *whether* to
+/// spill under `--mem-budget-mb`.
 pub fn estimated_peak_mb(enrollment: u32) -> u64 {
-    u64::from(enrollment) * 32 / 1024
+    (u64::from(enrollment) * 8).div_ceil(1024)
 }
 
 /// Wall-time one run. The simulator itself never reads the clock; this
@@ -365,9 +414,10 @@ pub fn run(config: &ScaleConfig) -> ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::fnv1a64;
     use opml_simkernel::SimTime;
     use opml_testbed::flavor::FlavorId;
-    use opml_testbed::ledger::{Ledger, UsageKind};
+    use opml_testbed::ledger::Ledger;
 
     #[test]
     fn tiny_sweep_is_equivalent_across_thread_counts() {
@@ -422,10 +472,11 @@ mod tests {
             threads: vec![],
             digest_only: true,
             spill_dir: None,
-            mem_budget_mb: Some(1), // estimate (1 MB) > budget? 40*32/1024 = 1 → not >
+            mem_budget_mb: Some(1),
         });
-        // estimated_peak_mb(40) == 1, equal to the budget, so no spill;
-        // a zero budget always spills.
+        // estimated_peak_mb(40) = ceil(40 * 8 / 1024) = 1 MB, equal to
+        // the budget, so no spill; the estimate rounds up, so a zero
+        // budget always spills.
         assert!(!report.spilled);
         let report = run(&ScaleConfig {
             seed: 7,
@@ -441,44 +492,86 @@ mod tests {
         assert!(report.budget_exceeded.is_some());
     }
 
+    fn rec(name: &str, kind: UsageKind, start: u64, end: u64) -> UsageRecord {
+        UsageRecord {
+            name: name.into(),
+            kind,
+            start: SimTime(start),
+            end: SimTime(end),
+        }
+    }
+
+    /// The records the digest tests fold: every kind variant, every
+    /// flavor both ways, awkward names and awkward floats.
+    fn contract_records() -> Vec<UsageRecord> {
+        let mut recs = Vec::new();
+        for flavor in FlavorId::ALL {
+            for auto_terminated in [true, false] {
+                let kind = UsageKind::Instance {
+                    flavor,
+                    auto_terminated,
+                };
+                recs.push(rec("lab1-s0", kind, 0, 90));
+            }
+        }
+        recs.push(rec("lab1-s0", UsageKind::FloatingIp, 0, 90));
+        recs.push(rec("v0", UsageKind::Volume { size_gb: 50 }, 5, 60));
+        recs.push(rec("v1", UsageKind::Volume { size_gb: 0 }, 0, u64::MAX));
+        for gb in [2.5, 2.0, 1.25, 1e15, 1e300, -0.0, f64::NAN, f64::INFINITY] {
+            recs.push(rec("b0", UsageKind::ObjectStorage { gb }, 9, 9));
+        }
+        for name in [
+            "",
+            "quote\"d",
+            "back\\slash",
+            "new\nline",
+            "tab\tbed",
+            "ctl\u{1}x",
+            "non-ASCII: étudiant ✓ 学生",
+        ] {
+            recs.push(rec(name, UsageKind::FloatingIp, 1, 2));
+        }
+        recs
+    }
+
+    #[test]
+    fn record_json_matches_the_serializer() {
+        let mut out = String::new();
+        for r in contract_records() {
+            out.clear();
+            write_record_json(&mut out, &r);
+            assert_eq!(
+                out,
+                serde_json::to_string(&r).expect("record serializes"),
+                "hand-written record JSON diverged from serde_json for {r:?}"
+            );
+        }
+    }
+
     #[test]
     fn streaming_digest_matches_materialized_digest() {
-        let mut ledger = Ledger::new();
-        let recs = vec![
-            UsageRecord {
-                name: "lab1-s0".into(),
-                kind: UsageKind::Instance {
-                    flavor: FlavorId::M1Small,
-                    auto_terminated: true,
-                },
-                start: SimTime(0),
-                end: SimTime(90),
-            },
-            UsageRecord {
-                name: "lab1-s0".into(),
-                kind: UsageKind::FloatingIp,
-                start: SimTime(0),
-                end: SimTime(90),
-            },
-            UsageRecord {
-                name: "v0".into(),
-                kind: UsageKind::Volume { size_gb: 50 },
-                start: SimTime(5),
-                end: SimTime(60),
-            },
-            UsageRecord {
-                name: "b0".into(),
-                kind: UsageKind::ObjectStorage { gb: 2.5 },
-                start: SimTime(9),
-                end: SimTime(9),
-            },
-        ];
-        let mut streaming = OutcomeDigest::new();
-        for r in &recs {
-            ledger.push(r.clone());
-            streaming.push(r);
+        // The digest's definition: FNV-1a over the whole serialized
+        // ledger plus the scalar suffix. Both `OutcomeDigest` and
+        // `digest_outcome` must reproduce it without materializing it.
+        fn reference(outcome: &SemesterOutcome) -> u64 {
+            let mut blob = serde_json::to_string(&outcome.ledger).expect("ledger serializes");
+            blob.push_str(&format!(
+                "|qd={}|pb={}|faults={:?}",
+                outcome.quota_denials, outcome.slot_pushbacks, outcome.faults
+            ));
+            fnv1a64(blob.as_bytes())
         }
-        let faults = FaultStats::default();
+        let mut ledger = Ledger::new();
+        let mut streaming = OutcomeDigest::new();
+        for r in contract_records() {
+            streaming.push(&r);
+            ledger.push(r);
+        }
+        let faults = FaultStats {
+            injected: 2,
+            retries: 5,
+            ..FaultStats::default()
+        };
         let outcome = SemesterOutcome {
             ledger,
             quota_denials: 3,
@@ -487,9 +580,10 @@ mod tests {
         };
         assert_eq!(
             streaming.finish(3, 1, &faults),
-            digest_outcome(&outcome),
-            "incremental digest must equal the materialized digest"
+            reference(&outcome),
+            "incremental digest must equal the whole-ledger definition"
         );
+        assert_eq!(digest_outcome(&outcome), reference(&outcome));
         // And the empty envelope agrees too.
         let empty = SemesterOutcome {
             ledger: Ledger::new(),
@@ -497,9 +591,10 @@ mod tests {
             slot_pushbacks: 0,
             faults: FaultStats::default(),
         };
+        assert_eq!(digest_outcome(&empty), reference(&empty));
         assert_eq!(
             OutcomeDigest::new().finish(0, 0, &FaultStats::default()),
-            digest_outcome(&empty)
+            reference(&empty)
         );
     }
 

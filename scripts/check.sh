@@ -58,15 +58,18 @@ if [ "$scale_1m_digest" != "$golden_1m_digest" ]; then
 fi
 
 echo "==> spill smoke run (2k cohort forced out-of-core vs golden digest)"
-# A 16 MB budget is far below the ~62 MB estimated in-memory peak at
-# 2k students, so this arm must take the spill path — and the streamed
-# digest must equal the in-memory golden byte-for-byte.
+# An 8 MB budget is half the 16 MB estimated in-memory peak at 2k
+# students (8 KiB/student), so this arm must take the spill path — and
+# the streamed digest must equal the in-memory golden byte-for-byte.
+# The budget only steers the path: the spill arm's observed ~13 MB peak
+# exceeds it, so the report's EXCEEDED verdict is expected here and not
+# gated (bench_semester owns the RSS gate).
 spill_out=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
-    scale --enrollment 2000 --threads 2 --digest-only --mem-budget-mb 16 --quiet)
+    scale --enrollment 2000 --threads 2 --digest-only --mem-budget-mb 8 --quiet)
 spill_digest=$(printf '%s\n' "$spill_out" | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')
 golden_spill_digest=$(cat tests/golden/scale_2k_seed42.digest)
 if ! printf '%s\n' "$spill_out" | grep -q "out-of-core path engaged"; then
-    echo "spill smoke FAILED: the 16 MB budget did not engage the spill path" >&2
+    echo "spill smoke FAILED: the 8 MB budget did not engage the spill path" >&2
     exit 1
 fi
 if [ "$spill_digest" != "$golden_spill_digest" ]; then

@@ -22,8 +22,19 @@ use ml_ops_course::experiments::trace::{capture_trace, TraceConfig};
 use ml_ops_course::simkernel::parallel::with_thread_count;
 use ml_ops_course::telemetry::intern::interned_count;
 use ml_ops_course::telemetry::{export_jsonl, MemorySink, Telemetry};
+use std::sync::{Mutex, MutexGuard};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Every test here interns event names into the process-global intern
+/// table, and `intern_table_settles_after_the_first_run` asserts the
+/// table does not grow; hold this in every test so no other test can
+/// intern concurrently with that check.
+static INTERN_LOCK: Mutex<()> = Mutex::new(());
+
+fn intern_lock() -> MutexGuard<'static, ()> {
+    INTERN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Everything the allocation pass promised not to change, as
 /// comparable digests/bytes. `threads == None` runs the sequential
@@ -65,6 +76,7 @@ fn run_bytes(config: &SemesterConfig, seed: u64, threads: Option<usize>) -> RunB
 
 #[test]
 fn interning_and_owned_restamp_are_byte_invisible_at_any_thread_count() {
+    let _guard = intern_lock();
     let config = forced_multi_shard();
     let reference = run_bytes(&config, 42, None);
     assert!(
@@ -94,6 +106,7 @@ fn interning_and_owned_restamp_are_byte_invisible_at_any_thread_count() {
 
 #[test]
 fn trace_golden_fixture_survives_the_allocation_pass() {
+    let _guard = intern_lock();
     // The committed fixture predates the interner; reproducing it
     // byte-for-byte is the proof that `Sym` resolution (not symbol
     // ids) reaches the wire.
@@ -111,6 +124,7 @@ fn trace_golden_fixture_survives_the_allocation_pass() {
 
 #[test]
 fn intern_table_settles_after_the_first_run() {
+    let _guard = intern_lock();
     let config = forced_multi_shard();
     // First run may intern names that no earlier test touched.
     let _ = run_bytes(&config, 42, Some(2));

@@ -13,18 +13,23 @@
 
 use opml_experiments::profile::{run, ProfileConfig, ProfileReport};
 use opml_profiler::Json;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static COUNTING_ALLOC: opml_profiler::CountingAlloc = opml_profiler::CountingAlloc;
 
-/// `run` mutates process-global profiler state (phase slots, counting
-/// toggles); hold this across every profiled run so the harness's test
-/// threads cannot interleave two captures.
+/// `run` mutates process-global profiler state (phase slots, the
+/// counting flag, the global alloc totals), and so does the
+/// `counting_allocator_installed` probe; hold this across every use of
+/// either so the harness's test threads cannot interleave them.
 static PROFILE_LOCK: Mutex<()> = Mutex::new(());
 
+fn profile_lock() -> MutexGuard<'static, ()> {
+    PROFILE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn run_locked(config: &ProfileConfig) -> ProfileReport {
-    let _guard = PROFILE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = profile_lock();
     run(config)
 }
 
@@ -116,12 +121,15 @@ fn profile_names_merge_phases_separately_from_shard_sim() {
 
 #[test]
 fn phase_alloc_counts_stay_under_the_optimized_ceilings() {
+    let _guard = profile_lock();
+    // The probe toggles the counting flag and reads the global totals,
+    // which a concurrent `run` resets: it must hold the lock too.
     if !opml_profiler::counting_allocator_installed() {
         // Defensive: this binary declares the allocator above, so the
         // probe can only fail if the declaration is removed.
         panic!("counting allocator not installed in the test binary");
     }
-    let report = run_locked(&config(2));
+    let report = run(&config(2));
     for (phase, ceiling) in [
         ("shard.sim", SHARD_SIM_ALLOC_CEILING),
         ("merge.replay_restamp", MERGE_REPLAY_ALLOC_CEILING),
