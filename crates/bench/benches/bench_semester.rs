@@ -54,12 +54,15 @@
 //! digest and record gates stay fatal.
 
 use opml_bench::perfgate::{min_of, Gate};
-use opml_cohort::semester::{simulate_semester, simulate_semester_serial, SemesterConfig};
+use opml_cohort::semester::{
+    simulate_semester, simulate_semester_exec, Exec, Schedule, SemesterConfig, Storage,
+};
 use opml_cohort::spill::{simulate_semester_streaming_serial, SpillConfig};
 use opml_experiments::scale::{digest_outcome, peak_rss_kb, OutcomeDigest};
 use opml_profiler::Json;
 use opml_simkernel::parallel::{effective_thread_count, with_thread_count};
 use opml_telemetry::Telemetry;
+use opml_testbed::ledger::Ledger;
 
 const SEED: u64 = 42;
 const SHARD_STUDENTS: u32 = 191;
@@ -203,13 +206,23 @@ fn main() {
         std::process::exit(1);
     }
 
+    let serial = Exec {
+        schedule: Schedule::Serial,
+        storage: Storage::Memory,
+    };
     for &enrollment in &ENROLLMENTS {
         let config = labs_config(enrollment, SHARD_STUDENTS);
         let (reference, serial_wall) = min_of(gate.measure_runs(), || {
             timed(|| {
                 gate.inject_sleep();
-                simulate_semester_serial(&config, SEED)
+                let mut ledger = Ledger::new();
+                simulate_semester_exec(&config, SEED, &serial, &Telemetry::disabled(), &mut ledger)
+                    .map(|outcome| outcome.with_ledger(ledger))
             })
+        });
+        let reference = reference.unwrap_or_else(|e| {
+            eprintln!("bench_semester: FAILED — serial arm errored: {e}");
+            std::process::exit(1);
         });
         let ref_digest = digest_outcome(&reference);
         eprintln!("serial      n={enrollment:>6}            {serial_wall:>8.3}s");

@@ -13,15 +13,16 @@
 //! its own replicated campus (own capacity calendar, quota ledger,
 //! fault engine and telemetry buffer), then merged in shard-index
 //! order. The shard structure is a pure function of the config — never
-//! of the executing thread count — so the parallel
-//! ([`simulate_semester`]) and sequential
-//! ([`simulate_semester_serial`]) drivers produce byte-identical
-//! outcomes at any rayon pool size. A cohort that fits in one shard
-//! takes the legacy single-campus path unchanged.
+//! of the executing thread count — so every [`Exec`] (serial or pool
+//! schedule, memory or spill storage) produces a byte-identical outcome
+//! at any rayon pool size; [`simulate_semester_exec`] takes the `Exec`,
+//! and [`simulate_semester`] runs on the pool in memory. A cohort that
+//! fits in one shard takes the legacy single-campus path unchanged.
 
 use crate::behavior::StudentProfile;
 use crate::labspec::lab_specs;
 use crate::project::{plan_projects_range, ProjectPlan, GROUPS};
+use crate::spill::{SpillConfig, SpillError, SpillStats, StreamOutcome};
 use opml_faults::{site_key, CircuitBreaker, FaultKind, FaultPlan, FaultProfile, FaultStats};
 use opml_metering::attribution::student_name;
 use opml_simkernel::parallel::map_slice;
@@ -31,11 +32,12 @@ use opml_testbed::error::CloudError;
 use opml_testbed::flavor::FlavorId;
 use opml_testbed::instance::InstanceId;
 use opml_testbed::lease::LeaseId;
-use opml_testbed::ledger::Ledger;
+use opml_testbed::ledger::{Ledger, RecordSource, StreamMerge, UsageRecord};
 use opml_testbed::network::{FloatingIpId, NetworkId};
 use opml_testbed::storage::VolumeId;
 use opml_testbed::Cloud;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// A planned on-demand VM deployment.
 #[derive(Debug, Clone)]
@@ -326,12 +328,83 @@ impl FaultEngine {
     }
 }
 
+/// How a semester executes: where its shards run and where each
+/// shard's output waits for the merge. The shard structure, and so every
+/// byte of the outcome, is the same under every `Exec`.
+#[derive(Debug, Clone)]
+pub struct Exec {
+    /// Where the shards run.
+    pub schedule: Schedule,
+    /// Where shard output waits for the merge.
+    pub storage: Storage,
+}
+
+/// Where a sharded cohort's shards run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// One after another on the calling thread.
+    Serial,
+    /// In parallel on the ambient rayon pool.
+    Pool,
+}
+
+/// Where each shard's output waits for the merge.
+#[derive(Debug, Clone)]
+pub enum Storage {
+    /// In memory: peak memory is O(cohort).
+    Memory,
+    /// In one run file per shard ([`crate::spill`]): peak memory is
+    /// O(threads × shard).
+    Spill(SpillConfig),
+}
+
+/// Receives a semester's ledger record by record, in merge order.
+pub trait LedgerSink {
+    /// Announces the total record count before the first record.
+    fn reserve(&mut self, _records: usize) {}
+    /// Takes the next record.
+    fn push(&mut self, record: UsageRecord);
+    /// Takes a whole ledger at once (the single-shard path).
+    fn append(&mut self, ledger: Ledger) {
+        self.reserve(ledger.records().len());
+        for record in ledger {
+            self.push(record);
+        }
+    }
+}
+
+/// Materializes the ledger, allocated once at its final size.
+impl LedgerSink for Ledger {
+    fn reserve(&mut self, records: usize) {
+        Ledger::reserve(self, records);
+    }
+
+    fn push(&mut self, record: UsageRecord) {
+        Ledger::push(self, record);
+    }
+
+    fn append(&mut self, ledger: Ledger) {
+        if self.records().is_empty() {
+            // Adopt the buffer rather than copy it.
+            *self = ledger;
+        } else {
+            ledger.into_iter().for_each(|record| self.push(record));
+        }
+    }
+}
+
+impl<F: FnMut(UsageRecord)> LedgerSink for F {
+    fn push(&mut self, record: UsageRecord) {
+        self(record);
+    }
+}
+
 /// Simulate a full semester; returns the closed ledger and counters.
 ///
 /// Cohorts larger than [`SemesterConfig::shard_students`] are split
 /// into shards executed in parallel on the ambient rayon pool and
-/// merged deterministically; the outcome is byte-identical to
-/// [`simulate_semester_serial`] at any thread count.
+/// merged deterministically; the outcome is byte-identical under every
+/// [`Exec`] ([`simulate_semester_exec`]) at any thread count.
 pub fn simulate_semester(config: &SemesterConfig, seed: u64) -> SemesterOutcome {
     simulate_semester_with(config, seed, &Telemetry::disabled())
 }
@@ -349,39 +422,36 @@ pub fn simulate_semester_with(
     seed: u64,
     telemetry: &Telemetry,
 ) -> SemesterOutcome {
-    let shards = config.shards();
-    if let [only] = shards.as_slice() {
-        return run_shard(config, seed, only, telemetry, false);
-    }
-    let runs = map_slice(&shards, |_, shard| {
-        run_shard_buffered(config, seed, shard, telemetry.is_enabled())
-    });
-    merge_shard_runs(runs, telemetry)
+    let mut ledger = Ledger::new();
+    let Ok(outcome) = drive(
+        config,
+        seed,
+        Schedule::Pool,
+        &InMemory,
+        telemetry,
+        &mut ledger,
+    );
+    outcome.with_ledger(ledger)
 }
 
-/// Simulate a full semester strictly sequentially: the same shards as
-/// [`simulate_semester`], executed one after another on the calling
-/// thread and folded by the same merge. This is the byte-for-byte
-/// reference the parallel driver is verified against.
-pub fn simulate_semester_serial(config: &SemesterConfig, seed: u64) -> SemesterOutcome {
-    simulate_semester_serial_with(config, seed, &Telemetry::disabled())
-}
-
-/// Sequential counterpart of [`simulate_semester_with`].
-pub fn simulate_semester_serial_with(
+/// Simulate a full semester under `exec`, emitting its trace through
+/// `telemetry` and delivering its ledger to `sink`. Every `exec`
+/// produces the same trace, ledger and counters; only
+/// [`Storage::Spill`] can fail.
+pub fn simulate_semester_exec(
     config: &SemesterConfig,
     seed: u64,
+    exec: &Exec,
     telemetry: &Telemetry,
-) -> SemesterOutcome {
-    let shards = config.shards();
-    if let [only] = shards.as_slice() {
-        return run_shard(config, seed, only, telemetry, false);
+    sink: &mut impl LedgerSink,
+) -> Result<StreamOutcome, SpillError> {
+    match &exec.storage {
+        Storage::Memory => {
+            let Ok(outcome) = drive(config, seed, exec.schedule, &InMemory, telemetry, sink);
+            Ok(outcome)
+        }
+        Storage::Spill(spill) => drive(config, seed, exec.schedule, spill, telemetry, sink),
     }
-    let runs: Vec<ShardRun> = shards
-        .iter()
-        .map(|shard| run_shard_buffered(config, seed, shard, telemetry.is_enabled()))
-        .collect();
-    merge_shard_runs(runs, telemetry)
 }
 
 /// Measured per-student telemetry event volume (2k-student profile run:
@@ -396,96 +466,193 @@ const LEDGER_RECORDS_PER_STUDENT: usize = 96;
 /// events is far below the total event count).
 const QUEUE_EVENTS_PER_STUDENT: usize = 16;
 
-/// Everything one shard produces, ready for the deterministic merge
-/// (in memory here; the out-of-core path in [`crate::spill`] writes the
-/// same pieces to disk instead).
+/// A shard's telemetry events and metrics snapshot, folded into the
+/// parent handle by the merge.
+pub(crate) type ShardAux = (Vec<TelemetryEvent>, MetricsSnapshot);
+
+/// Everything one shard produces, ready for the deterministic merge.
 pub(crate) struct ShardRun {
     pub(crate) outcome: SemesterOutcome,
-    pub(crate) events: Vec<TelemetryEvent>,
-    pub(crate) metrics: MetricsSnapshot,
+    /// `None` when the parent telemetry handle is disabled.
+    pub(crate) aux: Option<ShardAux>,
+}
+
+/// Where shard output waits between the shard map and the merge: in
+/// memory ([`InMemory`]) or in run files ([`SpillConfig`]).
+pub(crate) trait ShardStore: Sync {
+    /// One stored shard.
+    type Run: Send;
+    /// A stored shard's ledger, read back by the merge.
+    type Source: RecordSource<Error = Self::Error>;
+    /// What storing or reading back can fail with.
+    type Error: Send;
+    /// The wall phase the final merge runs under.
+    const MERGE_PHASE: &'static str;
+
+    /// Keep one shard's output until the merge.
+    fn store(&self, shard: u32, run: ShardRun) -> Result<Self::Run, Self::Error>;
+
+    /// Take back a stored shard's telemetry, if it recorded any.
+    fn take_aux(&self, run: &mut Self::Run) -> Result<Option<ShardAux>, Self::Error>;
+
+    /// Turn the stored shards, in shard order, into merge sources,
+    /// counting disk work in `stats`.
+    fn sources(
+        &self,
+        runs: Vec<Self::Run>,
+        stats: &mut SpillStats,
+    ) -> Result<Vec<Self::Source>, Self::Error>;
+
+    /// Release the store once the merge delivered `merged` of the
+    /// `expected` records.
+    fn finish(&self, _merged: u64, _expected: u64) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// Shard output held in memory until the merge.
+struct InMemory;
+
+impl ShardStore for InMemory {
+    type Run = ShardRun;
+    type Source = std::vec::IntoIter<UsageRecord>;
+    type Error = Infallible;
+    const MERGE_PHASE: &'static str = opml_profiler::phases::MERGE_LEDGER;
+
+    fn store(&self, _shard: u32, run: ShardRun) -> Result<ShardRun, Infallible> {
+        Ok(run)
+    }
+
+    fn take_aux(&self, run: &mut ShardRun) -> Result<Option<ShardAux>, Infallible> {
+        Ok(run.aux.take())
+    }
+
+    fn sources(
+        &self,
+        runs: Vec<ShardRun>,
+        _stats: &mut SpillStats,
+    ) -> Result<Vec<Self::Source>, Infallible> {
+        Ok(runs
+            .into_iter()
+            .map(|run| run.outcome.ledger.into_iter())
+            .collect())
+    }
+}
+
+/// The semester driver behind every entry point.
+///
+/// A cohort that fits in one shard takes the legacy single-campus path:
+/// the parent telemetry handle, the close-order ledger, no merge and no
+/// disk. Larger cohorts run their shards under `schedule` and keep each
+/// shard's output in `store`, then fold per-shard results in
+/// shard-index order and feed one [`StreamMerge`] into `sink`.
+///
+/// Merge laws, each associative and stable under the fixed shard
+/// order: ledgers merge into the canonical record order, ties broken
+/// by shard index (exactly [`Ledger::merge_sorted`]); `u64` counters
+/// sum exactly; [`FaultStats`] sum fieldwise; telemetry buffers replay
+/// through the parent handle in shard-index order (fresh, gapless
+/// sequence stamps); metric snapshots fold via
+/// [`Telemetry::merge_metrics`].
+pub(crate) fn drive<S: ShardStore>(
+    config: &SemesterConfig,
+    seed: u64,
+    schedule: Schedule,
+    store: &S,
+    telemetry: &Telemetry,
+    sink: &mut impl LedgerSink,
+) -> Result<StreamOutcome, S::Error> {
+    let shards = config.shards();
+    if let [only] = shards.as_slice() {
+        let outcome = run_shard(config, seed, only, telemetry, false);
+        let scalars = StreamOutcome::of(&outcome);
+        sink.append(outcome.ledger);
+        return Ok(scalars);
+    }
+
+    let record = telemetry.is_enabled();
+    let run_and_store = |shard: &ShardSpec| {
+        let run = run_shard_buffered(config, seed, shard, record);
+        let scalars = StreamOutcome::of(&run.outcome);
+        store
+            .store(shard.index, run)
+            .map(|stored| (scalars, stored))
+    };
+    let stored: Vec<_> = match schedule {
+        Schedule::Serial => shards.iter().map(run_and_store).collect(),
+        Schedule::Pool => map_slice(&shards, |_, shard| run_and_store(shard)),
+    };
+    let stored = stored.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+    telemetry.counter_add("semester.shards", stored.len() as u64);
+    let mut outcome = StreamOutcome::default();
+    let mut runs = Vec::with_capacity(stored.len());
+    for (shard, mut run) in stored {
+        let metrics = {
+            let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_REPLAY);
+            store.take_aux(&mut run)?.map(|(events, metrics)| {
+                telemetry.replay_owned(events);
+                metrics
+            })
+        };
+        if let Some(metrics) = metrics {
+            let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_METRICS);
+            telemetry.merge_metrics(&metrics);
+        }
+        outcome.quota_denials += shard.quota_denials;
+        outcome.slot_pushbacks += shard.slot_pushbacks;
+        outcome.faults.merge(&shard.faults);
+        outcome.records += shard.records;
+        runs.push(run);
+    }
+
+    let sources = store.sources(runs, &mut outcome.stats)?;
+    let merged = {
+        let _phase = opml_profiler::wall_phase(S::MERGE_PHASE);
+        sink.reserve(outcome.records as usize);
+        let mut merge = StreamMerge::new(sources)?;
+        let mut merged = 0u64;
+        while let Some(record) = merge.next()? {
+            sink.push(record);
+            merged += 1;
+        }
+        merged
+    };
+    store.finish(merged, outcome.records)?;
+    Ok(outcome)
 }
 
 /// Execute one shard against a private telemetry buffer (or fully
 /// disabled telemetry when the parent handle is disabled), so shards
 /// never contend on the parent handle and their event streams can be
 /// replayed in shard order afterwards.
-pub(crate) fn run_shard_buffered(
+fn run_shard_buffered(
     config: &SemesterConfig,
     seed: u64,
     shard: &ShardSpec,
     record: bool,
 ) -> ShardRun {
     // Wall-phase attribution (no-op unless a profiled run enabled the
-    // profiler): the shard body vs the merge stages below is exactly
-    // the split that explains sharded-vs-serial wall time.
+    // profiler): the shard body vs the merge stages is exactly the
+    // split that explains sharded-vs-serial wall time.
     let _phase = opml_profiler::wall_phase(opml_profiler::phases::SHARD_SIM);
-    if record {
-        let sink = MemorySink::with_capacity(shard.student_count() as usize * EVENTS_PER_STUDENT);
-        let telemetry = Telemetry::with_sink(sink.clone());
-        let mut outcome = run_shard(config, seed, shard, &telemetry, true);
-        // Sort here, inside the (possibly parallel) shard map, so the
-        // merge can k-way merge pre-sorted runs instead of re-sorting
-        // the concatenated whole. The single-shard legacy path never
-        // comes through here and keeps its close-order ledger.
-        outcome.ledger.sort_canonical();
+    let sink = record
+        .then(|| MemorySink::with_capacity(shard.student_count() as usize * EVENTS_PER_STUDENT));
+    let telemetry = sink.as_ref().map_or_else(Telemetry::disabled, |sink| {
+        Telemetry::with_sink(sink.clone())
+    });
+    let mut outcome = run_shard(config, seed, shard, &telemetry, true);
+    // Sort here, inside the (possibly parallel) shard map, so the merge
+    // only interleaves presorted runs. The single-shard legacy path
+    // never comes through here and keeps its close-order ledger.
+    outcome.ledger.sort_canonical();
+    let aux = sink.map(|sink| {
         let metrics = telemetry.metrics_snapshot();
-        ShardRun {
-            outcome,
-            // Drain rather than clone: the buffer is moved wholesale
-            // into the merge's restamp pass.
-            events: sink.take_events(),
-            metrics,
-        }
-    } else {
-        let mut outcome = run_shard(config, seed, shard, &Telemetry::disabled(), true);
-        outcome.ledger.sort_canonical();
-        ShardRun {
-            outcome,
-            events: Vec::new(),
-            metrics: MetricsSnapshot::default(),
-        }
-    }
-}
-
-/// Fold per-shard runs — already in shard-index order — into one
-/// outcome.
-///
-/// Merge laws, each associative and stable under the fixed shard
-/// order: ledgers concatenate and re-sort into the canonical record
-/// order ([`Ledger::merge_sorted`]); `u64` counters sum exactly;
-/// [`FaultStats`] sum fieldwise; telemetry buffers replay through the
-/// parent handle in shard-index order (fresh, gapless sequence
-/// stamps); metric snapshots fold via [`Telemetry::merge_metrics`].
-fn merge_shard_runs(runs: Vec<ShardRun>, telemetry: &Telemetry) -> SemesterOutcome {
-    telemetry.counter_add("semester.shards", runs.len() as u64);
-    let mut quota_denials = 0u64;
-    let mut slot_pushbacks = 0u64;
-    let mut faults = FaultStats::default();
-    let mut ledgers = Vec::with_capacity(runs.len());
-    for run in runs {
-        {
-            let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_REPLAY);
-            telemetry.replay_owned(run.events);
-        }
-        {
-            let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_METRICS);
-            telemetry.merge_metrics(&run.metrics);
-        }
-        quota_denials += run.outcome.quota_denials;
-        slot_pushbacks += run.outcome.slot_pushbacks;
-        faults.merge(&run.outcome.faults);
-        ledgers.push(run.outcome.ledger);
-    }
-    let merged_ledger = {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_LEDGER);
-        Ledger::merge_sorted(ledgers)
-    };
-    SemesterOutcome {
-        ledger: merged_ledger,
-        quota_denials,
-        slot_pushbacks,
-        faults,
-    }
+        // Drain rather than clone: the buffer moves wholesale into the
+        // merge's restamp pass.
+        (sink.take_events(), metrics)
+    });
+    ShardRun { outcome, aux }
 }
 
 /// Run one shard of the semester against its own replicated campus.
@@ -494,7 +661,7 @@ fn merge_shard_runs(runs: Vec<ShardRun>, telemetry: &Telemetry) -> SemesterOutco
 /// monolithic driver (and `annotate` is false so the trace bytes are
 /// unchanged); multi-shard callers set `annotate` to stamp the shard
 /// index onto the plan span.
-pub(crate) fn run_shard(
+fn run_shard(
     config: &SemesterConfig,
     seed: u64,
     shard: &ShardSpec,

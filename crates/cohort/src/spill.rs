@@ -1,13 +1,13 @@
-//! Out-of-core semester execution: spill-to-disk shard runs and an
-//! incremental k-way merge with O(shard) peak memory.
+//! Out-of-core storage for the semester driver: spill-to-disk shard
+//! runs and a hierarchical k-way merge with O(shard) peak memory.
 //!
-//! The in-memory sharded drivers ([`crate::semester::simulate_semester`])
-//! hold every shard's ledger, telemetry buffer and metrics snapshot
-//! until the global merge, so peak RSS is O(cohort) — ~30 GB at 1M
-//! students. The streaming drivers here keep the *simulation* identical
-//! but write each shard's output to an on-disk **run** the moment the
-//! shard finishes, releasing its buffers, and then consume the runs
-//! incrementally:
+//! With in-memory storage the driver holds every shard's ledger,
+//! telemetry buffer and metrics snapshot until the global merge, so
+//! peak RSS is O(cohort) — ~30 GB at 1M students. With
+//! [`Storage::Spill`](crate::semester::Storage::Spill) the *simulation*
+//! is identical but each shard's output goes to an on-disk **run** the
+//! moment the shard finishes, releasing its buffers, and the driver
+//! consumes the runs incrementally:
 //!
 //! 1. **Spill** (`merge.spill` phase): each shard's canonically sorted
 //!    ledger, telemetry buffer and metrics snapshot are encoded into
@@ -15,25 +15,22 @@
 //!    ([`opml_testbed::ledger::UsageRecord::encode_into`],
 //!    [`opml_telemetry::spillcodec`]).
 //! 2. **Aux replay** (`merge.replay_restamp` / `merge.metrics`): the
-//!    telemetry and metrics blocks are streamed back in shard-index
-//!    order and folded through the parent handle exactly like the
-//!    in-memory merge — chunked [`Telemetry::replay_owned`] calls
-//!    assign the same gapless sequence stamps because restamping only
-//!    depends on arrival order.
+//!    telemetry and metrics blocks are read back one run at a time, in
+//!    shard-index order, and folded through the parent handle by the
+//!    same fold as in-memory shards.
 //! 3. **Merge** (`merge.spill` for intermediate passes, `merge.stream`
 //!    for the final pass): runs are k-way merged with bounded
-//!    read-ahead by [`StreamMerge`], the disk extension of
-//!    [`Ledger::merge_sorted`]'s index-min heap. When the run count
-//!    exceeds the merge fan-in, *contiguous* groups are merged into
-//!    intermediate runs first — contiguity preserves the shard-index
-//!    tie-break, so the final stream is byte-identical to the
-//!    in-memory merge (the spill differential test pins this).
-//! 4. **Consume**: the caller's closure sees each merged record once,
-//!    in canonical order; nothing cohort-sized is ever materialized.
+//!    read-ahead by [`StreamMerge`]. When the run count exceeds the
+//!    merge fan-in, *contiguous* groups are merged into intermediate
+//!    runs first — contiguity preserves the shard-index tie-break, so
+//!    the final stream is byte-identical to the in-memory merge.
+//! 4. **Consume**: the sink sees each merged record once, in canonical
+//!    order; nothing cohort-sized is ever materialized.
 //!
-//! A cohort that fits in one shard takes the legacy single-campus path
-//! (no disk at all) and streams its close-order ledger, matching the
-//! in-memory single-shard semantics byte for byte.
+//! A run is read once: its source deletes the file on the pull that
+//! finds it exhausted, and the directory goes once it is empty. A
+//! cohort that fits in one shard never reaches this module, so it
+//! touches no disk.
 //!
 //! Peak memory is O(threads × shard) during simulation and
 //! O(fan-in × read-ahead) during the merge; peak disk is about twice
@@ -41,15 +38,17 @@
 //! merge pass).
 //!
 //! All failure modes — I/O errors, truncated or corrupt run files —
-//! surface as [`SpillError`], never a panic: both streaming drivers are
+//! surface as [`SpillError`], never a panic: the spill entry points are
 //! detlint DL008 panic-freedom roots.
 
-use crate::semester::{run_shard, run_shard_buffered, SemesterConfig, ShardRun};
+use crate::semester::{
+    drive, Schedule, SemesterConfig, SemesterOutcome, ShardAux, ShardRun, ShardStore,
+};
 use opml_faults::FaultStats;
+use opml_profiler::{phases, wall_phase};
 use opml_simkernel::binio;
-use opml_simkernel::parallel::map_slice;
 use opml_telemetry::{spillcodec, Telemetry};
-use opml_testbed::ledger::{RecordSource, StreamMerge, UsageRecord};
+use opml_testbed::ledger::{Ledger, RecordSource, StreamMerge, UsageRecord};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -58,41 +57,29 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every spill-run file.
 const MAGIC: &[u8; 8] = b"OPMLRUN1";
 
-/// Fixed header size: magic + aux length + record count.
-const HEADER_BYTES: u64 = 8 + 8 + 8;
-
 /// Record-encode buffer flush threshold while writing a run.
 const WRITE_CHUNK: usize = 64 * 1024;
 
-/// Events per [`Telemetry::replay_owned`] batch during aux replay.
-/// Chunking bounds memory; restamping only depends on arrival order,
-/// so any chunk size produces identical sequence stamps.
-const REPLAY_CHUNK: usize = 16 * 1024;
+/// Per-run read-ahead buffer in bytes while reading runs back.
+const READ_AHEAD: usize = 256 * 1024;
 
 /// Out-of-core execution knobs.
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Directory for run files. Created on demand; removed afterwards
-    /// if it ends up empty and `keep_runs` is false.
+    /// if it ends up empty.
     pub dir: PathBuf,
     /// Maximum runs merged in one pass (and therefore the maximum
     /// simultaneously open run files). Values below 2 are treated as 2.
     pub fanin: usize,
-    /// Per-run read-ahead buffer in bytes during merges.
-    pub read_ahead: usize,
-    /// Keep run files after the merge instead of deleting them
-    /// (debugging aid).
-    pub keep_runs: bool,
 }
 
 impl SpillConfig {
-    /// Default knobs (fan-in 64, 256 KiB read-ahead) in `dir`.
+    /// Default knobs (fan-in 64) in `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> SpillConfig {
         SpillConfig {
             dir: dir.into(),
             fanin: 64,
-            read_ahead: 256 * 1024,
-            keep_runs: false,
         }
     }
 }
@@ -170,10 +157,10 @@ pub struct SpillStats {
     pub max_open_runs: usize,
 }
 
-/// Result of a streaming semester run: the scalar outcome plus spill
-/// observability. The ledger itself was delivered record-by-record to
-/// the consumer and is not held here — that is the point.
-#[derive(Debug)]
+/// Scalar outcome of a semester whose ledger went to a
+/// [`LedgerSink`](crate::semester::LedgerSink): the out-of-core
+/// path's result, since its ledger is never held.
+#[derive(Debug, Default)]
 pub struct StreamOutcome {
     /// Quota denials encountered (sum over shards).
     pub quota_denials: u64,
@@ -181,272 +168,224 @@ pub struct StreamOutcome {
     pub slot_pushbacks: u64,
     /// Fault-path statistics (fieldwise sum over shards).
     pub faults: FaultStats,
-    /// Records delivered to the consumer.
+    /// Records delivered to the sink.
     pub records: u64,
-    /// Spill pipeline counters.
+    /// Spill pipeline counters (all zero under in-memory storage).
     pub stats: SpillStats,
+}
+
+impl StreamOutcome {
+    /// One shard's scalars.
+    pub(crate) fn of(outcome: &SemesterOutcome) -> StreamOutcome {
+        StreamOutcome {
+            quota_denials: outcome.quota_denials,
+            slot_pushbacks: outcome.slot_pushbacks,
+            faults: outcome.faults,
+            records: outcome.ledger.records().len() as u64,
+            stats: SpillStats::default(),
+        }
+    }
+
+    /// Reunite the scalars with the ledger a sink materialized.
+    pub fn with_ledger(self, ledger: Ledger) -> SemesterOutcome {
+        SemesterOutcome {
+            ledger,
+            quota_denials: self.quota_denials,
+            slot_pushbacks: self.slot_pushbacks,
+            faults: self.faults,
+        }
+    }
 }
 
 /// Everything the merge needs to know about one run file without
 /// holding any of its contents.
 #[derive(Debug, Clone)]
-struct RunRef {
+pub(crate) struct RunRef {
     path: PathBuf,
     records: u64,
-}
-
-/// Per-shard scalars carried in memory (they are O(1) per shard; only
-/// the bulky ledger/events/metrics go to disk).
-struct ShardRunMeta {
-    run: RunRef,
-    quota_denials: u64,
-    slot_pushbacks: u64,
-    faults: FaultStats,
-    has_aux: bool,
+    /// Whether the run carries a telemetry/metrics block.
+    aux: bool,
+    /// Bytes written to the file.
     bytes: u64,
 }
 
-/// Simulate a full semester out-of-core, shards executed in parallel on
-/// the ambient rayon pool, delivering the merged canonical ledger
-/// record-by-record to `consumer`.
-///
-/// The record stream, telemetry replay, metrics fold and scalar sums
-/// are byte-identical to [`crate::semester::simulate_semester_with`] on
-/// the same config/seed at any thread count (multi-shard configs; a
-/// single-shard config streams the legacy close-order ledger, again
-/// matching the in-memory path).
-pub fn simulate_semester_streaming<F: FnMut(&UsageRecord)>(
-    config: &SemesterConfig,
-    seed: u64,
-    telemetry: &Telemetry,
-    spill: &SpillConfig,
-    consumer: F,
-) -> Result<StreamOutcome, SpillError> {
-    run_streaming(config, seed, telemetry, spill, true, consumer)
-}
-
-/// Sequential counterpart of [`simulate_semester_streaming`]: same
-/// shards, executed one after another on the calling thread, same
-/// merge. Peak memory is O(shard) rather than O(threads × shard).
+/// Simulate a full semester out of core, shards one after another on
+/// the calling thread, delivering the merged canonical ledger
+/// record-by-record to `consumer`: [`crate::semester::simulate_semester_exec`]
+/// with [`Schedule::Serial`] and spill storage. Peak memory is
+/// O(shard).
 pub fn simulate_semester_streaming_serial<F: FnMut(&UsageRecord)>(
     config: &SemesterConfig,
     seed: u64,
     telemetry: &Telemetry,
     spill: &SpillConfig,
-    consumer: F,
-) -> Result<StreamOutcome, SpillError> {
-    run_streaming(config, seed, telemetry, spill, false, consumer)
-}
-
-fn run_streaming<F: FnMut(&UsageRecord)>(
-    config: &SemesterConfig,
-    seed: u64,
-    telemetry: &Telemetry,
-    spill: &SpillConfig,
-    parallel: bool,
     mut consumer: F,
 ) -> Result<StreamOutcome, SpillError> {
-    let shards = config.shards();
-
-    // A cohort that fits in one shard keeps the legacy single-campus
-    // semantics (close-order ledger, no disk) — identical to the
-    // in-memory drivers' single-shard fast path.
-    if let [only] = shards.as_slice() {
-        let outcome = run_shard(config, seed, only, telemetry, false);
-        let mut records = 0u64;
-        for rec in outcome.ledger.records() {
-            consumer(rec);
-            records += 1;
-        }
-        return Ok(StreamOutcome {
-            quota_denials: outcome.quota_denials,
-            slot_pushbacks: outcome.slot_pushbacks,
-            faults: outcome.faults,
-            records,
-            stats: SpillStats::default(),
-        });
-    }
-
-    fs::create_dir_all(&spill.dir).map_err(|e| SpillError::from_io(&spill.dir, e))?;
-    let record_aux = telemetry.is_enabled();
-
-    // ---- Phase 1: simulate shards, spilling each to its own run file.
-    let metas: Vec<ShardRunMeta> = {
-        let results = if parallel {
-            map_slice(&shards, |_, shard| {
-                let run = run_shard_buffered(config, seed, shard, record_aux);
-                write_shard_run(spill, shard.index, run, record_aux)
-            })
-        } else {
-            shards
-                .iter()
-                .map(|shard| {
-                    let run = run_shard_buffered(config, seed, shard, record_aux);
-                    write_shard_run(spill, shard.index, run, record_aux)
-                })
-                .collect()
-        };
-        let mut metas = Vec::with_capacity(results.len());
-        for result in results {
-            metas.push(result?);
-        }
-        metas
-    };
-
-    let mut stats = SpillStats {
-        shard_runs: metas.len(),
-        ..SpillStats::default()
-    };
-    let mut quota_denials = 0u64;
-    let mut slot_pushbacks = 0u64;
-    let mut faults = FaultStats::default();
-    let expected_records: u64 = metas.iter().map(|m| m.run.records).sum();
-
-    // ---- Phase 2: fold aux blocks (telemetry replay + metrics) in
-    // shard-index order, mirroring the in-memory merge exactly.
-    telemetry.counter_add("semester.shards", metas.len() as u64);
-    for meta in &metas {
-        replay_aux(meta, spill, telemetry)?;
-        quota_denials += meta.quota_denials;
-        slot_pushbacks += meta.slot_pushbacks;
-        faults.merge(&meta.faults);
-        stats.spilled_bytes += meta.bytes;
-    }
-
-    // ---- Phase 3: hierarchical merge down to the fan-in, then stream.
-    let fanin = spill.fanin.max(2);
-    let mut level: Vec<RunRef> = metas.into_iter().map(|m| m.run).collect();
-    let mut level_no = 0u32;
-    while level.len() > fanin {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_SPILL);
-        level_no += 1;
-        stats.merge_passes += 1;
-        let mut next = Vec::with_capacity(level.len().div_ceil(fanin));
-        // Merging CONTIGUOUS groups, in order, preserves the global
-        // shard-index tie-break: ties within a group keep their input
-        // order (StreamMerge is index-stable), ties across groups are
-        // resolved by group order, which equals shard order.
-        for (gi, group) in level.chunks(fanin).enumerate() {
-            if let [only] = group {
-                // An undersized tail group passes through unmerged.
-                next.push(only.clone());
-                continue;
-            }
-            let out = RunRef {
-                path: spill.dir.join(format!("run-{level_no}-{gi}.bin")),
-                records: group.iter().map(|g| g.records).sum(),
-            };
-            stats.max_open_runs = stats.max_open_runs.max(group.len());
-            stats.spilled_bytes += write_merged_run(&out, group, spill)?;
-            stats.intermediate_runs += 1;
-            if !spill.keep_runs {
-                for g in group {
-                    let _ = fs::remove_file(&g.path);
-                }
-            }
-            next.push(out);
-        }
-        level = next;
-    }
-
-    let mut records = 0u64;
-    {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_STREAM);
-        stats.max_open_runs = stats.max_open_runs.max(level.len());
-        let sources = open_sources(&level, spill)?;
-        let mut merge = StreamMerge::new(sources)?;
-        while let Some(rec) = merge.next()? {
-            consumer(&rec);
-            records += 1;
-        }
-    }
-    if !spill.keep_runs {
-        for run in &level {
-            let _ = fs::remove_file(&run.path);
-        }
-        // Only removes the directory if nothing else lives in it.
-        let _ = fs::remove_dir(&spill.dir);
-    }
-    if records != expected_records {
-        return Err(SpillError::Corrupt {
-            path: spill.dir.clone(),
-            detail: format!("merged {records} records, shards produced {expected_records}"),
-        });
-    }
-
-    Ok(StreamOutcome {
-        quota_denials,
-        slot_pushbacks,
-        faults,
-        records,
-        stats,
-    })
+    drive(
+        config,
+        seed,
+        Schedule::Serial,
+        spill,
+        telemetry,
+        &mut |r: UsageRecord| consumer(&r),
+    )
 }
 
-/// Write one shard's output as a run file and return the in-memory
-/// scalars. Consumes the `ShardRun`, releasing its buffers on return —
-/// this is what makes peak RSS O(shard) instead of O(cohort).
-fn write_shard_run(
-    spill: &SpillConfig,
-    shard_index: u32,
-    run: ShardRun,
-    record_aux: bool,
-) -> Result<ShardRunMeta, SpillError> {
-    let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_SPILL);
-    let path = spill.dir.join(format!("run-0-{shard_index}.bin"));
+impl ShardStore for SpillConfig {
+    type Run = RunRef;
+    type Source = RunRecordSource;
+    type Error = SpillError;
+    const MERGE_PHASE: &'static str = phases::MERGE_STREAM;
 
-    let mut aux = Vec::new();
-    if record_aux {
-        spillcodec::encode_metrics(&run.metrics, &mut aux);
-        binio::put_u64(&mut aux, run.events.len() as u64);
-        for ev in &run.events {
-            spillcodec::encode_event(ev, &mut aux);
+    /// Write one shard's output as a run file. Consumes the `ShardRun`,
+    /// releasing its buffers on return — this is what makes peak RSS
+    /// O(shard) instead of O(cohort).
+    fn store(&self, shard: u32, run: ShardRun) -> Result<RunRef, SpillError> {
+        let _phase = wall_phase(phases::MERGE_SPILL);
+        fs::create_dir_all(&self.dir).map_err(|e| SpillError::from_io(&self.dir, e))?;
+        let mut aux = Vec::new();
+        if let Some((events, metrics)) = &run.aux {
+            spillcodec::encode_metrics(metrics, &mut aux);
+            binio::put_u64(&mut aux, events.len() as u64);
+            for ev in events {
+                spillcodec::encode_event(ev, &mut aux);
+            }
         }
+        let path = self.dir.join(format!("run-0-{shard}.bin"));
+        let records = run.outcome.ledger.records().len() as u64;
+        let mut ledger = run.outcome.ledger.into_iter();
+        let bytes = write_run(&path, &aux, records, || Ok(ledger.next()))?;
+        Ok(RunRef {
+            path,
+            records,
+            aux: run.aux.is_some(),
+            bytes,
+        })
     }
 
-    let records = run.outcome.ledger.records();
-    let file = File::create(&path).map_err(|e| SpillError::from_io(&path, e))?;
+    /// Read one run's telemetry events and metrics snapshot back.
+    fn take_aux(&self, run: &mut RunRef) -> Result<Option<ShardAux>, SpillError> {
+        if !run.aux {
+            return Ok(None);
+        }
+        let path = &run.path;
+        let file = File::open(path).map_err(|e| SpillError::from_io(path, e))?;
+        let mut r = BufReader::with_capacity(READ_AHEAD, file);
+        read_header(&mut r, path)?;
+        let metrics =
+            spillcodec::decode_metrics(&mut r).map_err(|e| SpillError::from_io(path, e))?;
+        let count = binio::read_u64(&mut r).map_err(|e| SpillError::from_io(path, e))?;
+        let events = (0..count)
+            .map(|_| spillcodec::decode_event(&mut r))
+            .collect::<io::Result<Vec<_>>>()
+            .map_err(|e| SpillError::from_io(path, e))?;
+        Ok(Some((events, metrics)))
+    }
+
+    /// Merge contiguous groups of runs into intermediate runs until one
+    /// level fits the fan-in, then open that level for the final merge.
+    fn sources(
+        &self,
+        runs: Vec<RunRef>,
+        stats: &mut SpillStats,
+    ) -> Result<Vec<RunRecordSource>, SpillError> {
+        stats.shard_runs = runs.len();
+        stats.spilled_bytes = runs.iter().map(|run| run.bytes).sum();
+        let fanin = self.fanin.max(2);
+        let mut level = runs;
+        while level.len() > fanin {
+            let _phase = wall_phase(phases::MERGE_SPILL);
+            stats.merge_passes += 1;
+            let mut next = Vec::with_capacity(level.len().div_ceil(fanin));
+            // Merging CONTIGUOUS groups, in order, preserves the global
+            // shard-index tie-break: ties within a group keep their input
+            // order (StreamMerge is index-stable), ties across groups are
+            // resolved by group order, which equals shard order.
+            for (gi, group) in level.chunks(fanin).enumerate() {
+                if let [only] = group {
+                    // An undersized tail group passes through unmerged.
+                    next.push(only.clone());
+                    continue;
+                }
+                let path = self
+                    .dir
+                    .join(format!("run-{}-{gi}.bin", stats.merge_passes));
+                let records = group.iter().map(|run| run.records).sum();
+                let mut merge = StreamMerge::new(open_all(group)?)?;
+                let bytes = write_run(&path, &[], records, || merge.next())?;
+                stats.max_open_runs = stats.max_open_runs.max(group.len());
+                stats.spilled_bytes += bytes;
+                stats.intermediate_runs += 1;
+                next.push(RunRef {
+                    path,
+                    records,
+                    aux: false,
+                    bytes,
+                });
+            }
+            level = next;
+        }
+        let _phase = wall_phase(phases::MERGE_STREAM);
+        stats.max_open_runs = stats.max_open_runs.max(level.len());
+        open_all(&level)
+    }
+
+    fn finish(&self, merged: u64, expected: u64) -> Result<(), SpillError> {
+        // Every run deleted itself once read; this only removes the
+        // directory if nothing else lives in it.
+        let _ = fs::remove_dir(&self.dir);
+        if merged != expected {
+            return Err(SpillError::Corrupt {
+                path: self.dir.clone(),
+                detail: format!("merged {merged} records, shards produced {expected}"),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Write a run file: header, the `aux` block, then `records` records
+/// pulled from `next`. Returns the bytes written.
+fn write_run(
+    path: &Path,
+    aux: &[u8],
+    records: u64,
+    mut next: impl FnMut() -> Result<Option<UsageRecord>, SpillError>,
+) -> Result<u64, SpillError> {
+    let io_err = |e| SpillError::from_io(path, e);
+    let file = File::create(path).map_err(io_err)?;
     let mut w = BufWriter::with_capacity(WRITE_CHUNK, file);
-    let mut bytes = 0u64;
     let mut buf = Vec::with_capacity(WRITE_CHUNK + 256);
     buf.extend_from_slice(MAGIC);
     binio::put_u64(&mut buf, aux.len() as u64);
-    binio::put_u64(&mut buf, records.len() as u64);
-    w.write_all(&buf)
-        .map_err(|e| SpillError::from_io(&path, e))?;
-    w.write_all(&aux)
-        .map_err(|e| SpillError::from_io(&path, e))?;
-    bytes += buf.len() as u64 + aux.len() as u64;
-    drop(aux);
+    binio::put_u64(&mut buf, records);
+    w.write_all(&buf).map_err(io_err)?;
+    w.write_all(aux).map_err(io_err)?;
+    let mut bytes = (buf.len() + aux.len()) as u64;
     buf.clear();
-    for rec in records {
+    let mut written = 0u64;
+    while let Some(rec) = next()? {
         rec.encode_into(&mut buf);
+        written += 1;
         if buf.len() >= WRITE_CHUNK {
-            w.write_all(&buf)
-                .map_err(|e| SpillError::from_io(&path, e))?;
+            w.write_all(&buf).map_err(io_err)?;
             bytes += buf.len() as u64;
             buf.clear();
         }
     }
-    w.write_all(&buf)
-        .map_err(|e| SpillError::from_io(&path, e))?;
+    w.write_all(&buf).map_err(io_err)?;
     bytes += buf.len() as u64;
     w.into_inner()
-        .map_err(|e| SpillError::from_io(&path, e.into_error()))?
+        .map_err(|e| io_err(e.into_error()))?
         .flush()
-        .map_err(|e| SpillError::from_io(&path, e))?;
-
-    Ok(ShardRunMeta {
-        run: RunRef {
-            path,
-            records: records.len() as u64,
-        },
-        quota_denials: run.outcome.quota_denials,
-        slot_pushbacks: run.outcome.slot_pushbacks,
-        faults: run.outcome.faults,
-        has_aux: record_aux,
-        bytes,
-    })
+        .map_err(io_err)?;
+    if written != records {
+        return Err(SpillError::Corrupt {
+            path: path.to_path_buf(),
+            detail: format!("wrote {written} records, header declares {records}"),
+        });
+    }
+    Ok(bytes)
 }
 
 /// Read a run-file header, leaving the reader positioned at the aux
@@ -466,51 +405,9 @@ fn read_header(r: &mut impl io::Read, path: &Path) -> Result<(u64, u64), SpillEr
     Ok((aux_len, record_count))
 }
 
-/// Stream one shard's aux block (metrics + telemetry events) back
-/// through the parent handle: chunked `replay_owned` first, then the
-/// metrics fold — the same per-shard order as the in-memory merge.
-fn replay_aux(
-    meta: &ShardRunMeta,
-    spill: &SpillConfig,
-    telemetry: &Telemetry,
-) -> Result<(), SpillError> {
-    if !meta.has_aux {
-        return Ok(());
-    }
-    let path = &meta.run.path;
-    let file = File::open(path).map_err(|e| SpillError::from_io(path, e))?;
-    let mut r = BufReader::with_capacity(spill.read_ahead, file);
-    let (aux_len, _records) = read_header(&mut r, path)?;
-    if aux_len == 0 {
-        return Ok(());
-    }
-    let metrics = spillcodec::decode_metrics(&mut r).map_err(|e| SpillError::from_io(path, e))?;
-    let event_count = binio::read_u64(&mut r).map_err(|e| SpillError::from_io(path, e))?;
-    {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_REPLAY);
-        let mut pending = Vec::with_capacity(REPLAY_CHUNK.min(event_count as usize));
-        for _ in 0..event_count {
-            pending
-                .push(spillcodec::decode_event(&mut r).map_err(|e| SpillError::from_io(path, e))?);
-            if pending.len() >= REPLAY_CHUNK {
-                let chunk = std::mem::replace(&mut pending, Vec::with_capacity(REPLAY_CHUNK));
-                telemetry.replay_owned(chunk);
-            }
-        }
-        if !pending.is_empty() {
-            telemetry.replay_owned(pending);
-        }
-    }
-    {
-        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_METRICS);
-        telemetry.merge_metrics(&metrics);
-    }
-    Ok(())
-}
-
 /// A run file opened for streaming record decode: the bounded
 /// read-ahead source feeding [`StreamMerge`].
-struct RunRecordSource {
+pub(crate) struct RunRecordSource {
     path: PathBuf,
     reader: BufReader<File>,
     remaining: u64,
@@ -520,10 +417,10 @@ impl RunRecordSource {
     /// Open `run`, skip its aux block, and position at the first
     /// record. Decode is count-driven, so a truncated file surfaces as
     /// `UnexpectedEof` mid-stream rather than silently ending early.
-    fn open(run: &RunRef, spill: &SpillConfig) -> Result<RunRecordSource, SpillError> {
+    fn open(run: &RunRef) -> Result<RunRecordSource, SpillError> {
         let path = run.path.clone();
         let file = File::open(&path).map_err(|e| SpillError::from_io(&path, e))?;
-        let mut reader = BufReader::with_capacity(spill.read_ahead, file);
+        let mut reader = BufReader::with_capacity(READ_AHEAD, file);
         let (aux_len, record_count) = read_header(&mut reader, &path)?;
         if record_count != run.records {
             return Err(SpillError::Corrupt {
@@ -562,6 +459,9 @@ impl RecordSource for RunRecordSource {
 
     fn next_record(&mut self) -> Result<Option<UsageRecord>, SpillError> {
         if self.remaining == 0 {
+            // A run is read once: the pull that finds it exhausted
+            // deletes it.
+            let _ = fs::remove_file(&self.path);
             return Ok(None);
         }
         match UsageRecord::decode_from(&mut self.reader) {
@@ -574,54 +474,8 @@ impl RecordSource for RunRecordSource {
     }
 }
 
-fn open_sources(runs: &[RunRef], spill: &SpillConfig) -> Result<Vec<RunRecordSource>, SpillError> {
-    runs.iter()
-        .map(|r| RunRecordSource::open(r, spill))
-        .collect()
-}
-
-/// Merge a contiguous group of runs into one intermediate run
-/// (ledger-only: aux was already replayed). Returns bytes written.
-fn write_merged_run(
-    out: &RunRef,
-    group: &[RunRef],
-    spill: &SpillConfig,
-) -> Result<u64, SpillError> {
-    let path = &out.path;
-    let sources = open_sources(group, spill)?;
-    let mut merge = StreamMerge::new(sources)?;
-    let file = File::create(path).map_err(|e| SpillError::from_io(path, e))?;
-    let mut w = BufWriter::with_capacity(WRITE_CHUNK, file);
-    let mut buf = Vec::with_capacity(WRITE_CHUNK + 256);
-    buf.extend_from_slice(MAGIC);
-    binio::put_u64(&mut buf, 0); // no aux in intermediate runs
-    binio::put_u64(&mut buf, out.records);
-    let mut bytes = 0u64;
-    let mut written = 0u64;
-    while let Some(rec) = merge.next()? {
-        rec.encode_into(&mut buf);
-        written += 1;
-        if buf.len() >= WRITE_CHUNK {
-            w.write_all(&buf)
-                .map_err(|e| SpillError::from_io(path, e))?;
-            bytes += buf.len() as u64;
-            buf.clear();
-        }
-    }
-    w.write_all(&buf)
-        .map_err(|e| SpillError::from_io(path, e))?;
-    bytes += buf.len() as u64;
-    w.into_inner()
-        .map_err(|e| SpillError::from_io(path, e.into_error()))?
-        .flush()
-        .map_err(|e| SpillError::from_io(path, e))?;
-    if written != out.records {
-        return Err(SpillError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("merged {written} records, inputs declared {}", out.records),
-        });
-    }
-    Ok(bytes + HEADER_BYTES)
+fn open_all(runs: &[RunRef]) -> Result<Vec<RunRecordSource>, SpillError> {
+    runs.iter().map(RunRecordSource::open).collect()
 }
 
 #[cfg(test)]
@@ -629,8 +483,6 @@ mod tests {
     use super::*;
     use crate::semester::simulate_semester_with;
     use opml_faults::FaultProfile;
-    use opml_telemetry::{export_jsonl, MemorySink};
-    use opml_testbed::ledger::Ledger;
 
     fn test_dir(tag: &str) -> PathBuf {
         // detlint::allow(DL001): test-unique temp path, never simulation input
@@ -646,56 +498,6 @@ mod tests {
             faults: FaultProfile::none(),
             shard_students: 8,
         }
-    }
-
-    /// Run both paths with recording telemetry and return
-    /// (trace bytes, ledger json, metrics json, scalars) for each.
-    fn both_paths(config: &SemesterConfig, seed: u64, spill: &SpillConfig) -> [Vec<String>; 2] {
-        let sink = MemorySink::new();
-        let telemetry = Telemetry::with_sink(sink.clone());
-        let outcome = simulate_semester_with(config, seed, &telemetry);
-        let in_memory = vec![
-            export_jsonl(&sink.events()),
-            serde_json::to_string(outcome.ledger.records()).expect("serialize"),
-            serde_json::to_string(&telemetry.metrics_snapshot()).expect("serialize"),
-            format!(
-                "{}|{}|{:?}",
-                outcome.quota_denials, outcome.slot_pushbacks, outcome.faults
-            ),
-        ];
-
-        let sink = MemorySink::new();
-        let telemetry = Telemetry::with_sink(sink.clone());
-        let mut ledger = Ledger::new();
-        let stream = simulate_semester_streaming(config, seed, &telemetry, spill, |r| {
-            ledger.push(r.clone())
-        })
-        .expect("streaming run");
-        assert_eq!(stream.records as usize, ledger.records().len());
-        let streamed = vec![
-            export_jsonl(&sink.events()),
-            serde_json::to_string(ledger.records()).expect("serialize"),
-            serde_json::to_string(&telemetry.metrics_snapshot()).expect("serialize"),
-            format!(
-                "{}|{}|{:?}",
-                stream.quota_denials, stream.slot_pushbacks, stream.faults
-            ),
-        ];
-        [in_memory, streamed]
-    }
-
-    #[test]
-    fn streaming_matches_in_memory_bytes() {
-        let config = small_config();
-        let spill = SpillConfig::new(test_dir("match"));
-        let [in_memory, streamed] = both_paths(&config, 42, &spill);
-        for (label, (a, b)) in ["trace", "ledger", "metrics", "scalars"]
-            .into_iter()
-            .zip(in_memory.iter().zip(streamed.iter()))
-        {
-            assert_eq!(a, b, "{label} bytes diverge between paths");
-        }
-        assert!(!spill.dir.exists(), "run files cleaned up");
     }
 
     #[test]
@@ -720,29 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_streams_close_order_without_disk() {
-        let config = SemesterConfig {
-            enrollment: 6,
-            shard_students: 191,
-            ..small_config()
-        };
-        let spill = SpillConfig::new(test_dir("single"));
-        let reference = simulate_semester_with(&config, 3, &Telemetry::disabled());
-        let mut ledger = Ledger::new();
-        let stream = simulate_semester_streaming(&config, 3, &Telemetry::disabled(), &spill, |r| {
-            ledger.push(r.clone())
-        })
-        .expect("streaming run");
-        assert_eq!(stream.stats, SpillStats::default());
-        assert!(!spill.dir.exists(), "single shard never touches disk");
-        // Close order, not canonical order — exactly the legacy bytes.
-        assert_eq!(
-            serde_json::to_string(ledger.records()).expect("serialize"),
-            serde_json::to_string(reference.ledger.records()).expect("serialize"),
-        );
-    }
-
-    #[test]
     fn corrupt_run_is_a_typed_error() {
         let dir = test_dir("corrupt");
         fs::create_dir_all(&dir).expect("mkdir");
@@ -751,9 +530,10 @@ mod tests {
         let run = RunRef {
             path: path.clone(),
             records: 1,
+            aux: false,
+            bytes: 8,
         };
-        let spill = SpillConfig::new(&dir);
-        match RunRecordSource::open(&run, &spill) {
+        match RunRecordSource::open(&run) {
             Err(SpillError::Corrupt { .. }) => {}
             Err(other) => panic!("expected Corrupt, got {other:?}"),
             Ok(_) => panic!("expected Corrupt, got a source"),

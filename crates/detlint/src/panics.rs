@@ -25,16 +25,16 @@ use crate::rules::excerpt;
 use crate::Finding;
 
 /// Simulation entry points the reachability walk starts from: the
-/// serial and sharded semester drivers plus their out-of-core
-/// streaming counterparts (cohort), the scheduler's fallible runner
-/// (sched), and the service-mode soak (serve). Everything the
-/// simulation can execute is reachable from these by construction.
+/// semester driver's public entry points (cohort), the scheduler's
+/// fallible runner (sched), and the service-mode soak (serve).
+/// Everything the simulation can execute is reachable from these by
+/// construction. A root that names no function would silently drop
+/// its coverage, so `tests/detlint_clean.rs` requires each one to be
+/// declared under [`PANIC_SCOPE`].
 pub const PANIC_ROOTS: &[&str] = &[
     "simulate_semester",
     "simulate_semester_with",
-    "simulate_semester_serial",
-    "simulate_semester_serial_with",
-    "simulate_semester_streaming",
+    "simulate_semester_exec",
     "simulate_semester_streaming_serial",
     "try_run",
     "run_service",

@@ -126,7 +126,7 @@ fn panic_reachability_names_root_and_site() {
     assert_eq!(rules_of(&a), ["DL008"]);
     let msg = &a.findings[0].message;
     assert!(msg.contains("settle_invoice"), "{msg}");
-    assert!(msg.contains("simulate_semester_serial"), "{msg}");
+    assert!(msg.contains("simulate_semester_with"), "{msg}");
 }
 
 /// Golden test over the machine-readable output: every fixture's JSON

@@ -2,7 +2,7 @@
 //! `None` arm instead of panicking, and panics inside `#[cfg(test)]`
 //! code are exempt by design.
 
-pub fn simulate_semester_serial(seeds: &[u64]) -> u64 {
+pub fn simulate_semester_with(seeds: &[u64]) -> u64 {
     let mut total = 0;
     for &seed in seeds {
         total += settle_invoice(seed);

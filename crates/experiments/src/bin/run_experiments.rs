@@ -268,7 +268,7 @@ fn run_scale(args: &[String], seed: u64, narrator: &Telemetry) {
         SimTime::ZERO,
         "scale sweep: {enrollment} students, {shard_students}/shard, threads {threads:?}…"
     );
-    let report = scale::run(&scale::ScaleConfig {
+    let report = match scale::run(&scale::ScaleConfig {
         seed,
         enrollment,
         shard_students,
@@ -276,7 +276,13 @@ fn run_scale(args: &[String], seed: u64, narrator: &Telemetry) {
         digest_only,
         spill_dir,
         mem_budget_mb,
-    });
+    }) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("scale: FAILED — {e}");
+            std::process::exit(1);
+        }
+    };
     println!("== Scale: sharded cohort sweep ==\n{}", report.text);
     if let Some(kb) = report.peak_rss_kb {
         println!("peak rss: {kb} kB");

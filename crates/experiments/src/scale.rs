@@ -11,17 +11,19 @@
 //! digests each outcome, and demands byte-equivalence across all of
 //! them.
 //!
+//! Every arm feeds the merged record stream straight into an
+//! incremental [`OutcomeDigest`]; only the [`Exec`] differs between
+//! arms.
+//!
 //! ## Out-of-core mode
 //!
 //! With a spill directory (`--spill-dir`) or a memory budget the
 //! estimated in-memory peak would exceed (`--mem-budget-mb`), each arm
-//! runs through [`opml_cohort::spill::simulate_semester_streaming`]:
-//! shard outputs go to on-disk runs and the digest consumes the merged
-//! record stream incrementally ([`OutcomeDigest`]), so peak RSS is
-//! O(shard), not O(cohort). The stream is byte-identical to the
-//! in-memory merge, hence so is the digest — the spill differential
-//! test and the `check.sh` forced-spill smoke pin this against the
-//! committed goldens.
+//! runs with [`Storage::Spill`]: shard outputs go to on-disk runs, so
+//! peak RSS is O(shard), not O(cohort). The stream is byte-identical to
+//! the in-memory merge, hence so is the digest — the sharded
+//! differential test and the `check.sh` forced-spill smoke pin this
+//! against the committed goldens.
 //!
 //! Peak RSS is observed with the profiler's [`RssSampler`] timeline
 //! (plus the `VmHWM` high-water fallback) and reported alongside a
@@ -33,11 +35,9 @@
 
 use crate::digest::Fnv64;
 use opml_cohort::semester::{
-    simulate_semester, simulate_semester_serial, SemesterConfig, SemesterOutcome,
+    simulate_semester_exec, Exec, Schedule, SemesterConfig, SemesterOutcome, Storage,
 };
-use opml_cohort::spill::{
-    simulate_semester_streaming, simulate_semester_streaming_serial, SpillConfig, StreamOutcome,
-};
+use opml_cohort::spill::{SpillConfig, SpillError};
 use opml_faults::FaultStats;
 use opml_profiler::RssSampler;
 use opml_report::table::{fmt_num, Table};
@@ -239,9 +239,11 @@ fn sweep_config(config: &ScaleConfig) -> SemesterConfig {
 /// Estimated in-memory peak RSS for a cohort of `enrollment` students,
 /// in MB, rounded up. Calibrated from observed `VmHWM` peaks of the
 /// in-memory path (`scale --digest-only`: ~5.1 KiB/student at 100k and
-/// ~6.0 at 200k on one thread, ~7.2 at 1M on two), rounded up to
-/// 8 KiB/student; deliberately coarse — it only decides *whether* to
-/// spill under `--mem-budget-mb`.
+/// ~6.0 at 200k on one thread, ~7.2 at 1M on two, while the merged
+/// ledger was still materialized; ~5.5 at 100k and 1M on two since the
+/// arms stream it into the digest), rounded up to 8 KiB/student;
+/// deliberately coarse — it only decides *whether* to spill under
+/// `--mem-budget-mb`.
 pub fn estimated_peak_mb(enrollment: u32) -> u64 {
     (u64::from(enrollment) * 8).div_ceil(1024)
 }
@@ -263,27 +265,28 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
 /// this module.
 pub use opml_profiler::peak_rss_kb;
 
-/// Run one spill arm: stream the merged ledger into an incremental
-/// digest, never materializing it.
-fn spill_arm(
+/// Run one arm (`threads == None` is the serial reference): stream the
+/// merged ledger into an incremental digest, never materializing it.
+fn run_arm(
     sem: &SemesterConfig,
     seed: u64,
-    spill: &SpillConfig,
+    storage: &Storage,
     threads: Option<usize>,
-) -> ScaleArm {
+) -> Result<ScaleArm, SpillError> {
+    let exec = Exec {
+        schedule: threads.map_or(Schedule::Serial, |_| Schedule::Pool),
+        storage: storage.clone(),
+    };
     let mut digest = OutcomeDigest::new();
-    let outcome: StreamOutcome = match threads {
-        None => simulate_semester_streaming_serial(sem, seed, &Telemetry::disabled(), spill, |r| {
-            digest.push(r)
-        }),
-        Some(t) => with_thread_count(t, || {
-            simulate_semester_streaming(sem, seed, &Telemetry::disabled(), spill, |r| {
-                digest.push(r)
-            })
-        }),
-    }
-    .unwrap_or_else(|e| panic!("out-of-core scale arm failed: {e}"));
-    ScaleArm {
+    let mut run = || {
+        let mut sink = |r: UsageRecord| digest.push(&r);
+        simulate_semester_exec(sem, seed, &exec, &Telemetry::disabled(), &mut sink)
+    };
+    let outcome = match threads {
+        None => run(),
+        Some(t) => with_thread_count(t, run),
+    }?;
+    Ok(ScaleArm {
         threads,
         wall_s: None,
         digest: digest.finish(
@@ -292,28 +295,15 @@ fn spill_arm(
             &outcome.faults,
         ),
         records: outcome.records as usize,
-    }
-}
-
-/// Run one in-memory arm.
-fn memory_arm(sem: &SemesterConfig, seed: u64, threads: Option<usize>) -> ScaleArm {
-    let outcome = match threads {
-        None => simulate_semester_serial(sem, seed),
-        Some(t) => with_thread_count(t, || simulate_semester(sem, seed)),
-    };
-    ScaleArm {
-        threads,
-        wall_s: None,
-        digest: digest_outcome(&outcome),
-        records: outcome.ledger.records().len(),
-    }
+    })
 }
 
 /// Run the sweep: the strictly sequential reference first (untimed in
 /// digest-only mode), then one sharded arm per requested thread count.
 /// Spilling engages when a spill directory is given or the estimated
-/// peak exceeds the memory budget.
-pub fn run(config: &ScaleConfig) -> ScaleReport {
+/// peak exceeds the memory budget; a spill failure is returned, naming
+/// the file it hit.
+pub fn run(config: &ScaleConfig) -> Result<ScaleReport, SpillError> {
     let sem = sweep_config(config);
     let spilled = config.spill_dir.is_some()
         || config
@@ -323,20 +313,19 @@ pub fn run(config: &ScaleConfig) -> ScaleReport {
         // detlint::allow(DL001): spill paths are harness plumbing, never simulation input
         std::env::temp_dir().join(format!("opml-spill-{}", std::process::id()))
     });
-    let spill = SpillConfig::new(spill_dir);
+    let storage = if spilled {
+        Storage::Spill(SpillConfig::new(spill_dir))
+    } else {
+        Storage::Memory
+    };
 
     let sampler = RssSampler::start(Duration::from_millis(50));
     let mut arms = Vec::new();
     let mut arm_threads: Vec<Option<usize>> = vec![None];
     arm_threads.extend(config.threads.iter().map(|&t| Some(t)));
     for threads in arm_threads {
-        let (mut arm, wall) = timed(|| {
-            if spilled {
-                spill_arm(&sem, config.seed, &spill, threads)
-            } else {
-                memory_arm(&sem, config.seed, threads)
-            }
-        });
+        let (arm, wall) = timed(|| run_arm(&sem, config.seed, &storage, threads));
+        let mut arm = arm?;
         if !config.digest_only {
             arm.wall_s = Some(wall);
         }
@@ -400,7 +389,7 @@ pub fn run(config: &ScaleConfig) -> ScaleReport {
             }
         ));
     }
-    ScaleReport {
+    Ok(ScaleReport {
         text,
         arms,
         equivalent,
@@ -408,7 +397,7 @@ pub fn run(config: &ScaleConfig) -> ScaleReport {
         spilled,
         mem_budget_mb: config.mem_budget_mb,
         budget_exceeded,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -429,7 +418,8 @@ mod tests {
             digest_only: true,
             spill_dir: None,
             mem_budget_mb: None,
-        });
+        })
+        .expect("in-memory sweep cannot fail");
         assert!(report.equivalent, "{}", report.text);
         assert_eq!(report.arms.len(), 4);
         assert!(report.arms[0].records > 0);
@@ -447,13 +437,14 @@ mod tests {
             spill_dir: None,
             mem_budget_mb: None,
         };
-        let in_memory = run(&base);
+        let in_memory = run(&base).expect("in-memory sweep cannot fail");
         // detlint::allow(DL001): test-unique temp path, never simulation input
         let dir = std::env::temp_dir().join(format!("opml-scale-test-{}", std::process::id()));
         let spilled = run(&ScaleConfig {
             spill_dir: Some(dir),
             ..base
-        });
+        })
+        .expect("spill sweep");
         assert!(spilled.spilled, "{}", spilled.text);
         assert!(in_memory.equivalent && spilled.equivalent);
         assert_eq!(
@@ -473,7 +464,8 @@ mod tests {
             digest_only: true,
             spill_dir: None,
             mem_budget_mb: Some(1),
-        });
+        })
+        .expect("in-memory sweep cannot fail");
         // estimated_peak_mb(40) = ceil(40 * 8 / 1024) = 1 MB, equal to
         // the budget, so no spill; the estimate rounds up, so a zero
         // budget always spills.
@@ -486,10 +478,33 @@ mod tests {
             digest_only: true,
             spill_dir: None,
             mem_budget_mb: Some(0),
-        });
+        })
+        .expect("spill sweep");
         assert!(report.spilled, "{}", report.text);
         assert_eq!(report.mem_budget_mb, Some(0));
         assert!(report.budget_exceeded.is_some());
+    }
+
+    #[test]
+    fn spill_failure_is_a_typed_error_naming_the_path() {
+        // detlint::allow(DL001): test-unique temp path, never simulation input
+        let file = std::env::temp_dir().join(format!("opml-scale-notadir-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("write blocker file");
+        let result = run(&ScaleConfig {
+            seed: 7,
+            enrollment: 40,
+            shard_students: 12,
+            threads: vec![],
+            digest_only: true,
+            spill_dir: Some(file.clone()),
+            mem_budget_mb: None,
+        });
+        let _ = std::fs::remove_file(&file);
+        match result {
+            Err(SpillError::Io { path, .. }) => assert_eq!(path, file),
+            Err(other) => panic!("expected SpillError::Io, got {other}"),
+            Ok(report) => panic!("spilling into a regular file succeeded:\n{}", report.text),
+        }
     }
 
     fn rec(name: &str, kind: UsageKind, start: u64, end: u64) -> UsageRecord {
@@ -610,6 +625,7 @@ mod tests {
                 spill_dir: None,
                 mem_budget_mb: None,
             })
+            .expect("in-memory sweep cannot fail")
             .arms[0]
                 .digest
         };

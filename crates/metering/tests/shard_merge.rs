@@ -1,7 +1,8 @@
 //! Property tests for the shard-merge laws.
 //!
 //! The sharded semester driver folds per-shard results with three
-//! merges: [`Ledger::merge_sorted`] for usage records, fieldwise
+//! merges: the canonical [`StreamMerge`] for usage records (packaged as
+//! [`Ledger::merge_sorted`]), fieldwise
 //! [`FaultStats::merge`] for failure counters, and rollups rebuilt from
 //! the canonically merged ledger. Each law must be associative and
 //! invariant to shard order, or the parallel driver could not promise
@@ -13,7 +14,7 @@ use opml_metering::attribution::student_name;
 use opml_metering::rollup::{AssignmentRollup, PerStudentUsage};
 use opml_simkernel::SimTime;
 use opml_testbed::flavor::FlavorId;
-use opml_testbed::ledger::{Ledger, RecordSource, StreamMerge, UsageKind, UsageRecord};
+use opml_testbed::ledger::{Ledger, StreamMerge, UsageKind, UsageRecord};
 use proptest::prelude::*;
 
 /// Deterministically build one synthetic record from drawn scalars.
@@ -159,47 +160,37 @@ proptest! {
     }
 }
 
-/// In-memory [`RecordSource`] over a pre-sorted fragment — the test
-/// stand-in for an on-disk spill run.
-struct VecSource {
-    records: std::vec::IntoIter<UsageRecord>,
-}
-
-impl RecordSource for VecSource {
-    type Error = std::convert::Infallible;
-
-    fn next_record(&mut self) -> Result<Option<UsageRecord>, Self::Error> {
-        Ok(self.records.next())
-    }
-}
-
 proptest! {
-    /// The streaming k-way merge over sorted sources is record-for-
-    /// record identical to the in-memory [`Ledger::merge_sorted`] over
-    /// the same fragments — the law that lets the out-of-core semester
-    /// pipeline substitute disk runs for materialized shard ledgers
-    /// without perturbing a single byte of the canonical ledger.
+    /// The k-way merge over sorted sources is record-for-record
+    /// identical to concatenating the fragments and stably sorting —
+    /// the law that lets the semester driver merge shard ledgers, in
+    /// memory or as disk runs, without perturbing a single byte of the
+    /// canonical ledger. [`Ledger::merge_sorted`] obeys the same law.
     #[test]
     fn stream_merge_equals_in_memory_merge(
         draws in prop::collection::vec((0u32..40, 0usize..12, 0u64..2000, 1u64..200), 1..80),
         shards in 1usize..6,
     ) {
         let mut frags = fragments(&draws, shards);
+        let mut reference = Ledger::new();
+        for frag in &frags {
+            for rec in frag.records() {
+                reference.push(rec.clone());
+            }
+        }
+        reference.sort_canonical();
+        prop_assert_eq!(
+            ledger_bytes(&Ledger::merge_sorted(frags.clone())),
+            ledger_bytes(&reference)
+        );
+
         for frag in &mut frags {
             frag.sort_canonical();
         }
-
-        let reference = Ledger::merge_sorted(frags.clone());
-
-        let sources = frags
-            .into_iter()
-            .map(|f| VecSource {
-                records: f.records().to_vec().into_iter(),
-            })
-            .collect();
-        let mut merge = StreamMerge::new(sources).expect("infallible sources");
+        let sources: Vec<_> = frags.into_iter().map(Ledger::into_iter).collect();
+        let Ok(mut merge) = StreamMerge::new(sources);
         let mut streamed = Ledger::new();
-        while let Some(rec) = merge.next().expect("infallible sources") {
+        while let Ok(Some(rec)) = merge.next() {
             streamed.push(rec);
         }
 

@@ -262,6 +262,7 @@ mod tests {
 
     #[test]
     fn json_line_shape_and_escaping() {
+        let _guard = crate::intern_lock();
         let ev = TelemetryEvent {
             seq: 3,
             time: SimTime(120),
@@ -284,6 +285,7 @@ mod tests {
 
     #[test]
     fn attr_lookup_and_track() {
+        let _guard = crate::intern_lock();
         let ev = TelemetryEvent {
             seq: 0,
             time: SimTime::ZERO,
@@ -297,6 +299,7 @@ mod tests {
 
     #[test]
     fn float_attr_is_integral_stable() {
+        let _guard = crate::intern_lock();
         let mut s = String::new();
         write_json_f64(&mut s, 4.0);
         assert_eq!(s, "4.0");

@@ -121,6 +121,7 @@ mod tests {
 
     #[test]
     fn jsonl_is_seq_ordered_and_newline_terminated() {
+        let _guard = crate::intern_lock();
         let events = vec![
             ev(2, 30, EventPhase::Instant, "c"),
             ev(0, 10, EventPhase::Instant, "a"),
@@ -136,6 +137,7 @@ mod tests {
 
     #[test]
     fn chrome_ts_is_monotone_non_decreasing() {
+        let _guard = crate::intern_lock();
         // Deliberately shuffled input: exporter must sort by (time, seq).
         let mut events = vec![
             ev(5, 500, EventPhase::End, "z"),
@@ -169,6 +171,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_well_formed_json() {
+        let _guard = crate::intern_lock();
         let events = vec![
             ev(0, 10, EventPhase::Begin, "span \"quoted\""),
             ev(1, 20, EventPhase::Instant, "tick"),
@@ -186,6 +189,7 @@ mod tests {
 
     #[test]
     fn export_is_byte_stable() {
+        let _guard = crate::intern_lock();
         let events = vec![
             ev(0, 10, EventPhase::Instant, "a"),
             ev(1, 20, EventPhase::Instant, "b"),

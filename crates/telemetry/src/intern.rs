@@ -14,8 +14,9 @@
 //! Symbols never appear in any serialized artifact. Exporters resolve a
 //! `Sym` back to its string (via [`Sym::as_str`] / `Deref<Target =
 //! str>`) at render time, so JSONL and Chrome-trace bytes are identical
-//! to the pre-interning output — the differential harness in
-//! `tests/alloc_pass_differential.rs` pins exactly that.
+//! to the pre-interning output — the committed fixture in
+//! `tests/trace_golden.rs` and the differential suites
+//! (`tests/*_differential.rs`) pin exactly that.
 //!
 //! # Determinism
 //!
@@ -212,6 +213,7 @@ mod tests {
 
     #[test]
     fn intern_resolve_round_trip() {
+        let _guard = crate::intern_lock();
         let a = Sym::new("test.intern.round_trip");
         assert_eq!(a.as_str(), "test.intern.round_trip");
         assert_eq!(&*a, "test.intern.round_trip");
@@ -220,6 +222,7 @@ mod tests {
 
     #[test]
     fn same_string_same_symbol() {
+        let _guard = crate::intern_lock();
         let a = Sym::new("test.intern.same");
         let b = Sym::from("test.intern.same");
         let c = Sym::from(&String::from("test.intern.same"));
@@ -231,6 +234,7 @@ mod tests {
 
     #[test]
     fn preseed_is_idempotent_and_interns_nothing_twice() {
+        let _guard = crate::intern_lock();
         preseed(&["test.intern.pre_a", "test.intern.pre_b"]);
         let before = interned_count();
         preseed(&["test.intern.pre_a", "test.intern.pre_b"]);
@@ -240,6 +244,7 @@ mod tests {
 
     #[test]
     fn from_id_validates_against_the_table() {
+        let _guard = crate::intern_lock();
         let s = Sym::new("test.intern.from_id");
         assert_eq!(Sym::from_id(s.id()), Some(s));
         assert_eq!(Sym::from_id(u32::MAX), None);
@@ -247,6 +252,7 @@ mod tests {
 
     #[test]
     fn display_and_debug_show_the_string() {
+        let _guard = crate::intern_lock();
         let s = Sym::new("test.intern.display");
         assert_eq!(format!("{s}"), "test.intern.display");
         assert!(format!("{s:?}").contains("test.intern.display"));

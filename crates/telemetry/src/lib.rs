@@ -280,12 +280,22 @@ macro_rules! narrate {
     };
 }
 
+/// Unit tests share the process-global intern table, and some assert
+/// that `interned_count` does not grow; every test in this crate holds
+/// this lock so none can intern concurrently with such a check.
+#[cfg(test)]
+fn intern_lock() -> std::sync::MutexGuard<'static, ()> {
+    static INTERN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    INTERN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sequence_numbers_are_dense_and_ordered() {
+        let _guard = crate::intern_lock();
         let sink = MemorySink::new();
         let t = Telemetry::with_sink(sink.clone());
         for i in 0..10u64 {
@@ -297,6 +307,7 @@ mod tests {
 
     #[test]
     fn disabled_handle_skips_attr_construction() {
+        let _guard = crate::intern_lock();
         let t = Telemetry::disabled();
         let mut called = false;
         t.instant(SimTime::ZERO, "x", || {
@@ -309,6 +320,7 @@ mod tests {
 
     #[test]
     fn narrate_macro_formats_lazily() {
+        let _guard = crate::intern_lock();
         let sink = MemorySink::new();
         let t = Telemetry::with_sink(sink.clone());
         narrate!(t, SimTime(5), "step {} of {}", 2, 3);
@@ -329,6 +341,7 @@ mod tests {
 
     #[test]
     fn metrics_via_handle() {
+        let _guard = crate::intern_lock();
         let t = Telemetry::with_sink(NullSink);
         t.counter_add("c", 1);
         t.counter_add("c", 2);
@@ -345,6 +358,7 @@ mod tests {
 
     #[test]
     fn replay_restamps_sequence_numbers() {
+        let _guard = crate::intern_lock();
         let shard_sink = MemorySink::new();
         let shard = Telemetry::with_sink(shard_sink.clone());
         shard.instant(SimTime(5), "a", || vec![("k", 1u64.into())]);
@@ -372,6 +386,7 @@ mod tests {
 
     #[test]
     fn replay_owned_is_byte_identical_to_replay() {
+        let _guard = crate::intern_lock();
         let shard_sink = MemorySink::new();
         let shard = Telemetry::with_sink(shard_sink.clone());
         shard.instant(SimTime(5), "a", || vec![("k", 1u64.into())]);
@@ -399,6 +414,7 @@ mod tests {
 
     #[test]
     fn merge_metrics_folds_shard_snapshots() {
+        let _guard = crate::intern_lock();
         let mk = |c: u64, g: f64, h_hours: u64| {
             let t = Telemetry::with_sink(NullSink);
             t.counter_add("n", c);
@@ -423,6 +439,7 @@ mod tests {
 
     #[test]
     fn clones_share_sequence_space() {
+        let _guard = crate::intern_lock();
         let sink = MemorySink::new();
         let t = Telemetry::with_sink(sink.clone());
         let t2 = t.clone();

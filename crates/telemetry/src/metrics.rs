@@ -224,6 +224,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges() {
+        let _guard = crate::intern_lock();
         let mut m = MetricsRegistry::new();
         m.counter_add("b.count", 2);
         m.counter_add("a.count", 1);
@@ -243,6 +244,7 @@ mod tests {
 
     #[test]
     fn histogram_bucketing() {
+        let _guard = crate::intern_lock();
         let mut h = SimTimeHistogram::default();
         h.observe(SimDuration::minutes(10)); // bucket 0 (<=15)
         h.observe(SimDuration::minutes(15)); // bucket 0 (inclusive bound)
@@ -257,6 +259,7 @@ mod tests {
 
     #[test]
     fn mean_hours() {
+        let _guard = crate::intern_lock();
         let mut h = SimTimeHistogram::default();
         assert_eq!(h.mean_hours(), 0.0);
         h.observe(SimDuration::hours(1));
@@ -266,6 +269,7 @@ mod tests {
 
     #[test]
     fn percentiles_on_known_uniform_distribution() {
+        let _guard = crate::intern_lock();
         // 100 samples of 1..=100 minutes. Bucket occupancy against the
         // bounds [15, 30, 60, 120, ...]: 15, 15, 30, 40, 0, ...
         let mut h = SimTimeHistogram::default();
@@ -285,6 +289,7 @@ mod tests {
 
     #[test]
     fn percentiles_single_sample_and_overflow() {
+        let _guard = crate::intern_lock();
         let mut h = SimTimeHistogram::default();
         assert_eq!(h.p50_minutes(), None);
         h.observe(SimDuration::minutes(10));
@@ -301,6 +306,7 @@ mod tests {
 
     #[test]
     fn percentiles_survive_merge() {
+        let _guard = crate::intern_lock();
         let mut a = SimTimeHistogram::default();
         let mut b = SimTimeHistogram::default();
         for m in 1..=50 {
@@ -321,6 +327,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic() {
+        let _guard = crate::intern_lock();
         let mut a = MetricsRegistry::new();
         let mut b = MetricsRegistry::new();
         // Different insertion orders, same content.

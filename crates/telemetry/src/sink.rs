@@ -180,6 +180,7 @@ mod tests {
 
     #[test]
     fn memory_sink_preserves_order() {
+        let _guard = crate::intern_lock();
         let sink = MemorySink::new();
         for i in 0..5 {
             sink.record(&ev(i, "x"));
@@ -192,6 +193,7 @@ mod tests {
 
     #[test]
     fn fanout_reaches_every_sink() {
+        let _guard = crate::intern_lock();
         let a = MemorySink::new();
         let b = MemorySink::new();
         let fan = FanoutSink::new().with(a.clone()).with(b.clone());

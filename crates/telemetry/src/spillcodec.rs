@@ -23,7 +23,7 @@
 //! value would be dead weight; the decoder materializes events with
 //! `seq: 0` and the replay path assigns the authoritative stamps. All
 //! other fields round-trip exactly (floats by bit pattern), which the
-//! spill differential test pins end to end.
+//! spill arms of `tests/spill_differential.rs` pin end to end.
 //!
 //! # Corruption is an error, never a panic
 //!
@@ -228,6 +228,7 @@ mod tests {
 
     #[test]
     fn event_round_trips_every_value_kind() {
+        let _guard = crate::intern_lock();
         let ev = TelemetryEvent {
             seq: 99, // deliberately nonzero: seq must NOT round-trip
             time: SimTime(86_400),
@@ -268,6 +269,7 @@ mod tests {
 
     #[test]
     fn event_phases_round_trip() {
+        let _guard = crate::intern_lock();
         for phase in [EventPhase::Begin, EventPhase::End, EventPhase::Instant] {
             let ev = TelemetryEvent {
                 seq: 0,
@@ -287,6 +289,7 @@ mod tests {
 
     #[test]
     fn corrupt_event_is_an_error() {
+        let _guard = crate::intern_lock();
         let ev = TelemetryEvent {
             seq: 0,
             time: SimTime(1),
@@ -316,6 +319,7 @@ mod tests {
 
     #[test]
     fn metrics_round_trip() {
+        let _guard = crate::intern_lock();
         let mut registry = MetricsRegistry::new();
         registry.counter_add("jobs.completed", 17);
         registry.gauge_set("pool.utilization", 0.75);

@@ -15,6 +15,7 @@
 //! `crates/metering/tests/shard_merge.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use opml_simkernel::SimTime;
 use opml_telemetry::event::EventPhase;
@@ -27,6 +28,14 @@ use proptest::prelude::*;
 /// names are uniquified per case; ids can never be predicted, only
 /// required to be consistent.
 static CASE: AtomicU64 = AtomicU64::new(0);
+
+/// `reinterning_does_not_grow_the_table` asserts the table does not
+/// grow; every test holds this so none interns concurrently with it.
+static INTERN_LOCK: Mutex<()> = Mutex::new(());
+
+fn intern_lock() -> MutexGuard<'static, ()> {
+    INTERN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn uniquify(names: &[String]) -> Vec<String> {
     let case = CASE.fetch_add(1, Ordering::Relaxed);
@@ -49,6 +58,7 @@ proptest! {
     /// same string yields the same id.
     #[test]
     fn intern_resolve_round_trips(names in prop::collection::vec("[a-z.]{1,16}", 1..40)) {
+        let _guard = intern_lock();
         for name in &names {
             let sym = intern(name);
             prop_assert_eq!(sym.as_str(), name.as_str());
@@ -66,6 +76,7 @@ proptest! {
         names in prop::collection::vec("[a-z]{1,8}", 1..24),
         picks in prop::collection::vec(0usize..24, 1..96),
     ) {
+        let _guard = intern_lock();
         let names = uniquify(&names);
         // First pass fixes the assignment in one (arbitrary) order.
         let first: Vec<(String, u32)> =
@@ -94,6 +105,7 @@ proptest! {
     fn export_bytes_identical_across_interning_threads(
         names in prop::collection::vec("[a-z]{2,10}", 1..16),
     ) {
+        let _guard = intern_lock();
         let names = uniquify(&names);
         let maps: Vec<Vec<(String, u32)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
@@ -139,6 +151,7 @@ proptest! {
     fn reinterning_does_not_grow_the_table(
         names in prop::collection::vec("[a-z]{1,8}", 1..24),
     ) {
+        let _guard = intern_lock();
         let names = uniquify(&names);
         for n in &names {
             let _ = intern(n);

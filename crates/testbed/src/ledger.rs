@@ -10,6 +10,7 @@ use crate::flavor::FlavorId;
 use opml_simkernel::{binio, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::io;
 
 /// What kind of resource a record meters.
@@ -202,10 +203,9 @@ impl Ledger {
         &self.records
     }
 
-    /// Merge another ledger's records (used when combining per-student
-    /// partial simulations).
-    pub fn extend(&mut self, other: Ledger) {
-        self.records.extend(other.records);
+    /// Reserve room for exactly `additional` more records.
+    pub fn reserve(&mut self, additional: usize) {
+        self.records.reserve_exact(additional);
     }
 
     /// Sort records into the canonical order: `(name, start, end, kind)`
@@ -216,44 +216,32 @@ impl Ledger {
             .sort_by(|a, b| record_key(a).cmp(&record_key(b)));
     }
 
-    /// Whether the records are already in the canonical order.
-    pub fn is_canonically_sorted(&self) -> bool {
-        self.records
-            .windows(2)
-            .all(|w| record_key(&w[0]) <= record_key(&w[1]))
-    }
-
     /// Merge ledger fragments into one canonically-ordered ledger.
     ///
-    /// This is the shard-merge law for usage records. When every part is
-    /// already canonically sorted — shard ledgers are, by construction:
-    /// each shard sorts its own ledger before the merge — the parts are
-    /// k-way merged with ties broken by part order, which is exactly the
-    /// result of concatenating and running the *stable*
-    /// [`Ledger::sort_canonical`], in `O(N log k)` instead of
-    /// `O(N log N)`. Unsorted parts fall back to concatenate-then-sort.
-    /// Either way the sort key is a total order, so the merge is
-    /// associative *and* fragment-order-invariant — any grouping of
-    /// shards serializes to identical bytes. Property-tested in
-    /// `crates/metering/tests/shard_merge.rs`.
+    /// This is the shard-merge law for usage records: each part is
+    /// stably sorted (one linear pass when it already is, as shard
+    /// ledgers are), then a [`StreamMerge`] over the parts, ties broken
+    /// by part order, drains into a ledger allocated once at its final
+    /// size. The result equals concatenating and running the stable
+    /// [`Ledger::sort_canonical`]; the sort key is a total order, so the
+    /// merge is associative *and* fragment-order-invariant — any
+    /// grouping of shards serializes to identical bytes.
+    /// Property-tested in `crates/metering/tests/shard_merge.rs`.
     pub fn merge_sorted(parts: impl IntoIterator<Item = Ledger>) -> Ledger {
-        let mut parts: Vec<Ledger> = parts.into_iter().collect();
-        if parts.len() == 1 {
-            // detlint::allow(DL008): parts.len() == 1 checked just above
-            let mut only = parts.pop().expect("one part");
-            only.sort_canonical();
-            return only;
+        let mut total = 0;
+        let sources: Vec<_> = parts
+            .into_iter()
+            .map(|mut part| {
+                part.sort_canonical();
+                total += part.records.len();
+                part.into_iter()
+            })
+            .collect();
+        let mut merged = Ledger::with_capacity(total);
+        let Ok(mut merge) = StreamMerge::new(sources);
+        while let Ok(Some(record)) = merge.next() {
+            merged.records.push(record);
         }
-        if parts.iter().all(Ledger::is_canonically_sorted) {
-            return Ledger {
-                records: kway_merge(parts.into_iter().map(|p| p.records).collect()),
-            };
-        }
-        let mut merged = Ledger::new();
-        for part in parts {
-            merged.records.extend(part.records);
-        }
-        merged.sort_canonical();
         merged
     }
 
@@ -359,81 +347,23 @@ impl Ledger {
     }
 }
 
+impl IntoIterator for Ledger {
+    type Item = UsageRecord;
+    type IntoIter = std::vec::IntoIter<UsageRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.records.into_iter()
+    }
+}
+
 /// The canonical total-order key: `(name, start, end, kind)`.
 fn record_key(r: &UsageRecord) -> (&str, SimTime, SimTime, (u8, u64, u64)) {
     (r.name.as_str(), r.start, r.end, r.kind.sort_key())
 }
 
-/// Whether part `a`'s next record merges before part `b`'s; ties break on
-/// part index, which together with FIFO order within each (stably
-/// pre-sorted) part reproduces concat + stable sort exactly.
-fn part_less(parts: &[Vec<UsageRecord>], a: usize, b: usize) -> bool {
-    // detlint::allow(DL008): heap entries are indices of non-empty parts by construction
-    let ra = parts[a].last().expect("heap part is nonempty");
-    // detlint::allow(DL008): heap entries are indices of non-empty parts by construction
-    let rb = parts[b].last().expect("heap part is nonempty");
-    (record_key(ra), a) < (record_key(rb), b)
-}
-
-/// Restore the min-heap property at `i` (children `2i+1`, `2i+2`).
-fn sift_down(heap: &mut [usize], parts: &[Vec<UsageRecord>], mut i: usize) {
-    loop {
-        let l = 2 * i + 1;
-        if l >= heap.len() {
-            break;
-        }
-        let r = l + 1;
-        let mut m = l;
-        // detlint::allow(DL008): l and r are bounds-checked heap positions
-        if r < heap.len() && part_less(parts, heap[r], heap[l]) {
-            m = r;
-        }
-        // detlint::allow(DL008): m and i are bounds-checked heap positions
-        if part_less(parts, heap[m], heap[i]) {
-            heap.swap(m, i);
-            i = m;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Stable k-way merge of canonically-sorted record runs: `O(N log k)`
-/// comparisons via a small index heap (replacement selection); each part
-/// is reversed once so its next record pops from the tail in `O(1)`.
-fn kway_merge(mut parts: Vec<Vec<UsageRecord>>) -> Vec<UsageRecord> {
-    let total: usize = parts.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in &mut parts {
-        p.reverse();
-    }
-    // detlint::allow(DL008): i ranges over 0..parts.len()
-    let mut heap: Vec<usize> = (0..parts.len()).filter(|&i| !parts[i].is_empty()).collect();
-    for i in (0..heap.len() / 2).rev() {
-        sift_down(&mut heap, &parts, i);
-    }
-    while let Some(&top) = heap.first() {
-        // detlint::allow(DL008): heap entries index non-empty parts; emptied entries are evicted below
-        out.push(parts[top].pop().expect("heap entries have records"));
-        // detlint::allow(DL008): `top` is a heap entry, an index into parts
-        if parts[top].is_empty() {
-            // detlint::allow(DL008): the while-let head guarantees the heap is non-empty
-            let tail = heap.pop().expect("heap is nonempty");
-            if heap.is_empty() {
-                break;
-            }
-            // detlint::allow(DL008): heap proved non-empty just above
-            heap[0] = tail;
-        }
-        sift_down(&mut heap, &parts, 0);
-    }
-    out
-}
-
-/// A pull source of canonically-sorted usage records, the streaming
-/// counterpart of one `kway_merge` part. Implementations are typically
-/// on-disk spill runs; errors (I/O, corruption) surface through the
-/// associated error type rather than panicking.
+/// A pull source of canonically-sorted usage records: an in-memory
+/// ledger, or an on-disk spill run whose errors (I/O, corruption)
+/// surface through the associated error type rather than panicking.
 pub trait RecordSource {
     /// Error produced by a failed pull.
     type Error;
@@ -444,15 +374,24 @@ pub trait RecordSource {
     fn next_record(&mut self) -> Result<Option<UsageRecord>, Self::Error>;
 }
 
-/// Incremental k-way merge over [`RecordSource`]s: the streaming
-/// extension of [`Ledger::merge_sorted`]'s in-memory `kway_merge`.
+/// A ledger's records, in the order it holds them, as a source that
+/// cannot fail.
+impl RecordSource for std::vec::IntoIter<UsageRecord> {
+    type Error = Infallible;
+
+    fn next_record(&mut self) -> Result<Option<UsageRecord>, Infallible> {
+        Ok(self.next())
+    }
+}
+
+/// The workspace's k-way merge: an incremental merge over
+/// [`RecordSource`]s, in memory or on disk.
 ///
 /// Holds exactly one buffered head record per source (plus whatever the
 /// sources themselves buffer), so peak memory is O(k), independent of
-/// the total record count. Ties break on source index — identical to
-/// the in-memory merge's part-order tie-break — so for sources that are
-/// the pre-sorted shard ledgers in shard order, the merged stream is
-/// byte-identical to concatenating and stably sorting in memory.
+/// the total record count. Ties break on source index, so for sources
+/// that are pre-sorted shard ledgers in shard order, the merged stream
+/// is byte-identical to concatenating and stably sorting in memory.
 pub struct StreamMerge<S: RecordSource> {
     sources: Vec<S>,
     /// Buffered next record per source (`None` once exhausted).
@@ -568,7 +507,6 @@ fn sweep_peak(mut deltas: Vec<(SimTime, i64)>) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opml_simkernel::SimDuration;
 
     fn t(h: u64) -> SimTime {
         SimTime(h * 60)
@@ -724,11 +662,9 @@ mod tests {
         assert_eq!(m.records()[3].kind, UsageKind::FloatingIp);
     }
 
-    #[test]
-    fn kway_merge_matches_concat_then_sort() {
-        // Deterministic pseudo-random fragments with heavy key collisions
-        // (shared names/windows) to exercise the stability tie-breaks.
-        let mut state = 0x9e37_79b9_u64;
+    /// Deterministic pseudo-random fragments with heavy key collisions
+    /// (shared names/windows) to exercise the stability tie-breaks.
+    fn colliding_fragments(mut state: u64, parts: usize, per_part: usize) -> Vec<Ledger> {
         let mut next = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
@@ -736,52 +672,52 @@ mod tests {
             state >> 33
         };
         let flavors = [FlavorId::M1Small, FlavorId::M1Medium, FlavorId::GpuV100];
-        let mut parts: Vec<Ledger> = Vec::new();
-        for _ in 0..7 {
-            let mut l = Ledger::new();
-            for _ in 0..50 {
-                let s = next() % 40;
-                let e = s + 1 + next() % 10;
-                l.push(inst(
-                    &format!("lab{}-s{:02}", next() % 3, next() % 8),
-                    flavors[(next() % 3) as usize],
-                    s,
-                    e,
-                ));
-            }
-            parts.push(l);
-        }
-        // Reference: the old path — concatenate, then stable sort.
+        (0..parts)
+            .map(|_| {
+                let mut l = Ledger::new();
+                for _ in 0..per_part {
+                    let s = next() % 40;
+                    let e = s + 1 + next() % 10;
+                    l.push(inst(
+                        &format!("lab{}-s{:02}", next() % 3, next() % 8),
+                        flavors[(next() % 3) as usize],
+                        s,
+                        e,
+                    ));
+                }
+                l
+            })
+            .collect()
+    }
+
+    /// The independent reference: concatenate, then stable sort.
+    fn concat_then_sort(parts: &[Ledger]) -> Ledger {
         let mut reference = Ledger::new();
-        for p in &parts {
+        for p in parts {
             reference.records.extend(p.records.iter().cloned());
         }
         reference.sort_canonical();
-        let json = |l: &Ledger| serde_json::to_string(l.records()).expect("serialize");
-        // Unsorted parts take the fallback, byte-identically.
-        assert_eq!(json(&Ledger::merge_sorted(parts.clone())), json(&reference));
-        // Pre-sorted parts take the k-way merge, byte-identically.
+        reference
+    }
+
+    fn json(l: &Ledger) -> String {
+        serde_json::to_string(l.records()).expect("serialize")
+    }
+
+    #[test]
+    fn merge_sorted_matches_concat_then_sort() {
+        let parts = colliding_fragments(0x9e37_79b9, 7, 50);
+        let reference = json(&concat_then_sort(&parts));
+        // Unsorted, pre-sorted and mixed parts all merge byte-identically.
+        assert_eq!(json(&Ledger::merge_sorted(parts.clone())), reference);
         let mut sorted_parts = parts.clone();
         for p in &mut sorted_parts {
             p.sort_canonical();
-            assert!(p.is_canonically_sorted());
         }
-        assert_eq!(json(&Ledger::merge_sorted(sorted_parts)), json(&reference));
-        // Mixed sorted/unsorted parts still agree (fallback path).
+        assert_eq!(json(&Ledger::merge_sorted(sorted_parts)), reference);
         let mut mixed = parts;
         mixed[0].sort_canonical();
-        assert_eq!(json(&Ledger::merge_sorted(mixed)), json(&reference));
-    }
-
-    /// Infallible in-memory source for exercising [`StreamMerge`].
-    struct VecSource(std::vec::IntoIter<UsageRecord>);
-
-    impl RecordSource for VecSource {
-        type Error = std::convert::Infallible;
-
-        fn next_record(&mut self) -> Result<Option<UsageRecord>, Self::Error> {
-            Ok(self.0.next())
-        }
+        assert_eq!(json(&Ledger::merge_sorted(mixed)), reference);
     }
 
     fn all_kinds_corpus() -> Vec<UsageRecord> {
@@ -851,70 +787,19 @@ mod tests {
     }
 
     #[test]
-    fn stream_merge_matches_kway_merge() {
-        // Same adversarial fragments as `kway_merge_matches_concat_then_sort`.
-        let mut state = 0x5ee3_1aa7_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let flavors = [FlavorId::M1Small, FlavorId::M1Medium, FlavorId::GpuV100];
-        let mut parts: Vec<Ledger> = Vec::new();
-        for _ in 0..6 {
-            let mut l = Ledger::new();
-            for _ in 0..40 {
-                let s = next() % 30;
-                let e = s + 1 + next() % 8;
-                l.push(inst(
-                    &format!("lab{}-s{:02}", next() % 3, next() % 6),
-                    flavors[(next() % 3) as usize],
-                    s,
-                    e,
-                ));
-            }
-            l.sort_canonical();
-            parts.push(l);
+    fn stream_merge_matches_concat_then_sort() {
+        let mut parts = colliding_fragments(0x5ee3_1aa7, 6, 40);
+        for p in &mut parts {
+            p.sort_canonical();
         }
         parts.push(Ledger::new()); // an empty source must be harmless
-        let reference = Ledger::merge_sorted(parts.clone());
-        let sources: Vec<VecSource> = parts
-            .into_iter()
-            .map(|p| VecSource(p.records.into_iter()))
-            .collect();
-        let mut merge = StreamMerge::new(sources).expect("infallible");
+        let reference = concat_then_sort(&parts);
+        let sources: Vec<_> = parts.into_iter().map(Ledger::into_iter).collect();
+        let Ok(mut merge) = StreamMerge::new(sources);
         let mut streamed = Ledger::new();
-        while let Some(rec) = merge.next().expect("infallible") {
+        while let Ok(Some(rec)) = merge.next() {
             streamed.push(rec);
         }
-        assert_eq!(
-            serde_json::to_string(streamed.records()).expect("serialize"),
-            serde_json::to_string(reference.records()).expect("serialize"),
-        );
-    }
-
-    #[test]
-    fn is_canonically_sorted_detects_order() {
-        let mut l = Ledger::new();
-        assert!(l.is_canonically_sorted());
-        l.push(inst("b", FlavorId::M1Small, 0, 1));
-        assert!(l.is_canonically_sorted());
-        l.push(inst("a", FlavorId::M1Small, 0, 1));
-        assert!(!l.is_canonically_sorted());
-        l.sort_canonical();
-        assert!(l.is_canonically_sorted());
-    }
-
-    #[test]
-    fn merge_ledgers() {
-        let mut a = Ledger::new();
-        a.push(inst("a", FlavorId::M1Small, 0, 1));
-        let mut b = Ledger::new();
-        b.push(inst("b", FlavorId::M1Small, 0, 2));
-        a.extend(b);
-        assert_eq!(a.records().len(), 2);
-        assert_eq!(a.instance_hours(None), 3.0);
-        let _ = SimDuration::ZERO; // silence unused import in some cfgs
+        assert_eq!(json(&streamed), json(&reference));
     }
 }

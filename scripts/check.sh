@@ -19,8 +19,8 @@ cargo run --release -q -p opml-detlint --bin detlint -- --baseline detlint.basel
 echo "==> cargo clippy (detlint crate, deny warnings)"
 cargo clippy -q -p opml-detlint --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> trace smoke run (tiny cohort, byte-stability)"
 trace_dir=$(mktemp -d)

@@ -9,7 +9,10 @@
 //! regenerate it only with `detlint --write-baseline` and review the
 //! diff like any other code change.
 
-use std::path::Path;
+use opml_detlint::graph::find_functions;
+use opml_detlint::lexer::lex;
+use opml_detlint::panics::{PANIC_ROOTS, PANIC_SCOPE};
+use std::path::{Path, PathBuf};
 
 #[test]
 fn workspace_is_detlint_clean() {
@@ -41,6 +44,44 @@ fn workspace_is_detlint_clean() {
             "suppression without reason at {}:{}",
             s.finding.file,
             s.finding.line
+        );
+    }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn every_panic_root_is_a_declared_entry_point() {
+    // The DL008 walk skips a root that names no function, so a renamed
+    // or deleted entry point would drop its coverage silently.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for scope in PANIC_SCOPE {
+        rust_files(&root.join(scope), &mut files);
+    }
+    let mut declared = std::collections::BTreeSet::new();
+    for file in &files {
+        let src = std::fs::read_to_string(file).expect("read source");
+        for span in find_functions(&lex(&src).tokens) {
+            if !span.is_test {
+                declared.insert(span.name);
+            }
+        }
+    }
+    for entry in PANIC_ROOTS {
+        assert!(
+            declared.contains(*entry),
+            "DL008 root `{entry}` is not a non-test fn under {PANIC_SCOPE:?}"
         );
     }
 }

@@ -1,87 +1,66 @@
 //! Differential test for the sharded semester driver (tier 1).
 //!
-//! The determinism contract of the sharded refactor: for any config,
-//! the parallel driver ([`simulate_semester_with`]) must be
-//! byte-identical to the strictly sequential reference
-//! ([`simulate_semester_serial_with`]) at *any* rayon thread count —
-//! ledger bytes, telemetry trace bytes, counters, fault stats, and the
-//! digests of the experiment results built on top.
+//! The paper course (one shard) under every [`Exec`], the forced
+//! multi-shard course under the pool schedule in memory, the streamed
+//! digest's seed sensitivity, and the thread invariance of the
+//! experiment results built on top. The harness itself, and the
+//! contract it checks, are in `differential/mod.rs`.
+//!
+//! [`Exec`]: ml_ops_course::cohort::semester::Exec
 
-use ml_ops_course::cohort::semester::{
-    simulate_semester_serial_with, simulate_semester_with, SemesterConfig,
+mod differential;
+
+use differential::{
+    arms, every_exec_matches_the_reference, forced_multi_shard, intern_lock, run, THREAD_COUNTS,
 };
+use ml_ops_course::cohort::semester::SemesterConfig;
 use ml_ops_course::experiments::digest::fnv1a64;
 use ml_ops_course::experiments::{capacity, fig1, fig2, fig3, headline, project_cost, table1};
 use ml_ops_course::simkernel::parallel::with_thread_count;
-use ml_ops_course::telemetry::{export_jsonl, MemorySink, Telemetry};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Run one semester and capture everything determinism-relevant as
-/// comparable bytes. `threads == None` runs the sequential reference.
-fn run_bytes(
-    config: &SemesterConfig,
-    seed: u64,
-    threads: Option<usize>,
-) -> (String, String, String) {
-    let sink = MemorySink::new();
-    let telemetry = Telemetry::with_sink(sink.clone());
-    let outcome = match threads {
-        None => simulate_semester_serial_with(config, seed, &telemetry),
-        Some(t) => with_thread_count(t, || simulate_semester_with(config, seed, &telemetry)),
-    };
-    let trace = export_jsonl(&sink.events());
-    let ledger = serde_json::to_string(outcome.ledger.records()).expect("ledger serializes");
-    let scalars = format!(
-        "qd={} pb={} faults={:?} metrics={}",
-        outcome.quota_denials,
-        outcome.slot_pushbacks,
-        outcome.faults,
-        serde_json::to_string(&telemetry.metrics_snapshot()).expect("metrics serialize"),
-    );
-    (trace, ledger, scalars)
-}
+const SUITE: &str = "sharded_differential";
 
 #[test]
 fn paper_course_parallel_matches_serial_at_every_thread_count() {
-    // The paper course fits in a single shard (legacy path); the trace
-    // and ledger must still be invariant to the ambient pool size.
+    let _guard = intern_lock();
+    // The paper course fits in a single shard (the legacy path): no
+    // merge and no disk under any exec, and the trace and ledger must
+    // still be invariant to the ambient pool size.
     let config = SemesterConfig::paper_course();
-    let reference = run_bytes(&config, 42, None);
-    for t in THREAD_COUNTS {
-        let run = run_bytes(&config, 42, Some(t));
-        assert_eq!(
-            reference, run,
-            "paper course diverged from the sequential reference at {t} threads"
-        );
-    }
+    assert_eq!(config.shards().len(), 1);
+    every_exec_matches_the_reference(&config, SUITE, "paper", |_| true);
 }
 
 #[test]
 fn forced_multi_shard_is_byte_identical_to_serial() {
-    // Shrink the shard size so the paper course splits into 4 shards
-    // (projects included) and the merge path does real work.
-    let config = SemesterConfig {
-        shard_students: 48,
-        ..SemesterConfig::paper_course()
-    };
-    assert!(config.shards().len() > 1, "config must actually shard");
-    let reference = run_bytes(&config, 42, None);
+    let _guard = intern_lock();
+    // The spill arms of this config are `spill_differential`'s.
+    let reference =
+        every_exec_matches_the_reference(&forced_multi_shard(), SUITE, "sharded", |arm| {
+            !arm.spills()
+        });
     assert!(
-        reference.0.contains("\"shard\""),
+        reference.trace.contains("\"shard\""),
         "multi-shard trace should carry shard annotations"
     );
-    for t in THREAD_COUNTS {
-        let run = run_bytes(&config, 42, Some(t));
-        assert_eq!(
-            reference, run,
-            "sharded semester diverged from the sequential reference at {t} threads"
-        );
-    }
+}
+
+#[test]
+fn streaming_digest_is_seed_sensitive() {
+    let _guard = intern_lock();
+    // Guard against a digest that ignores the stream: two seeds must
+    // disagree through the same spill pipeline.
+    let config = forced_multi_shard();
+    let arm = arms(SUITE, "seeds").pop().expect("an 8-thread spill arm");
+    assert!(arm.spills());
+    let (a, _) = run(&config, 42, &arm);
+    let (b, _) = run(&config, 7, &arm);
+    assert_ne!(a.digest, b.digest, "different seeds digested identically");
 }
 
 #[test]
 fn experiments_results_digest_is_thread_invariant() {
+    let _guard = intern_lock();
     // Build the same JSON document `run-experiments` writes to
     // experiments_results.json (the per-context sections) at each
     // thread count, and require identical digests.

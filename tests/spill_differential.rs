@@ -1,150 +1,30 @@
 //! Differential test for the out-of-core streaming pipeline (tier 1).
 //!
-//! The spill contract: for any config, the streaming drivers
-//! ([`simulate_semester_streaming`] / `_serial`) must reproduce the
-//! in-memory drivers byte-for-byte — telemetry trace, ledger records in
-//! canonical merge order, metrics snapshot, scalar counters and fault
-//! stats — at any rayon thread count, while holding only O(shard) state
-//! in memory. The incremental [`OutcomeDigest`] folded over the record
-//! stream must equal [`digest_outcome`] of the materialized outcome.
+//! The spill contract: on a cohort that really shards, spill storage
+//! reproduces the serial in-memory reference byte for byte — trace,
+//! ledger records in canonical merge order, metrics, scalar counters
+//! and fault stats, streamed outcome digest and folded stacks — under
+//! the serial schedule and on the pool at 1, 2 and 8 threads, and
+//! leaves no run file behind. The harness is in `differential/mod.rs`.
 
-use ml_ops_course::cohort::semester::{
-    simulate_semester_serial_with, simulate_semester_with, SemesterConfig,
-};
-use ml_ops_course::cohort::spill::{
-    simulate_semester_streaming, simulate_semester_streaming_serial, SpillConfig,
-};
-use ml_ops_course::experiments::scale::{digest_outcome, OutcomeDigest};
-use ml_ops_course::simkernel::parallel::with_thread_count;
-use ml_ops_course::telemetry::{export_jsonl, MemorySink, Telemetry};
-use ml_ops_course::testbed::ledger::Ledger;
-use std::path::PathBuf;
+mod differential;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+use differential::{every_exec_matches_the_reference, forced_multi_shard, intern_lock};
 
-/// Paper course shrunk to 48-student shards so the merge does real
-/// work (4 shards, projects included).
-fn forced_spill_config() -> SemesterConfig {
-    let config = SemesterConfig {
-        shard_students: 48,
-        ..SemesterConfig::paper_course()
-    };
-    assert!(config.shards().len() > 1, "config must actually shard");
-    config
-}
-
-/// A per-arm spill directory under the cargo-managed temp root.
-fn spill_dir(arm: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join("spill_differential")
-        .join(arm)
-}
-
-/// Everything determinism-relevant from one run, as comparable bytes:
-/// (trace, ledger, scalars-and-metrics, digest).
-type RunBytes = (String, String, String, u64);
-
-/// Run the in-memory driver and capture comparable bytes.
-fn memory_bytes(config: &SemesterConfig, seed: u64, threads: Option<usize>) -> RunBytes {
-    let sink = MemorySink::new();
-    let telemetry = Telemetry::with_sink(sink.clone());
-    let outcome = match threads {
-        None => simulate_semester_serial_with(config, seed, &telemetry),
-        Some(t) => with_thread_count(t, || simulate_semester_with(config, seed, &telemetry)),
-    };
-    let trace = export_jsonl(&sink.events());
-    let ledger = serde_json::to_string(outcome.ledger.records()).expect("ledger serializes");
-    let scalars = format!(
-        "qd={} pb={} faults={:?} metrics={}",
-        outcome.quota_denials,
-        outcome.slot_pushbacks,
-        outcome.faults,
-        serde_json::to_string(&telemetry.metrics_snapshot()).expect("metrics serialize"),
-    );
-    let digest = digest_outcome(&outcome);
-    (trace, ledger, scalars, digest)
-}
-
-/// Run the streaming driver, materializing the record stream only for
-/// the comparison (production consumers fold it incrementally).
-fn streaming_bytes(
-    config: &SemesterConfig,
-    seed: u64,
-    threads: Option<usize>,
-    arm: &str,
-) -> RunBytes {
-    let sink = MemorySink::new();
-    let telemetry = Telemetry::with_sink(sink.clone());
-    let spill = SpillConfig::new(spill_dir(arm));
-    let mut collected = Ledger::new();
-    let mut digest = OutcomeDigest::new();
-    let consume = |rec: &ml_ops_course::testbed::ledger::UsageRecord| {
-        digest.push(rec);
-        collected.push(rec.clone());
-    };
-    let outcome = match threads {
-        None => simulate_semester_streaming_serial(config, seed, &telemetry, &spill, consume),
-        Some(t) => with_thread_count(t, || {
-            simulate_semester_streaming(config, seed, &telemetry, &spill, consume)
-        }),
-    }
-    .expect("streaming run succeeds");
-    assert!(
-        outcome.stats.shard_runs > 0,
-        "multi-shard streaming run must actually spill"
-    );
-    assert_eq!(
-        outcome.records as usize,
-        collected.records().len(),
-        "outcome record count must match delivered records"
-    );
-    let trace = export_jsonl(&sink.events());
-    let ledger = serde_json::to_string(collected.records()).expect("ledger serializes");
-    let scalars = format!(
-        "qd={} pb={} faults={:?} metrics={}",
-        outcome.quota_denials,
-        outcome.slot_pushbacks,
-        outcome.faults,
-        serde_json::to_string(&telemetry.metrics_snapshot()).expect("metrics serialize"),
-    );
-    let hash = digest.finish(
-        outcome.quota_denials,
-        outcome.slot_pushbacks,
-        &outcome.faults,
-    );
-    (trace, ledger, scalars, hash)
-}
+const SUITE: &str = "spill_differential";
 
 #[test]
 fn streaming_serial_matches_in_memory_serial() {
-    let config = forced_spill_config();
-    let reference = memory_bytes(&config, 42, None);
-    let streamed = streaming_bytes(&config, 42, None, "serial");
-    assert_eq!(
-        reference, streamed,
-        "serial streaming run diverged from the in-memory sequential reference"
-    );
+    let _guard = intern_lock();
+    every_exec_matches_the_reference(&forced_multi_shard(), SUITE, "serial", |arm| {
+        arm.spills() && arm.threads.is_none()
+    });
 }
 
 #[test]
 fn streaming_matches_in_memory_at_every_thread_count() {
-    let config = forced_spill_config();
-    let reference = memory_bytes(&config, 42, None);
-    for t in THREAD_COUNTS {
-        let streamed = streaming_bytes(&config, 42, Some(t), &format!("threads{t}"));
-        assert_eq!(
-            reference, streamed,
-            "streaming run diverged from the in-memory reference at {t} threads"
-        );
-    }
-}
-
-#[test]
-fn streaming_digest_is_seed_sensitive() {
-    // Guard against a digest that ignores the stream: two seeds must
-    // disagree through the same spill pipeline.
-    let config = forced_spill_config();
-    let a = streaming_bytes(&config, 42, Some(2), "seed42");
-    let b = streaming_bytes(&config, 7, Some(2), "seed7");
-    assert_ne!(a.3, b.3, "different seeds digested identically");
+    let _guard = intern_lock();
+    every_exec_matches_the_reference(&forced_multi_shard(), SUITE, "pool", |arm| {
+        arm.spills() && arm.threads.is_some()
+    });
 }
