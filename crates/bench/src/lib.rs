@@ -1,44 +1,23 @@
 //! # opml-bench
 //!
-//! Criterion benchmark harness. One bench target per paper artifact plus
-//! the ablations DESIGN.md calls out:
+//! The workspace's gated benches. Each one exits nonzero when its gate
+//! fails:
 //!
-//! * `bench_table1` — full semester simulation + Table 1 pricing, swept
-//!   over enrollment (48/96/191). Prints the regenerated totals.
-//! * `bench_figures` — Fig. 1/2/3 derivations on a fixed context.
-//! * `bench_allreduce` — ring vs tree vs parameter-server across worker
-//!   counts and payload sizes; prints per-worker byte series (the Unit 4
-//!   lecture's bandwidth-optimality claim).
-//! * `bench_sched` — FCFS vs EASY backfill vs fair share on MLaaS-style
-//!   traces; prints wait/utilization series.
-//! * `bench_serving` — dynamic-batching sweep (batch × load) and the
-//!   fp32/int8/edge profile comparison (the Unit 6 lab's trade-off
-//!   curves).
-//! * `bench_tracking` — concurrent experiment-logging throughput.
-//! * `bench_drift` — detector throughput and detection delay vs shift.
-//! * `bench_pipeline` — DAG engine wave-execution overhead.
+//! * `bench_telemetry` — event-queue churn with and without telemetry;
+//!   the disabled handle must stay within 5% of the uninstrumented
+//!   baseline (`scripts/check.sh`).
+//! * `bench_semester` — sharded-semester scaling, written to
+//!   `BENCH_semester.json`; every arm's digest must match the serial
+//!   reference, the 100k speedup floor must reach 3x, and the spill
+//!   arm must peak under its RSS ceiling.
+//! * `bench_calendar` — the sweep-line reservation calendar against the
+//!   naive reference, written to `BENCH_calendar.json`; both digests
+//!   must match and the speedup must reach its floor.
+//! * `bench_serve` — one fixed ramp through the service soak, written to
+//!   `BENCH_serve.json`, with a wall-throughput floor.
 //!
-//! Run with `cargo bench --workspace`; each bench prints its series
-//! before timing so the numbers are regenerated even on `--test` runs.
-
-use opml_cohort::semester::{simulate_semester, SemesterConfig, SemesterOutcome};
+//! With `--check`, the last three compare against their committed
+//! baseline through [`perfgate`] instead of overwriting it
+//! (`scripts/perfgate.sh`).
 
 pub mod perfgate;
-
-/// Simulate a labs-only semester at the given enrollment (shared fixture).
-pub fn labs_semester(enrollment: u32, seed: u64) -> SemesterOutcome {
-    let config = SemesterConfig {
-        enrollment,
-        weeks: 14,
-        run_projects: false,
-        vm_auto_terminate_after: None,
-        faults: opml_faults::FaultProfile::none(),
-        shard_students: 191,
-    };
-    simulate_semester(&config, seed)
-}
-
-/// Simulate the full paper course (labs + projects).
-pub fn full_semester(seed: u64) -> SemesterOutcome {
-    simulate_semester(&SemesterConfig::paper_course(), seed)
-}

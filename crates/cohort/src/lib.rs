@@ -16,16 +16,16 @@
 //!   light/medium/heavy intensity classes generating the §5 project-phase
 //!   usage (VM services, GPU training sessions, bare-metal data
 //!   pipelines, edge deployments, block/object storage).
-//! * [`labwork`] — executes each lab's *actual workload* against the
-//!   `opml-mlops`/`opml-sched` substrates (used by integration tests and
-//!   examples to verify the simulated course teaches real mechanisms).
 //! * [`semester`] — the discrete-event driver: plans per-student
 //!   deployments and reservations, plays them time-ordered against the
 //!   cloud, and returns the closed usage ledger.
+//!
+//! Lab durations come from [`labspec`] and [`behavior`]'s calibrated
+//! model, not from running any lab, so this crate depends on neither
+//! course substrate (`opml-mlops`, `opml-sched`).
 
 pub mod behavior;
 pub mod labspec;
-pub mod labwork;
 pub mod project;
 pub mod semester;
 pub mod spill;

@@ -8,14 +8,16 @@
 //! the flagged line itself re-opens the finding for review. Identical
 //! lines are disambiguated by a `count`.
 //!
-//! The vendored `serde_json` shim only serializes, so this module
-//! carries its own parser for the subset of JSON the writer emits
-//! (objects, arrays, strings with escapes, integers) — strict enough to
-//! reject hand-edits that would silently widen the baseline.
+//! The vendored `serde_json` shim only serializes, so the file is read
+//! back with the workspace's JSON reader, [`opml_profiler::Json`], and
+//! mapped field by field. Unknown keys, missing fields and mistyped
+//! values are rejected, so a hand-edit cannot silently widen the
+//! baseline.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use opml_profiler::Json;
 use serde::Serialize;
 
 use crate::{Analysis, Finding};
@@ -130,53 +132,24 @@ impl Analysis {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for the baseline subset
-// ---------------------------------------------------------------------------
-
 fn parse(text: &str) -> Result<Baseline, String> {
-    let mut p = Parser {
-        chars: text.chars().collect(),
-        at: 0,
+    let Json::Obj(fields) = Json::parse(text)? else {
+        return Err("baseline is not a JSON object".to_string());
     };
-    p.skip_ws();
-    p.expect('{')?;
     let mut schema = None;
     let mut findings = Vec::new();
-    loop {
-        p.skip_ws();
-        if p.eat('}') {
-            break;
-        }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(':')?;
-        p.skip_ws();
+    for (key, value) in &fields {
         match key.as_str() {
-            "schema" => schema = Some(p.string()?),
+            "schema" => schema = Some(string_field(key, value)?),
             "findings" => {
-                p.expect('[')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(']') {
-                        break;
-                    }
-                    findings.push(p.entry()?);
-                    p.skip_ws();
-                    if !p.eat(',') {
-                        p.skip_ws();
-                        p.expect(']')?;
-                        break;
-                    }
-                }
+                findings = value
+                    .as_array()
+                    .ok_or("`findings` is not an array")?
+                    .iter()
+                    .map(entry)
+                    .collect::<Result<_, _>>()?;
             }
             other => return Err(format!("unknown top-level key `{other}`")),
-        }
-        p.skip_ws();
-        if !p.eat(',') {
-            p.skip_ws();
-            p.expect('}')?;
-            break;
         }
     }
     match schema.as_deref() {
@@ -191,128 +164,38 @@ fn parse(text: &str) -> Result<Baseline, String> {
     }
 }
 
-struct Parser {
-    chars: Vec<char>,
-    at: usize,
+fn entry(value: &Json) -> Result<BaselineEntry, String> {
+    let Json::Obj(fields) = value else {
+        return Err("baseline entry is not a JSON object".to_string());
+    };
+    let (mut rule, mut file, mut excerpt, mut count) = (None, None, None, None);
+    for (key, value) in fields {
+        match key.as_str() {
+            "rule" => rule = Some(string_field(key, value)?),
+            "file" => file = Some(string_field(key, value)?),
+            "excerpt" => excerpt = Some(string_field(key, value)?),
+            "count" => {
+                let n = value.as_u64().and_then(|n| usize::try_from(n).ok());
+                count = Some(n.ok_or_else(|| {
+                    format!("`count` must be a non-negative integer, found {value:?}")
+                })?);
+            }
+            other => return Err(format!("unknown entry key `{other}`")),
+        }
+    }
+    Ok(BaselineEntry {
+        rule: rule.ok_or("entry missing `rule`")?,
+        file: file.ok_or("entry missing `file`")?,
+        excerpt: excerpt.ok_or("entry missing `excerpt`")?,
+        count: count.unwrap_or(1),
+    })
 }
 
-impl Parser {
-    fn skip_ws(&mut self) {
-        while self.chars.get(self.at).is_some_and(|c| c.is_whitespace()) {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.chars.get(self.at) == Some(&c) {
-            self.at += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected `{c}` at offset {}, found {:?}",
-                self.at,
-                self.chars.get(self.at)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.get(self.at) {
-                None => return Err("unterminated string".to_string()),
-                Some('"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some('\\') => {
-                    self.at += 1;
-                    let esc = self
-                        .chars
-                        .get(self.at)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    out.push(match esc {
-                        '"' => '"',
-                        '\\' => '\\',
-                        '/' => '/',
-                        'n' => '\n',
-                        't' => '\t',
-                        'r' => '\r',
-                        'u' => {
-                            let hex: String = self.chars[self.at + 1..].iter().take(4).collect();
-                            self.at += 4;
-                            u32::from_str_radix(&hex, 16)
-                                .ok()
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad unicode escape \\u{hex}"))?
-                        }
-                        other => return Err(format!("unsupported escape \\{other}")),
-                    });
-                    self.at += 1;
-                }
-                Some(&c) => {
-                    out.push(c);
-                    self.at += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<usize, String> {
-        let start = self.at;
-        while self.chars.get(self.at).is_some_and(|c| c.is_ascii_digit()) {
-            self.at += 1;
-        }
-        let text: String = self.chars[start..self.at].iter().collect();
-        text.parse().map_err(|e| format!("bad count `{text}`: {e}"))
-    }
-
-    fn entry(&mut self) -> Result<BaselineEntry, String> {
-        self.skip_ws();
-        self.expect('{')?;
-        let mut rule = None;
-        let mut file = None;
-        let mut excerpt = None;
-        let mut count = None;
-        loop {
-            self.skip_ws();
-            if self.eat('}') {
-                break;
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(':')?;
-            self.skip_ws();
-            match key.as_str() {
-                "rule" => rule = Some(self.string()?),
-                "file" => file = Some(self.string()?),
-                "excerpt" => excerpt = Some(self.string()?),
-                "count" => count = Some(self.number()?),
-                other => return Err(format!("unknown entry key `{other}`")),
-            }
-            self.skip_ws();
-            if !self.eat(',') {
-                self.skip_ws();
-                self.expect('}')?;
-                break;
-            }
-        }
-        Ok(BaselineEntry {
-            rule: rule.ok_or("entry missing `rule`")?,
-            file: file.ok_or("entry missing `file`")?,
-            excerpt: excerpt.ok_or("entry missing `excerpt`")?,
-            count: count.unwrap_or(1),
-        })
-    }
+fn string_field(key: &str, value: &Json) -> Result<String, String> {
+    value
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("`{key}` must be a string, found {value:?}"))
 }
 
 #[cfg(test)]
@@ -384,5 +267,22 @@ mod tests {
             "{\"schema\": \"detlint-baseline/v1\", \"findings\": [{\"rule\": \"DL001\"}]}"
         )
         .is_err());
+        assert!(parse("{\"schema\": \"detlint-baseline/v1\", \"extra\": 1}").is_err());
+        let entry = |extra: &str| {
+            format!(
+                "{{\"schema\": \"detlint-baseline/v1\", \"findings\": [{{\"rule\": \"DL001\", \
+                 \"file\": \"f.rs\", \"excerpt\": \"x\"{extra}}}]}}"
+            )
+        };
+        let defaulted = parse(&entry("")).expect("count is optional");
+        assert_eq!(defaulted.findings[0].count, 1);
+        for bad in [
+            ", \"note\": \"why\"",
+            ", \"count\": -1",
+            ", \"count\": 1.5",
+            ", \"count\": \"2\"",
+        ] {
+            assert!(parse(&entry(bad)).is_err(), "accepted {bad}");
+        }
     }
 }

@@ -506,8 +506,7 @@ fn run_full(seed: u64, want_metrics: bool, write_md: Option<String>, narrator: &
              `cargo run --release -p opml-experiments --bin run-experiments`\n\
              (this file was generated at seed {seed}; rerun with `--seed N` for\n\
              other cohort realizations, or `--write-md EXPERIMENTS.md` to\n\
-             regenerate it). The matching benches live in `opml-bench`\n\
-             (`cargo bench --workspace`).\n\n\
+             regenerate it).\n\n\
              The reproduction targets **shape**, not absolute replay: the\n\
              paper's numbers are one realization of one real cohort; ours are\n\
              one realization of a calibrated stochastic cohort. Each comparison\n\

@@ -4,7 +4,8 @@
 //! Teaching Operational ML* (SC Workshops '25). Each unit's lab deploys
 //! real systems (Kubernetes, MLFlow, Ray, Triton, Argo, Prometheus-style
 //! monitoring); this crate implements the **mechanisms** of those systems
-//! in Rust so the simulated labs execute miniature-but-real workloads:
+//! in Rust, so each lab's workload runs miniature-but-real (the facade's
+//! `labwork` module runs them unit by unit):
 //!
 //! | Course unit | Module(s) | What is implemented |
 //! |---|---|---|
@@ -15,9 +16,10 @@
 //! | 7. Monitoring & evaluation | [`monitoring`], [`drift`], [`eval`] | a metrics time-series store with alert rules; KS/PSI drift detection on sliding windows; offline slice/behavioural evaluation and online A/B, canary, and shadow evaluation |
 //! | 8. Data systems | [`data`] | batch ETL, a broker–producer–consumer streaming pipeline over channels, and a feature store unifying both |
 //!
-//! Everything is deterministic given a seed and runs at laptop scale; the
-//! point is that the simulated course exercises genuine implementations of
-//! what the real course teaches (see DESIGN.md's substitution table).
+//! Everything is deterministic given a seed and runs at laptop scale. The
+//! crate is a demonstration of what the course teaches and feeds no paper
+//! number: lab durations and costs come from `opml-cohort`'s calibrated
+//! behaviour model (see DESIGN.md's substitution table).
 
 pub mod allreduce;
 pub mod cicd;
@@ -35,7 +37,6 @@ pub mod pipeline;
 pub mod precision;
 pub mod raycluster;
 pub mod registry;
-pub mod safety;
 pub mod serving;
 pub mod tensor;
 pub mod tracking;

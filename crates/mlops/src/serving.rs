@@ -16,8 +16,9 @@
 //!   (amortizing the fixed kernel-launch/weight-read cost).
 //!
 //! Profiles for optimized/edge variants come from [`crate::optimize`]'s
-//! measured speedups; the bench `bench_serving` sweeps batch size and
-//! concurrency to reproduce the lab's latency/throughput trade-off curves.
+//! measured speedups. The unit tests check the lab's latency/throughput
+//! trade-off: batching survives a load that collapses the unbatched
+//! baseline, and int8 beats fp32 on every profile.
 
 use opml_simkernel::stats::percentile_sorted;
 use opml_simkernel::Rng;

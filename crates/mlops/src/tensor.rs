@@ -2,9 +2,8 @@
 //!
 //! Row-major `f32` matrices with exactly the operations the models need.
 //! `matmul` parallelizes over row blocks with rayon once the output is
-//! large enough to amortize the fork/join (per the domain guide: convert
-//! the sequential loop, keep the cutoff explicit and benchmarked in
-//! `bench_allreduce`).
+//! large enough to amortize the fork/join; the cutoff is the explicit
+//! `PAR_CUTOFF`.
 
 use opml_simkernel::Rng;
 use serde::{Deserialize, Serialize};

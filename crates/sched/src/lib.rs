@@ -10,10 +10,10 @@
 //!
 //! The crate is a real scheduler, not a sketch: admission, placement with
 //! node-boundary constraints, shadow-time reservation for backfilling, and
-//! usage-ordered fair-share queues are all implemented and benchmarked
-//! (`bench_sched` reproduces the lecture's qualitative claims — backfilling
-//! recovers utilization lost to head-of-line blocking; fair share equalizes
-//! per-user service at a small throughput cost).
+//! usage-ordered fair-share queues are all implemented and tested
+//! (`tests/mlops_stack.rs` checks the lecture's qualitative claims —
+//! backfilling recovers utilization lost to head-of-line blocking; fair
+//! share protects light users' service).
 //!
 //! ```
 //! use opml_sched::{Cluster, Placement, Policy, SchedSim, workload};

@@ -13,6 +13,17 @@ cargo fmt --all --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> dependency fence (no paper number may depend on the course substrate)"
+for pkg in opml-cohort opml-experiments; do
+    deps=$(cargo tree --offline -e normal -p "$pkg" --prefix none)
+    for banned in opml-mlops opml-sched; do
+        if printf '%s\n' "$deps" | grep -q "^$banned v"; then
+            echo "dependency fence FAILED: $pkg depends on $banned" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> detlint (workspace, gated on detlint.baseline.json)"
 cargo run --release -q -p opml-detlint --bin detlint -- --baseline detlint.baseline.json
 

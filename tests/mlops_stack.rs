@@ -2,7 +2,7 @@
 //! full technical loop executed through the facade crate, plus the
 //! unit-by-unit lab workloads.
 
-use ml_ops_course::cohort::labwork;
+use ml_ops_course::labwork;
 use ml_ops_course::mlops::allreduce::ReduceAlgo;
 use ml_ops_course::mlops::cicd::{CicdConfig, CicdSystem, Commit, DeployOutcome};
 use ml_ops_course::mlops::ddp::{train_ddp, DdpConfig};
