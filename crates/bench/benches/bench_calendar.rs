@@ -155,7 +155,7 @@ macro_rules! replay_with {
                         None => r.digest_parts.push(u64::MAX),
                         Some(start) => {
                             r.digest_parts.push(start.0);
-                            match cal.reserve(FLAVOR, count, start, start + len, "bench") {
+                            match cal.reserve(FLAVOR, count, start, start + len) {
                                 Ok(lease) => {
                                     r.booked += 1;
                                     r.admitted.push(lease.id.0);

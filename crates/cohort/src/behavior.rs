@@ -186,9 +186,9 @@ impl StudentProfile {
 
     /// Pick the hardware pool for a leased lab by the spec's weights.
     pub fn pick_flavor(&self, spec: &LabSpec, rng: &mut Rng) -> opml_testbed::FlavorId {
-        let weights: Vec<f64> = spec.flavors.iter().map(|&(_, w)| w).collect();
-        // detlint::allow(DL008): weighted_index returns an index < weights.len() == flavors.len()
-        spec.flavors[rng.weighted_index(&weights)].0
+        let weights = spec.flavors.iter().map(|(_, w)| w);
+        // detlint::allow(DL008): weighted_index returns an index < flavors.len()
+        spec.flavors[rng.weighted_index(weights)].0
     }
 
     /// Hour offset within the release week when this student starts the

@@ -8,6 +8,7 @@
 //! "most" instances could be associated) parse as [`Owner::Unknown`].
 
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Who owns a resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -31,7 +32,15 @@ pub struct Attribution {
 
 /// Compose a student resource name.
 pub fn student_name(tag: &str, student: u32) -> String {
-    format!("{tag}-s{student:03}")
+    // One allocation of the exact size: `format!` would start small and
+    // grow by reallocation.
+    let digits = student
+        .checked_ilog10()
+        .map_or(1, |d| d as usize + 1)
+        .max(3);
+    let mut name = String::with_capacity(tag.len() + 2 + digits);
+    let _ = write!(name, "{tag}-s{student:03}");
+    name
 }
 
 /// Compose a group resource name.
@@ -81,6 +90,15 @@ mod tests {
         let a = parse_name(&name);
         assert_eq!(a.tag, "lab2");
         assert_eq!(a.owner, Owner::Student(17));
+    }
+
+    #[test]
+    fn student_name_is_allocated_at_its_exact_length() {
+        for id in [0, 7, 42, 999, 1_000, 99_999, 123_456, u32::MAX] {
+            let name = student_name("lab4a", id);
+            assert_eq!(name, format!("lab4a-s{id:03}"));
+            assert_eq!(name.capacity(), name.len(), "{name}");
+        }
     }
 
     #[test]

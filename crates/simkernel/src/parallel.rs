@@ -76,6 +76,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The rayon shim keeps the pinned thread count in one process-global
+    /// override; every test that pins it holds this lock, so one test's
+    /// pin is never read by another running on a parallel test thread.
+    static THREAD_PIN_LOCK: Mutex<()> = Mutex::new(());
+
+    fn thread_pin_lock() -> MutexGuard<'static, ()> {
+        THREAD_PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn indexed_map_is_deterministic() {
@@ -121,6 +131,7 @@ mod tests {
 
     #[test]
     fn with_thread_count_pins_and_restores() {
+        let _pin = thread_pin_lock();
         let ambient = rayon::current_num_threads();
         let inside = with_thread_count(3, effective_thread_count);
         assert_eq!(inside, 3);
@@ -137,6 +148,7 @@ mod tests {
 
     #[test]
     fn with_thread_count_results_match_across_counts() {
+        let _pin = thread_pin_lock();
         let runs: Vec<Vec<(usize, u64)>> = [1usize, 2, 8]
             .iter()
             .map(|&t| with_thread_count(t, || indexed_map(32, 9, |i, seed| (i, seed))))

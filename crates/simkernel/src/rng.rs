@@ -205,18 +205,28 @@ impl Rng {
         &items[self.below(items.len() as u64) as usize]
     }
 
-    /// Sample an index from unnormalized non-negative weights.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+    /// Sample an index from unnormalized non-negative weights: a slice,
+    /// or any sequence that can be walked twice (once to sum, once to
+    /// pick), so callers holding `(item, weight)` pairs need not collect
+    /// the weights first.
+    pub fn weighted_index<'a, W>(&mut self, weights: W) -> usize
+    where
+        W: IntoIterator<Item = &'a f64>,
+        W::IntoIter: Clone,
+    {
+        let weights = weights.into_iter();
+        let total: f64 = weights.clone().sum();
         assert!(total > 0.0, "weighted_index: weights sum to zero");
         let mut target = self.f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
+        let mut last = 0;
+        for (i, &w) in weights.enumerate() {
             if target < w {
                 return i;
             }
             target -= w;
+            last = i;
         }
-        weights.len() - 1
+        last
     }
 
     /// In-place Fisher–Yates shuffle.

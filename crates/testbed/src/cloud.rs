@@ -287,11 +287,14 @@ impl Cloud {
             start: inst.created,
             end: at,
         });
-        let (name, flavor, created) = (inst.name.clone(), inst.flavor, inst.created);
+        let (flavor, created) = (inst.flavor, inst.created);
         let auto = state == InstanceState::AutoTerminated;
+        // The closure runs only when telemetry is on, so the name is
+        // cloned only then.
+        let name = &inst.name;
         self.telemetry.instant(at, "instance.terminate", || {
             vec![
-                ("name", name.into()),
+                ("name", name.clone().into()),
                 ("flavor", flavor.name().into()),
                 ("auto_terminated", auto.into()),
                 ("lifetime_min", at.since(created).0.into()),
@@ -345,12 +348,10 @@ impl Cloud {
         end: SimTime,
         owner: &str,
     ) -> Result<Lease, CloudError> {
-        if !flavor.requires_lease() {
-            // Chameleon later added VM reservations too; the ablation
-            // experiment turns this on by reserving VM flavors — so it is
-            // allowed, and VMs created under the lease auto-terminate.
-        }
-        match self.calendar.reserve(flavor, count, start, end, owner) {
+        // VM flavors may be reserved too: Chameleon later added VM
+        // reservations, the ablation experiment reserves VM flavors, and
+        // VMs created under the lease auto-terminate.
+        match self.calendar.reserve(flavor, count, start, end) {
             Ok(lease) => {
                 self.lease_ends.push(lease.end, lease.id);
                 self.telemetry.instant(self.now, "lease.accept", || {

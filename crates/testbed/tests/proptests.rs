@@ -22,7 +22,7 @@ proptest! {
         for (start, len, count) in requests {
             let s = SimTime(start * 60);
             let e = SimTime((start + len) * 60);
-            if let Ok(lease) = cal.reserve(FlavorId::GpuV100, count, s, e, "p") {
+            if let Ok(lease) = cal.reserve(FlavorId::GpuV100, count, s, e) {
                 admitted.push(lease);
             }
         }
@@ -53,14 +53,13 @@ proptest! {
                 1,
                 SimTime(start * 60),
                 SimTime((start + l) * 60),
-                "pre",
             );
         }
         let dur = opml_simkernel::SimDuration(len * 60);
         let slot = cal.earliest_slot(FlavorId::ComputeGigaio, 1, dur, SimTime(from * 60));
         let start = slot.expect("capacity >= 1 always yields a slot");
         prop_assert!(start >= SimTime(from * 60));
-        prop_assert!(cal.reserve(FlavorId::ComputeGigaio, 1, start, start + dur, "x").is_ok());
+        prop_assert!(cal.reserve(FlavorId::ComputeGigaio, 1, start, start + dur).is_ok());
     }
 
     /// Quota usage can never exceed configured limits under any sequence

@@ -142,7 +142,7 @@ shard_allocs=$(sed -n 's/.*"phase":"shard\.sim","allocs":\([0-9]*\).*/\1/p' \
     "$alloc_dir/profile.json")
 alloc_digest=$(sed -n 's/.*"alloc_digest": "\([0-9a-f]*\)".*/\1/p' \
     "$alloc_dir/profile.json")
-alloc_budget=800000
+alloc_budget=700000
 if [ -z "$shard_allocs" ] || [ -z "$alloc_digest" ]; then
     echo "alloc smoke FAILED: shard.sim allocs or alloc_digest missing from profile.json" >&2
     exit 1
