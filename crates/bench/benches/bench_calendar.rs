@@ -13,9 +13,9 @@
 //! two digests differ — it is a correctness gate first and a stopwatch
 //! second.
 //!
-//! This harness measures wall time by design; the calendar itself never
-//! reads the clock (`opml-detlint` enforces that), so DL001 is
-//! suppressed only here.
+//! This harness measures wall time with `opml_profiler::timed`; the
+//! calendar itself never reads the clock (`opml-detlint` enforces
+//! that).
 //!
 //! With `--check` (the perf-regression gate, see `scripts/perfgate.sh`)
 //! the bench reruns both sides min-of-`PERFGATE_RUNS` and compares the
@@ -24,8 +24,8 @@
 //! compared fatally, wall times within `PERFGATE_TOLERANCE`.
 
 use opml_bench::perfgate::{min_of, Gate};
-use opml_experiments::digest::fnv1a64;
-use opml_profiler::Json;
+use opml_profiler::{timed, Json};
+use opml_simkernel::fnv1a64;
 use opml_simkernel::{SimDuration, SimTime};
 use opml_testbed::lease::naive::NaiveCalendar;
 use opml_testbed::lease::ReservationCalendar;
@@ -189,15 +189,6 @@ macro_rules! replay_with {
         }
         r
     }};
-}
-
-/// Wall-time one run in seconds.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    let start = std::time::Instant::now();
-    let r = f();
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    (r, start.elapsed().as_secs_f64())
 }
 
 fn main() {

@@ -40,9 +40,9 @@
 //! the bench exits nonzero on any divergence, so `scripts/bench.sh`
 //! doubles as a determinism gate.
 //!
-//! This harness measures wall time by design; the simulators under test
-//! never read the clock (`opml-detlint` enforces that), so DL001 is
-//! suppressed only here.
+//! This harness measures wall time with `opml_profiler::timed`; the
+//! simulators under test never read the clock (`opml-detlint` enforces
+//! that).
 //!
 //! With `--check` (the perf-regression gate, see `scripts/perfgate.sh`)
 //! the bench compares each arm against the committed
@@ -58,8 +58,8 @@ use opml_cohort::semester::{
     simulate_semester, simulate_semester_exec, Exec, Schedule, SemesterConfig, Storage,
 };
 use opml_cohort::spill::{simulate_semester_streaming_serial, SpillConfig};
-use opml_experiments::scale::{digest_outcome, peak_rss_kb, OutcomeDigest};
-use opml_profiler::Json;
+use opml_experiments::scale::{digest_outcome, OutcomeDigest};
+use opml_profiler::{peak_rss_kb, timed, Json};
 use opml_simkernel::parallel::{effective_thread_count, with_thread_count};
 use opml_telemetry::Telemetry;
 use opml_testbed::ledger::Ledger;
@@ -102,15 +102,6 @@ fn labs_config(enrollment: u32, shard_students: u32) -> SemesterConfig {
         shard_students,
         ..SemesterConfig::paper_course()
     }
-}
-
-/// Wall-time one run in seconds.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    let start = std::time::Instant::now();
-    let outcome = f();
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    (outcome, start.elapsed().as_secs_f64())
 }
 
 /// The out-of-core arm, measured separately from the in-memory sweep.

@@ -11,12 +11,12 @@
 //! and stop round are compared fatally against the committed baseline
 //! and the wall time is gated by `PERFGATE_TOLERANCE`.
 //!
-//! This harness measures wall time by design; the service loop itself
-//! never reads the clock (`opml-detlint` enforces that), so DL001 is
-//! suppressed only here.
+//! This harness measures wall time with `opml_profiler::timed`; the
+//! service loop itself never reads the clock (`opml-detlint` enforces
+//! that).
 
 use opml_bench::perfgate::{min_of, Gate};
-use opml_profiler::Json;
+use opml_profiler::{timed, Json};
 use opml_serve::{run_service, ServeConfig, ServeReport};
 use opml_simkernel::parallel;
 
@@ -51,15 +51,6 @@ fn config() -> ServeConfig {
         deadline_s: 300,
         ..ServeConfig::default()
     }
-}
-
-/// Wall-time one run in seconds.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    let start = std::time::Instant::now();
-    let r = f();
-    // detlint::allow(DL001): benchmark harness measures wall time by design
-    (r, start.elapsed().as_secs_f64())
 }
 
 fn soak(gate: &Gate) -> (ServeReport, f64) {

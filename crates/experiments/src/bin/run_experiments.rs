@@ -28,14 +28,19 @@
 //! shard/merge seams, opt-in allocation accounting (feature
 //! `alloc-profile`), and a sampled RSS timeline, written as
 //! `profile.json` + flamegraph-ready `profile.folded` to `--out <dir>`.
+//!
+//! Every subcommand runs through one harness path: one flag parser
+//! ([`Args`]: a malformed value prints ``run-experiments: <flag> takes
+//! <what>, got `<raw>` `` and exits 2), one writer ([`OutDir`] creates
+//! `--out` before the run starts; an I/O error names its path and exits
+//! 1), and one `peak rss: <n> kB` line (the process `VmHWM`), printed
+//! by `main` after the subcommand.
 
-use opml_experiments::{
-    ablation, capacity, chaos, fig1, fig2, fig3, headline, profile, project_cost, scale, seeds,
-    serve, spot_ablation, table1, trace, verify,
-};
-use opml_report::compare::ComparisonSet;
+use opml_experiments::{chaos, paper_sections, profile, scale, serve, trace, verify};
 use opml_simkernel::SimTime;
 use opml_telemetry::{narrate, StderrNarrationSink, Telemetry};
+use std::process::ExitCode;
+use std::str::FromStr;
 
 // Opt-in allocation accounting for the `profile` subcommand: installing
 // the counting wrapper is a binary-level decision, so it is gated on a
@@ -44,63 +49,131 @@ use opml_telemetry::{narrate, StderrNarrationSink, Telemetry};
 #[global_allocator]
 static COUNTING_ALLOC: opml_profiler::CountingAlloc = opml_profiler::CountingAlloc;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let want_metrics = args.iter().any(|a| a == "--metrics");
-    let seed = parse_seed(&args);
-    let write_md = arg_value(&args, "--write-md");
+/// A subcommand's result: `Err` carries the failure message, and the
+/// process exits 1 after printing it.
+type Outcome = Result<(), String>;
+
+fn main() -> ExitCode {
+    let args = Args(std::env::args().collect());
+    let seed = args
+        .value("--seed", NON_NEGATIVE, non_negative)
+        .unwrap_or(42);
 
     // Harness narration goes through telemetry too, so `--quiet`
     // silences the runner and the simulator uniformly.
-    let narrator = if quiet {
+    let narrator = if args.has("--quiet") {
         Telemetry::disabled()
     } else {
         Telemetry::with_sink(StderrNarrationSink)
     };
 
-    match args.get(1).map(String::as_str) {
+    let outcome = match args.0.get(1).map(String::as_str) {
         Some("verify-determinism") => run_verify(&args, seed, &narrator),
-        Some("trace") => run_trace(&args, seed, want_metrics, &narrator),
+        Some("trace") => run_trace(&args, seed, &narrator),
         Some("chaos") => run_chaos(&args, seed, &narrator),
         Some("scale") => run_scale(&args, seed, &narrator),
         Some("serve") => run_serve(&args, seed, &narrator),
         Some("profile") => run_profile(&args, seed, &narrator),
-        _ => run_full(seed, want_metrics, write_md, &narrator),
+        _ => run_full(&args, seed, &narrator),
+    };
+    let peak =
+        opml_profiler::peak_rss_kb().map_or_else(|| "n/a".to_string(), |kb| format!("{kb} kB"));
+    println!("peak rss: {peak}");
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-/// Parse `--seed`, exiting with a diagnostic on malformed input instead
-/// of silently falling back to the default.
-fn parse_seed(args: &[String]) -> u64 {
-    match arg_value(args, "--seed") {
-        None => 42,
-        Some(raw) => match raw.trim().parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("run-experiments: --seed takes a non-negative integer, got `{raw}`");
-                std::process::exit(2);
-            }
-        },
+const NON_NEGATIVE: &str = "a non-negative integer";
+const POSITIVE: &str = "a positive integer";
+const POSITIVE_LIST: &str = "a comma-separated list of positive integers";
+const RATE: &str = "a number in [0, 1]";
+const RATE_LIST: &str = "a comma-separated list of numbers in [0, 1]";
+
+fn non_negative<T: FromStr>(raw: &str) -> Option<T> {
+    raw.trim().parse().ok()
+}
+
+fn positive<T: FromStr + PartialOrd + Default>(raw: &str) -> Option<T> {
+    non_negative(raw).filter(|n| *n > T::default())
+}
+
+fn rate(raw: &str) -> Option<f64> {
+    raw.trim().parse().ok().filter(|r| (0.0..=1.0).contains(r))
+}
+
+/// The command line. Flags are looked up by name anywhere after the
+/// subcommand; a value is the argument that follows its flag.
+struct Args(Vec<String>);
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|a| a == flag)
+    }
+
+    fn raw(&self, flag: &str) -> Option<&str> {
+        let i = self.0.iter().position(|a| a == flag)?;
+        self.0.get(i + 1).map(String::as_str)
+    }
+
+    /// `flag`'s value through `parse`, or `None` when the flag is
+    /// absent. A value `parse` rejects exits 2: `flag` takes `what`.
+    fn value<T>(&self, flag: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+        let raw = self.raw(flag)?;
+        Some(parse(raw).unwrap_or_else(|| bad_value(flag, what, raw)))
+    }
+
+    /// A comma-separated list, each item through `parse`.
+    fn list<T>(&self, flag: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
+        let raw = self.raw(flag)?;
+        let items: Option<Vec<T>> = raw.split(',').map(&parse).collect();
+        Some(items.unwrap_or_else(|| bad_value(flag, what, raw)))
+    }
+
+    /// A positive-integer flag with a default.
+    fn positive<T: FromStr + PartialOrd + Default>(&self, flag: &str, default: T) -> T {
+        self.value(flag, POSITIVE, positive).unwrap_or(default)
     }
 }
 
-fn run_verify(args: &[String], seed: u64, narrator: &Telemetry) {
-    let threads: Vec<usize> = arg_value(args, "--threads")
-        .map(|list| {
-            list.split(',')
-                .map(|t| match t.trim().parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => {
-                        eprintln!(
-                            "run-experiments: --threads takes a comma-separated list of \
-                             positive integers, got `{t}`"
-                        );
-                        std::process::exit(2);
-                    }
-                })
-                .collect()
-        })
+fn bad_value(flag: &str, what: &str, raw: &str) -> ! {
+    eprintln!("run-experiments: {flag} takes {what}, got `{raw}`");
+    std::process::exit(2);
+}
+
+/// Write `contents` to `path`; an error names the path.
+fn write_file(path: &str, contents: &str) -> Outcome {
+    std::fs::write(path, contents).map_err(|e| format!("run-experiments: cannot write {path}: {e}"))
+}
+
+/// A subcommand's `--out` directory. It is created before the run
+/// starts, so a path that cannot be a directory fails before any work.
+struct OutDir(String);
+
+impl OutDir {
+    fn create(args: &Args, default: &str) -> Result<OutDir, String> {
+        let dir = args.raw("--out").unwrap_or(default).to_string();
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("run-experiments: cannot create {dir}: {e}"))?;
+        Ok(OutDir(dir))
+    }
+
+    /// Write `name` under the directory and report it on stdout.
+    fn write(&self, name: &str, contents: &str) -> Outcome {
+        let path = format!("{}/{name}", self.0);
+        write_file(&path, contents)?;
+        println!("wrote {path}");
+        Ok(())
+    }
+}
+
+fn run_verify(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+    let threads = args
+        .list("--threads", POSITIVE_LIST, positive)
         .unwrap_or_default();
     narrate!(
         narrator,
@@ -110,183 +183,98 @@ fn run_verify(args: &[String], seed: u64, narrator: &Telemetry) {
     let outcome = verify::verify_determinism(seed, &threads);
     println!("{}", outcome.to_table());
     if !outcome.is_equivalent() {
-        eprintln!("verify-determinism: FAILED — results differ across runs/thread counts");
-        std::process::exit(1);
+        return Err(
+            "verify-determinism: FAILED — results differ across runs/thread counts".to_string(),
+        );
     }
     narrate!(
         narrator,
         SimTime::ZERO,
         "verify-determinism: all runs byte-identical"
     );
+    Ok(())
 }
 
-fn run_trace(args: &[String], seed: u64, want_metrics: bool, narrator: &Telemetry) {
-    let out_dir = arg_value(args, "--out").unwrap_or_else(|| String::from("trace_out"));
-    let enrollment: u32 = match arg_value(args, "--enrollment") {
-        None => 191,
-        Some(raw) => match raw.trim().parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("run-experiments: --enrollment takes a positive integer, got `{raw}`");
-                std::process::exit(2);
-            }
-        },
-    };
-    let labs_only = args.iter().any(|a| a == "--labs-only");
+fn run_trace(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
     let config = trace::TraceConfig {
         seed,
-        enrollment,
-        labs_only,
+        enrollment: args.positive("--enrollment", 191),
+        labs_only: args.has("--labs-only"),
     };
+    let out = OutDir::create(args, "trace_out")?;
     narrate!(
         narrator,
         SimTime::ZERO,
-        "tracing a {enrollment}-student semester (seed {seed}, projects {})…",
-        if labs_only { "off" } else { "on" }
+        "tracing a {}-student semester (seed {seed}, projects {})…",
+        config.enrollment,
+        if config.labs_only { "off" } else { "on" }
     );
     let artifacts = trace::capture_trace(&config);
-    std::fs::create_dir_all(&out_dir).expect("create trace output directory");
-    let jsonl_path = format!("{out_dir}/trace.jsonl");
-    let chrome_path = format!("{out_dir}/trace_chrome.json");
-    std::fs::write(&jsonl_path, &artifacts.jsonl).expect("write trace.jsonl");
-    std::fs::write(&chrome_path, &artifacts.chrome).expect("write trace_chrome.json");
     println!(
         "captured {} events ({} ledger records, {} quota denials)",
         artifacts.events,
         artifacts.outcome.ledger.records().len(),
         artifacts.outcome.quota_denials
     );
-    println!("wrote {jsonl_path}");
-    println!("wrote {chrome_path}");
-    if let Some(kb) = opml_profiler::peak_rss_kb() {
-        println!("peak rss: {kb} kB");
-    }
-    if want_metrics {
+    out.write("trace.jsonl", &artifacts.jsonl)?;
+    out.write("trace_chrome.json", &artifacts.chrome)?;
+    if args.has("--metrics") {
         println!("\n== Telemetry metrics ==\n");
         println!("{}", opml_report::metrics_summary(&artifacts.metrics));
     }
+    Ok(())
 }
 
-fn run_chaos(args: &[String], seed: u64, narrator: &Telemetry) {
-    let enrollment: u32 = match arg_value(args, "--enrollment") {
-        None => 191,
-        Some(raw) => match raw.trim().parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("run-experiments: --enrollment takes a positive integer, got `{raw}`");
-                std::process::exit(2);
-            }
-        },
+fn run_chaos(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+    let defaults = chaos::ChaosConfig::default();
+    let config = chaos::ChaosConfig {
+        seed,
+        enrollment: args.positive("--enrollment", 191),
+        rates: args
+            .list("--rates", RATE_LIST, rate)
+            .or_else(|| args.value("--rate", RATE, rate).map(|r| vec![r]))
+            .unwrap_or(defaults.rates),
+        threads: args.positive("--threads", 1),
     };
-    let parse_rate = |raw: &str| -> f64 {
-        match raw.trim().parse::<f64>() {
-            Ok(r) if (0.0..=1.0).contains(&r) => r,
-            _ => {
-                eprintln!("run-experiments: fault rates must be numbers in [0, 1], got `{raw}`");
-                std::process::exit(2);
-            }
-        }
-    };
-    let rates: Vec<f64> = match (arg_value(args, "--rates"), arg_value(args, "--rate")) {
-        (Some(list), _) => list.split(',').map(|r| parse_rate(r)).collect(),
-        (None, Some(one)) => vec![parse_rate(&one)],
-        (None, None) => chaos::ChaosConfig::default().rates,
-    };
-    let threads = parse_positive(args, "--threads", 1);
     narrate!(
         narrator,
         SimTime::ZERO,
-        "chaos sweep: {enrollment}-student semester (seed {seed}), rates {rates:?}…"
+        "chaos sweep: {}-student semester (seed {seed}), rates {:?}…",
+        config.enrollment,
+        config.rates
     );
-    let report = chaos::run(&chaos::ChaosConfig {
-        seed,
-        enrollment,
-        rates,
-        threads,
-    });
+    let report = chaos::run(&config);
     println!("== Chaos: cost of injected faults ==\n{}", report.text);
-    if let Some(kb) = opml_profiler::peak_rss_kb() {
-        println!("peak rss: {kb} kB");
-    }
     if !report.zero_rate_matches_baseline {
-        eprintln!("chaos: FAILED — zero-rate plan diverged from the fault-free baseline");
-        std::process::exit(1);
+        return Err(
+            "chaos: FAILED — zero-rate plan diverged from the fault-free baseline".to_string(),
+        );
     }
+    Ok(())
 }
 
-/// Parse a positive-integer flag with a default.
-fn parse_positive(args: &[String], flag: &str, default: usize) -> usize {
-    match arg_value(args, flag) {
-        None => default,
-        Some(raw) => match raw.trim().parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("run-experiments: {flag} takes a positive integer, got `{raw}`");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-fn run_scale(args: &[String], seed: u64, narrator: &Telemetry) {
+fn run_scale(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
     let defaults = scale::ScaleConfig::default();
-    let enrollment = parse_positive(args, "--enrollment", defaults.enrollment as usize) as u32;
-    let shard_students =
-        parse_positive(args, "--shard-students", defaults.shard_students as usize) as u32;
-    let threads: Vec<usize> = match arg_value(args, "--threads") {
-        None => defaults.threads,
-        Some(list) => list
-            .split(',')
-            .map(|t| match t.trim().parse() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!(
-                        "run-experiments: --threads takes a comma-separated list of \
-                         positive integers, got `{t}`"
-                    );
-                    std::process::exit(2);
-                }
-            })
-            .collect(),
-    };
-    let digest_only = args.iter().any(|a| a == "--digest-only");
-    let spill_dir = arg_value(args, "--spill-dir").map(std::path::PathBuf::from);
-    let mem_budget_mb = match arg_value(args, "--mem-budget-mb") {
-        None => None,
-        Some(raw) => match raw.trim().parse::<u64>() {
-            Ok(mb) => Some(mb),
-            Err(_) => {
-                eprintln!(
-                    "run-experiments: --mem-budget-mb takes a non-negative integer, got `{raw}`"
-                );
-                std::process::exit(2);
-            }
-        },
+    let config = scale::ScaleConfig {
+        seed,
+        enrollment: args.positive("--enrollment", defaults.enrollment),
+        shard_students: args.positive("--shard-students", defaults.shard_students),
+        threads: args
+            .list("--threads", POSITIVE_LIST, positive)
+            .unwrap_or(defaults.threads),
+        spill_dir: args.raw("--spill-dir").map(std::path::PathBuf::from),
+        mem_budget_mb: args.value("--mem-budget-mb", NON_NEGATIVE, non_negative),
     };
     narrate!(
         narrator,
         SimTime::ZERO,
-        "scale sweep: {enrollment} students, {shard_students}/shard, threads {threads:?}…"
+        "scale sweep: {} students, {}/shard, threads {:?}…",
+        config.enrollment,
+        config.shard_students,
+        config.threads
     );
-    let report = match scale::run(&scale::ScaleConfig {
-        seed,
-        enrollment,
-        shard_students,
-        threads,
-        digest_only,
-        spill_dir,
-        mem_budget_mb,
-    }) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("scale: FAILED — {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = scale::run(&config).map_err(|e| format!("scale: FAILED — {e}"))?;
     println!("== Scale: sharded cohort sweep ==\n{}", report.text);
-    if let Some(kb) = report.peak_rss_kb {
-        println!("peak rss: {kb} kB");
-    }
     if report.spilled {
         println!("spill: out-of-core path engaged");
     }
@@ -297,51 +285,35 @@ fn run_scale(args: &[String], seed: u64, narrator: &Telemetry) {
         );
     }
     if !report.equivalent {
-        eprintln!("scale: FAILED — sharded outcomes differ across execution strategies");
-        std::process::exit(1);
+        return Err(
+            "scale: FAILED — sharded outcomes differ across execution strategies".to_string(),
+        );
     }
+    Ok(())
 }
 
-fn run_serve(args: &[String], seed: u64, narrator: &Telemetry) {
+fn run_serve(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
     let defaults = serve::ServeRunConfig::default();
     let d = &defaults.config;
-    let out_dir = arg_value(args, "--out").unwrap_or_else(|| String::from("serve_out"));
-    let fault_rate_ppm = match arg_value(args, "--fault-rate") {
-        None => d.fault_rate_ppm,
-        Some(raw) => match raw.trim().parse::<f64>() {
-            Ok(r) if (0.0..=1.0).contains(&r) => (r * 1_000_000.0).round() as u64,
-            _ => {
-                eprintln!("run-experiments: --fault-rate takes a number in [0, 1], got `{raw}`");
-                std::process::exit(2);
-            }
-        },
-    };
     let config = opml_serve::ServeConfig {
         seed,
-        tenants: parse_positive(args, "--tenants", d.tenants as usize) as u32,
-        servers: parse_positive(args, "--servers", d.servers as usize) as u32,
-        queue_bound: parse_positive(args, "--queue-bound", d.queue_bound),
-        target_rps: parse_positive(args, "--target-rps", d.target_rps as usize) as u64,
-        increment_rps: arg_value(args, "--increment-rps").map_or(d.increment_rps, |raw| match raw
-            .trim()
-            .parse()
-        {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!(
-                    "run-experiments: --increment-rps takes a non-negative integer, \
-                         got `{raw}`"
-                );
-                std::process::exit(2);
-            }
-        }),
-        max_rps: parse_positive(args, "--max-rps", d.max_rps as usize) as u64,
-        round_secs: parse_positive(args, "--round-secs", d.round_secs as usize) as u64,
-        deadline_s: parse_positive(args, "--deadline-s", d.deadline_s as usize) as u64,
-        fault_rate_ppm,
+        tenants: args.positive("--tenants", d.tenants),
+        servers: args.positive("--servers", d.servers),
+        queue_bound: args.positive("--queue-bound", d.queue_bound),
+        target_rps: args.positive("--target-rps", d.target_rps),
+        increment_rps: args
+            .value("--increment-rps", NON_NEGATIVE, non_negative)
+            .unwrap_or(d.increment_rps),
+        max_rps: args.positive("--max-rps", d.max_rps),
+        round_secs: args.positive("--round-secs", d.round_secs),
+        deadline_s: args.positive("--deadline-s", d.deadline_s),
+        fault_rate_ppm: args
+            .value("--fault-rate", RATE, rate)
+            .map_or(d.fault_rate_ppm, |r| (r * 1_000_000.0).round() as u64),
         ..d.clone()
     };
-    let threads = parse_positive(args, "--threads", defaults.threads);
+    let threads = args.positive("--threads", defaults.threads);
+    let out = OutDir::create(args, "serve_out")?;
     narrate!(
         narrator,
         SimTime::ZERO,
@@ -354,50 +326,39 @@ fn run_serve(args: &[String], seed: u64, narrator: &Telemetry) {
     );
     let run = serve::run(&serve::ServeRunConfig { config, threads });
     println!("== Serve: campus cloud under ramping load ==\n{}", run.text);
-    std::fs::create_dir_all(&out_dir).expect("create serve output directory");
-    let json_path = format!("{out_dir}/serve.json");
-    std::fs::write(&json_path, &run.json).expect("write serve.json");
-    println!("wrote {json_path}");
-    if let Some(kb) = run.peak_rss_kb {
-        println!("peak rss: {kb} kB");
-    }
+    out.write("serve.json", &run.json)?;
     println!("counts_digest={:016x}", run.report.counts_digest);
+    Ok(())
 }
 
-fn run_profile(args: &[String], seed: u64, narrator: &Telemetry) {
+fn run_profile(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
     let defaults = profile::ProfileConfig::default();
-    let out_dir = arg_value(args, "--out").unwrap_or_else(|| String::from("profile_out"));
-    let enrollment = parse_positive(args, "--enrollment", defaults.enrollment as usize) as u32;
-    let shard_students =
-        parse_positive(args, "--shard-students", defaults.shard_students as usize) as u32;
-    let threads = parse_positive(args, "--threads", defaults.threads);
     let config = profile::ProfileConfig {
         seed,
-        enrollment,
-        shard_students,
-        threads,
-        run_projects: args.iter().any(|a| a == "--projects"),
-        rss_sample_ms: parse_positive(args, "--rss-sample-ms", defaults.rss_sample_ms as usize)
-            as u64,
+        enrollment: args.positive("--enrollment", defaults.enrollment),
+        shard_students: args.positive("--shard-students", defaults.shard_students),
+        threads: args.positive("--threads", defaults.threads),
+        run_projects: args.has("--projects"),
+        rss_sample_ms: args.positive("--rss-sample-ms", defaults.rss_sample_ms),
     };
+    let out = OutDir::create(args, "profile_out")?;
     narrate!(
         narrator,
         SimTime::ZERO,
-        "profiling a {enrollment}-student semester (seed {seed}, {threads} threads)…"
+        "profiling a {}-student semester (seed {seed}, {} threads)…",
+        config.enrollment,
+        config.threads
     );
     let report = profile::run(&config);
-    std::fs::create_dir_all(&out_dir).expect("create profile output directory");
-    let json_path = format!("{out_dir}/profile.json");
-    let folded_path = format!("{out_dir}/profile.folded");
-    std::fs::write(&json_path, &report.json).expect("write profile.json");
-    std::fs::write(&folded_path, &report.folded).expect("write profile.folded");
     println!("{}", report.text);
-    println!("wrote {json_path}");
-    println!("wrote {folded_path}");
+    out.write("profile.json", &report.json)?;
+    out.write("profile.folded", &report.folded)?;
     println!("counts_digest={:016x}", report.counts_digest);
+    Ok(())
 }
 
-fn run_full(seed: u64, want_metrics: bool, write_md: Option<String>, narrator: &Telemetry) {
+fn run_full(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+    let want_metrics = args.has("--metrics");
     narrate!(
         narrator,
         SimTime::ZERO,
@@ -419,64 +380,22 @@ fn run_full(seed: u64, want_metrics: bool, write_md: Option<String>, narrator: &
         ctx.outcome.quota_denials,
         ctx.outcome.slot_pushbacks
     );
-
-    let mut sections: Vec<(String, ComparisonSet)> = Vec::new();
-
-    let (text, cmp) = table1::run(&ctx);
-    println!("== Table 1: Usage and estimated cost by lab assignment ==\n{text}");
-    sections.push((text, cmp));
-
-    let (text, cmp) = fig1::run(&ctx);
-    println!("== Figure 1: Expected vs actual duration per student ==\n{text}");
-    sections.push((text, cmp));
-
-    let (text, cmp) = fig2::run(&ctx);
-    println!("== Figure 2: Per-student cost distribution ==\n{text}");
-    sections.push((text, cmp));
-
-    let (text, cmp) = fig3::run(&ctx);
-    println!("== Figure 3: Project usage by instance type ==\n{text}");
-    sections.push((text, cmp));
-
-    let (text, cmp) = project_cost::run(&ctx);
-    println!("== Project phase: usage and cost ==\n{text}");
-    sections.push((text, cmp));
-
-    let (text, cmp) = headline::run(&ctx);
-    println!("== Headline numbers ==\n{text}");
-    sections.push((text, cmp));
-
-    let (text, cmp) = capacity::run(&ctx);
-    println!("== Capacity: quota validation ==\n{text}");
-    sections.push((text, cmp));
-
     narrate!(
         narrator,
         SimTime::ZERO,
-        "running seed-robustness sweep (5 seeds, labs only)…"
+        "rendering every section (with a 5-seed sweep and a reduced-cohort VM ablation)…"
     );
-    let (text, cmp, _) = seeds::run(seed, 5);
-    println!("== Seed robustness ==\n{text}");
-    sections.push((text, cmp));
-
-    let (text, cmp) = spot_ablation::run(&ctx, seed);
-    println!("== Ablation: spot/preemptible GPU pricing ==\n{text}");
-    sections.push((text, cmp));
-
-    narrate!(
-        narrator,
-        SimTime::ZERO,
-        "running VM auto-termination ablation (reduced cohort)…"
-    );
-    let (text, cmp, _) = ablation::run(seed, 64);
-    println!("== Ablation: VM advance reservations ==\n{text}");
-    sections.push((text, cmp));
+    let sections = paper_sections(&ctx);
+    for section in &sections {
+        println!("== {} ==\n{}", section.title, section.text);
+    }
 
     // Comparison summary.
     println!("== Paper vs measured ==\n");
     let mut all_pass = 0usize;
     let mut all_rows = 0usize;
-    for (_, cmp) in &sections {
+    for section in &sections {
+        let cmp = &section.comparisons;
         println!("{}", cmp.to_markdown());
         all_rows += cmp.rows.len();
         all_pass += cmp.rows.iter().filter(|c| c.within_tolerance()).count();
@@ -495,7 +414,7 @@ fn run_full(seed: u64, want_metrics: bool, write_md: Option<String>, narrator: &
         None
     };
 
-    if let Some(path) = write_md {
+    if let Some(path) = args.raw("--write-md") {
         let mut md = String::from(
             "<!-- generated by `cargo run -p opml-experiments --bin run-experiments -- --write-md` -->\n\n",
         );
@@ -516,14 +435,14 @@ fn run_full(seed: u64, want_metrics: bool, write_md: Option<String>, narrator: &
              record: `experiments_results.json`; the default-seed count is\n\
              pinned by the tier-1 test `tests/paper_numbers.rs`).\n\n",
         ));
-        for (_, cmp) in &sections {
-            md.push_str(&cmp.to_markdown());
+        for section in &sections {
+            md.push_str(&section.comparisons.to_markdown());
         }
         if let Some(summary) = &metrics_md {
             md.push_str("## Telemetry metrics\n\n");
             md.push_str(summary);
         }
-        std::fs::write(&path, md).expect("write markdown");
+        write_file(path, &md)?;
         narrate!(
             narrator,
             SimTime::ZERO,
@@ -535,23 +454,17 @@ fn run_full(seed: u64, want_metrics: bool, write_md: Option<String>, narrator: &
         "seed": seed,
         "comparisons": sections
             .iter()
-            .map(|(_, c)| c)
+            .map(|s| &s.comparisons)
             .collect::<Vec<_>>(),
     });
-    std::fs::write(
+    write_file(
         "experiments_results.json",
-        serde_json::to_string_pretty(&json).expect("serialize"),
-    )
-    .expect("write results json");
+        &serde_json::to_string_pretty(&json).expect("serialize"),
+    )?;
     narrate!(
         narrator,
         SimTime::ZERO,
         "structured results written to experiments_results.json"
     );
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+    Ok(())
 }

@@ -1,8 +1,13 @@
-//! Shared experiment context: one simulated semester plus its rollups.
+//! Shared experiment context: one simulated semester plus its rollups,
+//! and the list of paper sections rendered from it.
 
+use crate::{
+    ablation, capacity, fig1, fig2, fig3, headline, project_cost, seeds, spot_ablation, table1,
+};
 use opml_cohort::semester::{simulate_semester_with, SemesterConfig, SemesterOutcome};
 use opml_metering::rollup::{AssignmentRollup, PerStudentUsage};
 use opml_pricing::estimate::{price_lab_assignments, ProjectUsageSummary, Table1};
+use opml_report::compare::ComparisonSet;
 use opml_telemetry::Telemetry;
 
 /// Everything the figure/table reproductions consume.
@@ -45,6 +50,57 @@ pub fn run_paper_course_with(seed: u64, telemetry: &Telemetry) -> ExperimentCont
         project,
         seed,
     }
+}
+
+/// One evaluation section: its heading, the rendered table or figure,
+/// and its paper-vs-measured comparisons.
+#[derive(Debug)]
+pub struct PaperSection {
+    /// Section heading, e.g. `Table 1: Usage and estimated cost by lab
+    /// assignment`.
+    pub title: &'static str,
+    /// The rendered table or figure.
+    pub text: String,
+    /// Paper-vs-measured comparisons.
+    pub comparisons: ComparisonSet,
+}
+
+/// Every section `run-experiments` reproduces, in report order. The
+/// seed-robustness sweep runs 5 seeds and the VM-reservation ablation a
+/// 64-student cohort, both from `ctx.seed`; everything else reads `ctx`.
+pub fn paper_sections(ctx: &ExperimentContext) -> Vec<PaperSection> {
+    let section = |title, (text, comparisons)| PaperSection {
+        title,
+        text,
+        comparisons,
+    };
+    vec![
+        section(
+            "Table 1: Usage and estimated cost by lab assignment",
+            table1::run(ctx),
+        ),
+        section(
+            "Figure 1: Expected vs actual duration per student",
+            fig1::run(ctx),
+        ),
+        section("Figure 2: Per-student cost distribution", fig2::run(ctx)),
+        section("Figure 3: Project usage by instance type", fig3::run(ctx)),
+        section("Project phase: usage and cost", project_cost::run(ctx)),
+        section("Headline numbers", headline::run(ctx)),
+        section("Capacity: quota validation", capacity::run(ctx)),
+        section("Seed robustness", {
+            let (text, cmp, _) = seeds::run(ctx.seed, 5);
+            (text, cmp)
+        }),
+        section(
+            "Ablation: spot/preemptible GPU pricing",
+            spot_ablation::run(ctx, ctx.seed),
+        ),
+        section("Ablation: VM advance reservations", {
+            let (text, cmp, _) = ablation::run(ctx.seed, 64);
+            (text, cmp)
+        }),
+    ]
 }
 
 #[cfg(test)]

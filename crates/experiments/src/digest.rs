@@ -1,78 +1,5 @@
-//! Shared deterministic digesting for the runtime verifiers.
-//!
-//! One hash function, used by `verify-determinism`, the chaos harness
-//! and the `scale` sweep, so every "byte-identical" claim in the repo
-//! is made against the same digest. [`Fnv64`] is the incremental form:
-//! the out-of-core scale path digests a multi-gigabyte ledger stream
-//! record-by-record without ever holding the serialized whole, and
-//! feeding the same bytes in any chunking yields the same digest as
-//! one [`fnv1a64`] call.
+//! The digest function under its historical path: perfbench imports
+//! `opml_experiments::digest::fnv1a64`. It is the workspace's one
+//! FNV-1a, [`opml_simkernel::fnv1a64`].
 
-/// Incremental FNV-1a 64-bit hasher. `update` in any chunking is
-/// equivalent to hashing the concatenation.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    /// Fresh hasher (FNV-1a offset basis).
-    pub fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Fold `bytes` into the state.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    /// The digest of everything updated so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
-    }
-}
-
-/// FNV-1a 64-bit of one contiguous buffer (deterministic,
-/// dependency-free).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn known_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn distinct_inputs_distinct_digests() {
-        assert_ne!(fnv1a64(b"ledger-a"), fnv1a64(b"ledger-b"));
-    }
-
-    #[test]
-    fn chunking_is_irrelevant() {
-        let whole = fnv1a64(b"records are streamed in pieces");
-        let mut h = Fnv64::new();
-        h.update(b"records are ");
-        h.update(b"");
-        h.update(b"streamed in pieces");
-        assert_eq!(h.finish(), whole);
-    }
-}
+pub use opml_simkernel::fnv1a64;

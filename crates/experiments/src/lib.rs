@@ -2,8 +2,9 @@
 //!
 //! One module per evaluation artifact in the paper. Each experiment
 //! returns rendered text (the table/figure) plus a
-//! [`opml_report::ComparisonSet`] of paper-vs-measured quantities;
-//! the `run-experiments` binary assembles them into EXPERIMENTS.md.
+//! [`opml_report::ComparisonSet`] of paper-vs-measured quantities.
+//! [`paper_sections`] runs them in report order; the `run-experiments`
+//! binary assembles that list into EXPERIMENTS.md.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -43,4 +44,6 @@ pub mod table1;
 pub mod trace;
 pub mod verify;
 
-pub use context::{run_paper_course, run_paper_course_with, ExperimentContext};
+pub use context::{
+    paper_sections, run_paper_course, run_paper_course_with, ExperimentContext, PaperSection,
+};

@@ -27,14 +27,14 @@ use std::time::Duration;
 
 use opml_cohort::semester::{simulate_semester_with, SemesterConfig, SemesterOutcome};
 use opml_profiler::{
-    profile_spans, shard_breakdown, PhaseStat, RssSample, RssSampler, ShardBreakdown, SpanProfile,
+    profile_spans, shard_breakdown, timed, PhaseStat, RssSample, RssSampler, ShardBreakdown,
+    SpanProfile,
 };
 use opml_report::Table;
 use opml_simkernel::parallel::{effective_thread_count, with_thread_count};
-use opml_simkernel::SimTime;
+use opml_simkernel::{fnv1a64, SimTime};
 use opml_telemetry::{MemorySink, Telemetry, HARNESS_TRACK, TRACK_ATTR};
-
-use crate::digest::fnv1a64;
+use serde_json::{json, Value};
 
 /// Schema tag written into `profile.json`.
 pub const PROFILE_SCHEMA: &str = "opml_profile/v2";
@@ -135,18 +135,6 @@ pub struct ProfileReport {
     pub text: String,
     /// Recorded telemetry events.
     pub events: u64,
-    /// Peak RSS at the end of the run, if readable.
-    pub peak_rss_kb: Option<u64>,
-}
-
-/// Wall-time one run (harness-side measurement, same pattern as
-/// `scale::timed`).
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): harness measures wall time by design
-    let start = std::time::Instant::now();
-    let r = f();
-    // detlint::allow(DL001): harness measures wall time by design
-    (r, start.elapsed().as_secs_f64())
 }
 
 /// Run one profiled semester and assemble the artifacts.
@@ -204,7 +192,6 @@ pub fn run(config: &ProfileConfig) -> ProfileReport {
     let alloc_json = render_alloc(&phases);
     let alloc_digest = fnv1a64(alloc_json.as_bytes());
     let folded = spans.to_folded();
-    let peak_rss_kb = opml_profiler::peak_rss_kb();
     let json = render_json(
         config,
         &counts_json,
@@ -215,7 +202,7 @@ pub fn run(config: &ProfileConfig) -> ProfileReport {
         effective_threads,
         wall_total_s,
         &phases,
-        peak_rss_kb,
+        opml_profiler::peak_rss_kb(),
         &rss_samples,
     );
     let text = render_text(
@@ -227,8 +214,6 @@ pub fn run(config: &ProfileConfig) -> ProfileReport {
         effective_threads,
         counts_digest,
         alloc_counted,
-        peak_rss_kb,
-        &rss_samples,
     );
 
     ProfileReport {
@@ -240,24 +225,16 @@ pub fn run(config: &ProfileConfig) -> ProfileReport {
         folded,
         text,
         events: spans.events,
-        peak_rss_kb,
     }
 }
 
-/// Append `s` as a JSON string literal. Profile strings are dotted
-/// identifiers, but escape defensively anyway.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// The phases both digested subtrees cover: every phase but
+/// `(unattributed)` and `runtime.pool` (see [`render_counts`] and
+/// [`render_alloc`] for why those two are excluded).
+fn user_phases(phases: &[PhaseStat]) -> impl Iterator<Item = &PhaseStat> {
+    phases.iter().filter(|p| {
+        p.name != opml_profiler::UNATTRIBUTED_NAME && p.name != opml_profiler::phases::RUNTIME_POOL
+    })
 }
 
 /// The canonical, digested `counts` subtree: compact JSON, fixed field
@@ -280,85 +257,62 @@ fn render_counts(
     shards: &ShardBreakdown,
     phases: &[PhaseStat],
 ) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push('{');
-    out.push_str(&format!("\"seed\":{}", config.seed));
-    out.push_str(&format!(",\"enrollment\":{}", config.enrollment));
-    out.push_str(&format!(",\"shard_students\":{}", config.shard_students));
-    out.push_str(&format!(",\"run_projects\":{}", config.run_projects));
-    out.push_str(&format!(",\"events\":{}", spans.events));
-    out.push_str(&format!(",\"instants\":{}", spans.instants));
-    out.push_str(&format!(",\"begins\":{}", spans.begins));
-    out.push_str(&format!(",\"ends\":{}", spans.ends));
-    out.push_str(&format!(",\"unbalanced_ends\":{}", spans.unbalanced_ends));
-    out.push_str(&format!(",\"open_at_end\":{}", spans.open_at_end));
-    out.push_str(&format!(",\"harness_events\":{}", shards.harness_events));
-    out.push_str(&format!(",\"preamble_events\":{}", shards.preamble_events));
-    out.push_str(&format!(",\"records\":{}", outcome.ledger.records().len()));
-    out.push_str(&format!(",\"quota_denials\":{}", outcome.quota_denials));
-    out.push_str(&format!(",\"slot_pushbacks\":{}", outcome.slot_pushbacks));
-
-    out.push_str(",\"span_paths\":[");
-    for (i, p) in spans.paths.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"path\":");
-        push_json_str(&mut out, &p.path);
-        out.push_str(&format!(
-            ",\"count\":{},\"total_min\":{},\"self_min\":{}}}",
-            p.count, p.total_min, p.self_min
-        ));
-    }
-    out.push(']');
-
-    out.push_str(",\"instant_paths\":[");
-    for (i, (path, count)) in spans.instant_paths.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"path\":");
-        push_json_str(&mut out, path);
-        out.push_str(&format!(",\"count\":{count}}}"));
-    }
-    out.push(']');
-
-    out.push_str(",\"shards\":[");
-    for (i, s) in shards.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match s.shard {
-            Some(k) => out.push_str(&format!("{{\"shard\":{k}")),
-            None => out.push_str("{\"shard\":null"),
-        }
-        out.push_str(&format!(
-            ",\"events\":{},\"instants\":{},\"queue_pops\":{},\"quota_denials\":{}}}",
-            s.events, s.instants, s.queue_pops, s.quota_denials
-        ));
-    }
-    out.push(']');
-
-    out.push_str(",\"phase_enters\":[");
-    let mut first = true;
-    for p in phases {
-        if p.name == opml_profiler::UNATTRIBUTED_NAME
-            || p.name == opml_profiler::phases::RUNTIME_POOL
-        {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"phase\":");
-        push_json_str(&mut out, p.name);
-        out.push_str(&format!(",\"enters\":{}}}", p.enters));
-    }
-    out.push(']');
-
-    out.push('}');
-    out
+    let span_paths: Vec<Value> = spans
+        .paths
+        .iter()
+        .map(|p| {
+            json!({
+                "path": p.path,
+                "count": p.count,
+                "total_min": p.total_min,
+                "self_min": p.self_min,
+            })
+        })
+        .collect();
+    let instant_paths: Vec<Value> = spans
+        .instant_paths
+        .iter()
+        .map(|(path, count)| json!({ "path": path, "count": count }))
+        .collect();
+    let shard_rows: Vec<Value> = shards
+        .shards
+        .iter()
+        .map(|s| {
+            json!({
+                "shard": s.shard,
+                "events": s.events,
+                "instants": s.instants,
+                "queue_pops": s.queue_pops,
+                "quota_denials": s.quota_denials,
+            })
+        })
+        .collect();
+    let phase_enters: Vec<Value> = user_phases(phases)
+        .map(|p| json!({ "phase": p.name, "enters": p.enters }))
+        .collect();
+    let counts = json!({
+        "seed": config.seed,
+        "enrollment": config.enrollment,
+        "shard_students": config.shard_students,
+        "run_projects": config.run_projects,
+        "events": spans.events,
+        "instants": spans.instants,
+        "begins": spans.begins,
+        "ends": spans.ends,
+        "unbalanced_ends": spans.unbalanced_ends,
+        "open_at_end": spans.open_at_end,
+        "harness_events": shards.harness_events,
+        "preamble_events": shards.preamble_events,
+        "records": outcome.ledger.records().len(),
+        "quota_denials": outcome.quota_denials,
+        "slot_pushbacks": outcome.slot_pushbacks,
+        "span_paths": span_paths,
+        "instant_paths": instant_paths,
+        "shards": shard_rows,
+        "phase_enters": phase_enters,
+    });
+    // The vendored writer is infallible.
+    serde_json::to_string(&counts).unwrap_or_default()
 }
 
 /// The canonical, digested `alloc` subtree: per-phase allocation and
@@ -375,28 +329,19 @@ fn render_counts(
 /// and config. With the counting allocator absent the subtree is all
 /// zeros (and the digest is the stable all-zeros digest).
 fn render_alloc(phases: &[PhaseStat]) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str("{\"phases\":[");
-    let mut first = true;
-    for p in phases {
-        if p.name == opml_profiler::UNATTRIBUTED_NAME
-            || p.name == opml_profiler::phases::RUNTIME_POOL
-        {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"phase\":");
-        push_json_str(&mut out, p.name);
-        out.push_str(&format!(
-            ",\"allocs\":{},\"alloc_bytes\":{},\"deallocs\":{},\"dealloc_bytes\":{}}}",
-            p.allocs, p.alloc_bytes, p.deallocs, p.dealloc_bytes
-        ));
-    }
-    out.push_str("]}");
-    out
+    let rows: Vec<Value> = user_phases(phases)
+        .map(|p| {
+            json!({
+                "phase": p.name,
+                "allocs": p.allocs,
+                "alloc_bytes": p.alloc_bytes,
+                "deallocs": p.deallocs,
+                "dealloc_bytes": p.dealloc_bytes,
+            })
+        })
+        .collect();
+    // The vendored writer is infallible.
+    serde_json::to_string(&json!({ "phases": rows })).unwrap_or_default()
 }
 
 /// The full `profile.json` document. The digested `counts` and `alloc`
@@ -436,7 +381,7 @@ fn render_json(
             out.push(',');
         }
         out.push_str("\n    {\"phase\": ");
-        push_json_str(&mut out, p.name);
+        serde_json::write_escaped(&mut out, p.name);
         out.push_str(&format!(
             ", \"enters\": {}, \"wall_s\": {:.6}, \"allocs\": {}, \"alloc_bytes\": {}, \
              \"deallocs\": {}, \"dealloc_bytes\": {}}}",
@@ -478,8 +423,6 @@ fn render_text(
     effective_threads: usize,
     counts_digest: u64,
     alloc_counted: bool,
-    peak_rss_kb: Option<u64>,
-    rss_samples: &[RssSample],
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -562,14 +505,6 @@ fn render_text(
             "allocation columns are zero: counting allocator not installed \
              (build run-experiments with --features alloc-profile)\n",
         );
-    }
-
-    match peak_rss_kb {
-        Some(kb) => out.push_str(&format!(
-            "peak rss: {kb} kB ({} timeline samples)\n",
-            rss_samples.len()
-        )),
-        None => out.push_str("peak rss: n/a (no /proc/self/status)\n"),
     }
     out.push_str(&format!("counts digest: {counts_digest:016x}\n"));
     out

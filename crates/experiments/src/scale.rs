@@ -25,28 +25,27 @@
 //! differential test and the `check.sh` forced-spill smoke pin this
 //! against the committed goldens.
 //!
-//! Peak RSS is observed with the profiler's [`RssSampler`] timeline
-//! (plus the `VmHWM` high-water fallback) and reported alongside a
+//! Peak RSS is the process high water, `VmHWM`
+//! ([`opml_profiler::peak_rss_kb`]), reported alongside a
 //! budget-exceeded verdict so the RSS gate is observable, not inferred.
 //!
-//! Wall-clock use in this module is confined to the timing helper and
-//! explicitly suppressed for `opml-detlint` — the measured times are
-//! reported, never fed back into simulation state.
+//! Each arm is wall-timed with [`opml_profiler::timed`]; the measured
+//! times are reported, never fed back into simulation state.
 
-use crate::digest::Fnv64;
 use opml_cohort::semester::{
     simulate_semester_exec, Exec, Schedule, SemesterConfig, SemesterOutcome, Storage,
 };
 use opml_cohort::spill::{SpillConfig, SpillError};
 use opml_faults::FaultStats;
-use opml_profiler::RssSampler;
+use opml_profiler::{peak_rss_kb, timed};
 use opml_report::table::{fmt_num, Table};
 use opml_simkernel::parallel::with_thread_count;
+use opml_simkernel::DetHasher;
 use opml_telemetry::Telemetry;
 use opml_testbed::ledger::{UsageKind, UsageRecord};
 use std::fmt::Write;
+use std::hash::Hasher;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -59,10 +58,6 @@ pub struct ScaleConfig {
     pub shard_students: u32,
     /// Rayon thread counts for the parallel arms.
     pub threads: Vec<usize>,
-    /// Skip the timed sequential reference and run each parallel arm
-    /// once, untimed — the fast mode `check.sh` uses for its golden
-    /// digest smoke.
-    pub digest_only: bool,
     /// Spill shard runs to this directory (out-of-core mode). `None`
     /// defaults to a per-process temp directory when spilling is
     /// triggered by `mem_budget_mb`.
@@ -80,7 +75,6 @@ impl Default for ScaleConfig {
             enrollment: 100_000,
             shard_students: 191,
             threads: vec![1, 2, 4, 8],
-            digest_only: false,
             spill_dir: None,
             mem_budget_mb: None,
         }
@@ -92,8 +86,8 @@ impl Default for ScaleConfig {
 pub struct ScaleArm {
     /// Rayon threads (`None` = the strictly sequential reference).
     pub threads: Option<usize>,
-    /// Wall time in seconds (`None` in digest-only mode).
-    pub wall_s: Option<f64>,
+    /// Wall time in seconds.
+    pub wall_s: f64,
     /// FNV-1a digest of the serialized outcome.
     pub digest: u64,
     /// Ledger records in the merged outcome.
@@ -109,15 +103,12 @@ pub struct ScaleReport {
     pub arms: Vec<ScaleArm>,
     /// All digests identical (sequential vs every thread count).
     pub equivalent: bool,
-    /// Peak resident set in kB: the maximum of the sampled timeline
-    /// over the sweep, falling back to process `VmHWM`.
-    pub peak_rss_kb: Option<u64>,
     /// Whether the arms ran through the out-of-core spill path.
     pub spilled: bool,
     /// The configured memory budget, if any.
     pub mem_budget_mb: Option<u64>,
-    /// `Some(true)` when a budget was set and the observed peak
-    /// exceeded it. Informational here; the hard gate lives in
+    /// `Some(true)` when a budget was set and the process peak
+    /// (`VmHWM`) exceeded it. Informational here; the hard gate lives in
     /// `bench_semester --check`.
     pub budget_exceeded: Option<bool>,
 }
@@ -146,7 +137,7 @@ pub fn digest_outcome(outcome: &SemesterOutcome) -> u64 {
 /// written into one reused buffer and hashed.
 #[derive(Debug)]
 pub struct OutcomeDigest {
-    hash: Fnv64,
+    hash: DetHasher,
     first: bool,
     buf: String,
 }
@@ -154,8 +145,8 @@ pub struct OutcomeDigest {
 impl OutcomeDigest {
     /// Start a digest (opens the serialized-ledger envelope).
     pub fn new() -> OutcomeDigest {
-        let mut hash = Fnv64::new();
-        hash.update(b"{\"records\":[");
+        let mut hash = DetHasher::default();
+        hash.write(b"{\"records\":[");
         OutcomeDigest {
             hash,
             first: true,
@@ -172,15 +163,14 @@ impl OutcomeDigest {
             self.buf.push(',');
         }
         write_record_json(&mut self.buf, record);
-        self.hash.update(self.buf.as_bytes());
+        self.hash.write(self.buf.as_bytes());
     }
 
     /// Close the envelope, fold the scalar counters, return the digest.
     pub fn finish(mut self, quota_denials: u64, slot_pushbacks: u64, faults: &FaultStats) -> u64 {
-        self.hash.update(b"]}");
-        self.hash.update(
-            format!("|qd={quota_denials}|pb={slot_pushbacks}|faults={faults:?}").as_bytes(),
-        );
+        self.hash.write(b"]}");
+        self.hash
+            .write(format!("|qd={quota_denials}|pb={slot_pushbacks}|faults={faults:?}").as_bytes());
         self.hash.finish()
     }
 }
@@ -238,7 +228,7 @@ fn sweep_config(config: &ScaleConfig) -> SemesterConfig {
 
 /// Estimated in-memory peak RSS for a cohort of `enrollment` students,
 /// in MB, rounded up. Calibrated from observed `VmHWM` peaks of the
-/// in-memory path (`scale --digest-only`: ~5.1 KiB/student at 100k and
+/// in-memory path (`scale`: ~5.1 KiB/student at 100k and
 /// ~6.0 at 200k on one thread, ~7.2 at 1M on two, while the merged
 /// ledger was still materialized; ~5.5 at 100k and 1M on two since the
 /// arms stream it into the digest), rounded up to 8 KiB/student;
@@ -248,25 +238,9 @@ pub fn estimated_peak_mb(enrollment: u32) -> u64 {
     (u64::from(enrollment) * 8).div_ceil(1024)
 }
 
-/// Wall-time one run. The simulator itself never reads the clock; this
-/// measures it from outside, which is the one sanctioned use.
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): harness measures wall time by design
-    let start = std::time::Instant::now();
-    let r = f();
-    // detlint::allow(DL001): harness measures wall time by design
-    (r, start.elapsed().as_secs_f64())
-}
-
-/// Peak resident set (`VmHWM`) of the current process, in kB.
-///
-/// Hoisted into the shared profiler layer; re-exported here because
-/// existing callers (`bench_semester`, the scale report) import it from
-/// this module.
-pub use opml_profiler::peak_rss_kb;
-
-/// Run one arm (`threads == None` is the serial reference): stream the
-/// merged ledger into an incremental digest, never materializing it.
+/// Run and time one arm (`threads == None` is the serial reference):
+/// stream the merged ledger into an incremental digest, never
+/// materializing it.
 fn run_arm(
     sem: &SemesterConfig,
     seed: u64,
@@ -282,13 +256,14 @@ fn run_arm(
         let mut sink = |r: UsageRecord| digest.push(&r);
         simulate_semester_exec(sem, seed, &exec, &Telemetry::disabled(), &mut sink)
     };
-    let outcome = match threads {
+    let (outcome, wall_s) = timed(|| match threads {
         None => run(),
         Some(t) => with_thread_count(t, run),
-    }?;
+    });
+    let outcome = outcome?;
     Ok(ScaleArm {
         threads,
-        wall_s: None,
+        wall_s,
         digest: digest.finish(
             outcome.quota_denials,
             outcome.slot_pushbacks,
@@ -298,8 +273,8 @@ fn run_arm(
     })
 }
 
-/// Run the sweep: the strictly sequential reference first (untimed in
-/// digest-only mode), then one sharded arm per requested thread count.
+/// Run the sweep: the strictly sequential reference first, then one
+/// sharded arm per requested thread count, each timed.
 /// Spilling engages when a spill directory is given or the estimated
 /// peak exceeds the memory budget; a spill failure is returned, naming
 /// the file it hit.
@@ -319,23 +294,13 @@ pub fn run(config: &ScaleConfig) -> Result<ScaleReport, SpillError> {
         Storage::Memory
     };
 
-    let sampler = RssSampler::start(Duration::from_millis(50));
     let mut arms = Vec::new();
     let mut arm_threads: Vec<Option<usize>> = vec![None];
     arm_threads.extend(config.threads.iter().map(|&t| Some(t)));
     for threads in arm_threads {
-        let (arm, wall) = timed(|| run_arm(&sem, config.seed, &storage, threads));
-        let mut arm = arm?;
-        if !config.digest_only {
-            arm.wall_s = Some(wall);
-        }
-        arms.push(arm);
+        arms.push(run_arm(&sem, config.seed, &storage, threads)?);
     }
-    let sampled_peak = sampler.stop().into_iter().map(|s| s.rss_kb).max();
-    let peak_rss_kb = match (sampled_peak, peak_rss_kb()) {
-        (Some(a), Some(b)) => Some(a.max(b)),
-        (a, b) => a.or(b),
-    };
+    let peak_rss_kb = peak_rss_kb();
     let budget_exceeded = config
         .mem_budget_mb
         .map(|budget| peak_rss_kb.unwrap_or(0) > budget * 1024);
@@ -348,8 +313,7 @@ pub fn run(config: &ScaleConfig) -> Result<ScaleReport, SpillError> {
                 None => "sequential".to_string(),
                 Some(t) => format!("{t} threads"),
             },
-            arm.wall_s
-                .map_or_else(|| "-".to_string(), |w| fmt_num(w, 3)),
+            fmt_num(arm.wall_s, 3),
             arm.records.to_string(),
             format!("{:016x}", arm.digest),
         ]);
@@ -393,7 +357,6 @@ pub fn run(config: &ScaleConfig) -> Result<ScaleReport, SpillError> {
         text,
         arms,
         equivalent,
-        peak_rss_kb,
         spilled,
         mem_budget_mb: config.mem_budget_mb,
         budget_exceeded,
@@ -403,8 +366,7 @@ pub fn run(config: &ScaleConfig) -> Result<ScaleReport, SpillError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::fnv1a64;
-    use opml_simkernel::SimTime;
+    use opml_simkernel::{fnv1a64, SimTime};
     use opml_testbed::flavor::FlavorId;
     use opml_testbed::ledger::Ledger;
 
@@ -415,7 +377,6 @@ mod tests {
             enrollment: 40,
             shard_students: 12,
             threads: vec![1, 2, 8],
-            digest_only: true,
             spill_dir: None,
             mem_budget_mb: None,
         })
@@ -433,7 +394,6 @@ mod tests {
             enrollment: 40,
             shard_students: 12,
             threads: vec![2],
-            digest_only: true,
             spill_dir: None,
             mem_budget_mb: None,
         };
@@ -461,7 +421,6 @@ mod tests {
             enrollment: 40,
             shard_students: 12,
             threads: vec![],
-            digest_only: true,
             spill_dir: None,
             mem_budget_mb: Some(1),
         })
@@ -475,7 +434,6 @@ mod tests {
             enrollment: 40,
             shard_students: 12,
             threads: vec![],
-            digest_only: true,
             spill_dir: None,
             mem_budget_mb: Some(0),
         })
@@ -495,7 +453,6 @@ mod tests {
             enrollment: 40,
             shard_students: 12,
             threads: vec![],
-            digest_only: true,
             spill_dir: Some(file.clone()),
             mem_budget_mb: None,
         });
@@ -621,7 +578,6 @@ mod tests {
                 enrollment: 24,
                 shard_students: 8,
                 threads: vec![],
-                digest_only: true,
                 spill_dir: None,
                 mem_budget_mb: None,
             })
@@ -630,14 +586,5 @@ mod tests {
                 .digest
         };
         assert_ne!(arm(1), arm(2));
-    }
-
-    #[test]
-    fn peak_rss_is_readable_on_linux() {
-        // /proc is available everywhere the harness runs; tolerate None
-        // elsewhere rather than asserting a platform.
-        if let Some(kb) = peak_rss_kb() {
-            assert!(kb > 0);
-        }
     }
 }

@@ -7,6 +7,7 @@
 //! and thread counts), and the rendered text reuses the shared latency
 //! table so serve, chaos, and the metrics summary all read alike.
 
+use opml_profiler::timed;
 use opml_report::latency::{latency_table, LatencyUnit};
 use opml_report::table::Table;
 use opml_serve::{run_service, OpKind, ServeConfig, ServeReport};
@@ -42,33 +43,19 @@ pub struct ServeRun {
     pub json: String,
     /// Wall-clock seconds for the soak (not digested).
     pub wall_s: f64,
-    /// Peak RSS in kB, when the platform exposes it (not digested).
-    pub peak_rss_kb: Option<u64>,
-}
-
-/// Wall-clock a closure (handful of harness call sites; sim results
-/// never depend on it).
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // detlint::allow(DL001): harness measures wall time by design
-    let start = std::time::Instant::now();
-    let out = f();
-    // detlint::allow(DL001): harness measures wall time by design
-    (out, start.elapsed().as_secs_f64())
 }
 
 /// Run the soak under a pinned pool and render the report.
 pub fn run(cfg: &ServeRunConfig) -> ServeRun {
     let (report, wall_s) =
         timed(|| parallel::with_thread_count(cfg.threads, || run_service(&cfg.config)));
-    let peak_rss_kb = opml_profiler::peak_rss_kb();
     let text = render_text(&report);
-    let json = render_json(&report, cfg.threads, wall_s, peak_rss_kb);
+    let json = render_json(&report, cfg.threads, wall_s, opml_profiler::peak_rss_kb());
     ServeRun {
         report,
         text,
         json,
         wall_s,
-        peak_rss_kb,
     }
 }
 

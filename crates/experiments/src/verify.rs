@@ -9,6 +9,7 @@
 //! dependence shows up as a digest mismatch.
 
 use opml_report::Table;
+use opml_simkernel::fnv1a64;
 
 use crate::{fig2, table1};
 
@@ -57,8 +58,6 @@ impl VerifyOutcome {
         table.render()
     }
 }
-
-use crate::digest::fnv1a64;
 
 /// Run `table1` + `fig2` once — with telemetry recording — and digest
 /// every serialized artifact, including the telemetry trace bytes, so a

@@ -1,0 +1,188 @@
+//! The `run-experiments` command line: every subcommand goes through one
+//! flag parser, one output writer and one peak-RSS line.
+//!
+//! - An `--out` that cannot be a directory exits 1 with an error naming
+//!   the path, before the run starts, instead of panicking after it.
+//! - Each malformed flag value exits 2 with the shared message
+//!   ``run-experiments: <flag> takes <what>, got `<raw>` ``.
+//! - Every subcommand prints exactly one `peak rss:` line.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const TRACE: &[&str] = &["trace", "--seed", "7", "--enrollment", "3", "--labs-only"];
+const SERVE: &[&str] = &[
+    "serve",
+    "--seed",
+    "7",
+    "--tenants",
+    "3",
+    "--servers",
+    "8",
+    "--target-rps",
+    "2",
+    "--increment-rps",
+    "2",
+    "--max-rps",
+    "6",
+    "--round-secs",
+    "15",
+];
+const PROFILE: &[&str] = &[
+    "profile",
+    "--seed",
+    "7",
+    "--enrollment",
+    "20",
+    "--shard-students",
+    "10",
+    "--threads",
+    "1",
+];
+
+/// A fresh directory under cargo's scratch space for integration tests.
+fn scratch(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("cli")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Run the binary quietly in `cwd`, so default output paths
+/// (`trace_out/`, `experiments_results.json`, ...) land there.
+fn run(cwd: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_run-experiments"))
+        .args(args)
+        .arg("--quiet")
+        .current_dir(cwd)
+        .output()
+        .expect("spawn run-experiments")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+#[test]
+fn out_under_a_regular_file_exits_1_naming_the_path() {
+    let dir = scratch("blocked_out");
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, b"not a directory").expect("write blocker file");
+    let out = blocker.join("out");
+    let out = out.to_str().expect("scratch path is UTF-8");
+    for base in [TRACE, SERVE, PROFILE] {
+        let o = run(&dir, &[base, &["--out", out]].concat());
+        let stderr = text(&o.stderr);
+        assert_eq!(o.status.code(), Some(1), "{}: {stderr}", base[0]);
+        assert!(
+            stderr.contains(out),
+            "{}: the error does not name {out}: {stderr}",
+            base[0]
+        );
+        assert!(!stderr.contains("panicked"), "{}: {stderr}", base[0]);
+        assert!(
+            !text(&o.stdout).contains("wrote"),
+            "{}: wrote output after --out failed",
+            base[0]
+        );
+    }
+}
+
+#[test]
+fn malformed_values_exit_2_with_the_shared_message() {
+    // (arguments ending in the bad value, flag, what the flag takes)
+    let cases: &[(&[&str], &str, &str)] = &[
+        (
+            &["verify-determinism", "--seed", "-1"],
+            "--seed",
+            "a non-negative integer",
+        ),
+        (
+            &["trace", "--enrollment", "0"],
+            "--enrollment",
+            "a positive integer",
+        ),
+        (
+            &["scale", "--threads", "1,0"],
+            "--threads",
+            "a comma-separated list of positive integers",
+        ),
+        (
+            &["chaos", "--rates", "0.1,2"],
+            "--rates",
+            "a comma-separated list of numbers in [0, 1]",
+        ),
+        (
+            &["serve", "--fault-rate", "1.5"],
+            "--fault-rate",
+            "a number in [0, 1]",
+        ),
+        (
+            &["scale", "--mem-budget-mb", "x"],
+            "--mem-budget-mb",
+            "a non-negative integer",
+        ),
+        (
+            &["serve", "--increment-rps", "-3"],
+            "--increment-rps",
+            "a non-negative integer",
+        ),
+    ];
+    let dir = scratch("malformed");
+    for (args, flag, what) in cases {
+        let raw = args[args.len() - 1];
+        let o = run(&dir, args);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {}", text(&o.stderr));
+        assert_eq!(
+            text(&o.stderr).trim_end(),
+            format!("run-experiments: {flag} takes {what}, got `{raw}`"),
+            "{args:?}"
+        );
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir).expect("read scratch dir").collect();
+    assert!(
+        leftovers.is_empty(),
+        "a rejected command line wrote files: {leftovers:?}"
+    );
+}
+
+#[test]
+fn every_subcommand_prints_one_peak_rss_line() {
+    let dir = scratch("peak_rss");
+    let out = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (trace_out, serve_out, profile_out) = (out("trace"), out("serve"), out("profile"));
+    let runs: Vec<Vec<&str>> = vec![
+        vec![],
+        vec!["verify-determinism", "--threads", "1"],
+        [TRACE, &["--out", &trace_out]].concat(),
+        vec!["chaos", "--rate", "0.05", "--enrollment", "10"],
+        vec![
+            "scale",
+            "--enrollment",
+            "20",
+            "--shard-students",
+            "10",
+            "--threads",
+            "1",
+        ],
+        [SERVE, &["--out", &serve_out]].concat(),
+        [PROFILE, &["--out", &profile_out]].concat(),
+    ];
+    for args in &runs {
+        let o = run(&dir, args);
+        let stdout = text(&o.stdout);
+        assert!(o.status.success(), "{args:?}: {}", text(&o.stderr));
+        let lines: Vec<&str> = stdout
+            .lines()
+            .filter(|l| l.starts_with("peak rss:"))
+            .collect();
+        assert_eq!(lines.len(), 1, "{args:?} printed {lines:?}");
+        assert!(
+            lines[0].ends_with(" kB") || lines[0] == "peak rss: n/a",
+            "{args:?}: {}",
+            lines[0]
+        );
+    }
+}

@@ -225,13 +225,9 @@ impl FaultPlan {
 ///
 /// Deterministic across runs, platforms, and toolchains — unlike
 /// `DefaultHasher`, whose per-process keys detlint bans (DL001).
+#[inline]
 pub fn site_key(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    opml_simkernel::fnv1a64(name.as_bytes())
 }
 
 #[cfg(test)]

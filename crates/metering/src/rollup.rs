@@ -113,11 +113,6 @@ impl AssignmentRollup {
         self.rows.iter().map(|r| r.instance_hours).sum()
     }
 
-    /// Total FIP hours across all rows.
-    pub fn total_fip_hours(&self) -> f64 {
-        self.rows.iter().map(|r| r.fip_hours).sum()
-    }
-
     /// Rows for one tag.
     pub fn rows_for(&self, tag: &str) -> Vec<&AssignmentUsage> {
         self.rows.iter().filter(|r| r.tag == tag).collect()

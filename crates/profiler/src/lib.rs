@@ -18,9 +18,11 @@
 //!   the recorded telemetry span stream: per-path total/self time,
 //!   per-shard event/work breakdown, and flamegraph.pl-compatible
 //!   folded-stack export.
-//! * [`rss`] — `/proc/self/status` readers ([`peak_rss_kb`],
-//!   [`current_rss_kb`]) shared by every subcommand, plus a sampled
-//!   RSS timeline ([`RssSampler`]).
+//! * [`rss`] — `/proc/self/status` readers. [`peak_rss_kb`] (`VmHWM`)
+//!   is the one meaning of "peak RSS" for every subcommand and bench;
+//!   [`RssSampler`] records the sampled timeline `profile` writes out.
+//! * [`timed`] — the one wall-clock stopwatch harnesses and benches
+//!   wrap their runs in.
 //!
 //! Determinism contract: everything derived from the telemetry stream
 //! (span counts, sim-minute durations, shard breakdowns) and every
@@ -62,3 +64,14 @@ pub fn install_pool_attribution() {
 pub use spanprof::{
     profile_spans, shard_breakdown, ShardBreakdown, ShardStat, SpanPathStat, SpanProfile,
 };
+
+/// Run `f` and return its result with the host wall time it took, in
+/// seconds. The simulators never read the clock; harnesses and benches
+/// measure them from outside with this, and the times are reported,
+/// never fed back into simulation state.
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    // detlint::allow(DL001): harness measures wall time by design
+    let start = std::time::Instant::now();
+    let r = f();
+    (r, start.elapsed().as_secs_f64())
+}

@@ -89,6 +89,9 @@ impl SchedSim {
             placement,
             telemetry: Telemetry::disabled(),
             faults: FaultPlan::none(),
+            // Checkpoint-restart backoff: 5 min doubling to a 1-hour cap,
+            // no jitter, never giving up — a preempted job is requeued,
+            // not abandoned.
             restart_policy: RetryPolicy::exponential(
                 SimDuration::minutes(5),
                 2.0,
@@ -106,14 +109,6 @@ impl SchedSim {
     /// nothing and reproduces the fault-free schedule byte-identically.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Override the checkpoint-restart backoff (default: 5 min doubling
-    /// to a 1-hour cap, no jitter, never giving up — a preempted job is
-    /// requeued, not abandoned).
-    pub fn with_restart_policy(mut self, policy: RetryPolicy) -> Self {
-        self.restart_policy = policy;
         self
     }
 

@@ -39,16 +39,29 @@ impl Default for DetHasher {
 impl Hasher for DetHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
         for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
         }
+        self.0 = h;
     }
 
     #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// FNV-1a 64-bit of one contiguous buffer: a fresh [`DetHasher`] after
+/// one `write`. The workspace's single FNV-1a — fault site keys, outcome
+/// and counts digests, and the verifiers all hash through it, so every
+/// "byte-identical" claim is made against the same function.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = DetHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// `BuildHasher` producing [`DetHasher`]s. Zero-sized and `const`
@@ -84,11 +97,6 @@ pub fn det_hash_map<K, V>() -> DetHashMap<K, V> {
     HashMap::with_hasher(BuildDetHasher)
 }
 
-/// Empty [`DetHashMap`] with a capacity hint.
-pub fn det_hash_map_with_capacity<K, V>(capacity: usize) -> DetHashMap<K, V> {
-    HashMap::with_capacity_and_hasher(capacity, BuildDetHasher)
-}
-
 /// Empty [`DetHashSet`].
 pub fn det_hash_set<T>() -> DetHashSet<T> {
     HashSet::with_hasher(BuildDetHasher)
@@ -111,6 +119,20 @@ mod tests {
         let mut h = DetHasher::default();
         h.write(b"a");
         assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b""), FNV_OFFSET);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn chunking_is_irrelevant() {
+        let whole = fnv1a64(b"records are streamed in pieces");
+        let mut h = DetHasher::default();
+        h.write(b"records are ");
+        h.write(b"");
+        h.write(b"streamed in pieces");
+        assert_eq!(h.finish(), whole);
+        assert_ne!(fnv1a64(b"ledger-a"), fnv1a64(b"ledger-b"));
     }
 
     #[test]

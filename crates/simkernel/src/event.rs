@@ -1,12 +1,11 @@
-//! A generic time-ordered event queue with stable FIFO tie-breaking, plus a
-//! small process clock used by subsystem simulations (serving, scheduler).
+//! A generic time-ordered event queue with stable FIFO tie-breaking.
 //!
 //! The queue is a `BinaryHeap` over `(Reverse(time), Reverse(seq))` so that
 //! (a) the earliest event pops first and (b) events scheduled at the same
 //! instant pop in insertion order — important for determinism when, e.g.,
 //! several reservations end at the top of the hour.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -149,42 +148,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A monotone simulation clock with convenience advancing.
-///
-/// Subsystems that simulate wall-clock-like progress (the serving simulator,
-/// the job scheduler) own one of these; the semester driver owns another.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProcessClock {
-    now: SimTime,
-}
-
-impl ProcessClock {
-    /// A clock at semester start.
-    pub fn new() -> Self {
-        ProcessClock { now: SimTime::ZERO }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance by `d` and return the new time.
-    pub fn advance(&mut self, d: SimDuration) -> SimTime {
-        self.now += d;
-        self.now
-    }
-
-    /// Jump forward to `t` (no-op if `t` is in the past — the clock is
-    /// monotone by construction).
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        if t > self.now {
-            self.now = t;
-        }
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,17 +185,6 @@ mod tests {
         );
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(SimTime(15)));
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut c = ProcessClock::new();
-        c.advance(SimDuration::hours(2));
-        assert_eq!(c.now(), SimTime(120));
-        c.advance_to(SimTime(60)); // backwards jump ignored
-        assert_eq!(c.now(), SimTime(120));
-        c.advance_to(SimTime(240));
-        assert_eq!(c.now(), SimTime(240));
     }
 
     #[test]

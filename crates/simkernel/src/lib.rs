@@ -21,11 +21,12 @@
 //!   two-sample Kolmogorov–Smirnov statistic and Population Stability Index
 //!   used by the drift-detection substrate.
 //! * [`event`] — a generic time-ordered event queue with stable FIFO
-//!   tie-breaking, and a small process-clock wrapper.
+//!   tie-breaking.
 //! * [`dethash`] — a fixed-seed FNV-1a `BuildHasher` (`DetHashMap`,
 //!   `DetHashSet`) so map growth under churn is identical across runs;
 //!   the default `RandomState` makes *allocation counts* seed-dependent
-//!   even when outputs are fully deterministic.
+//!   even when outputs are fully deterministic. Its one-shot
+//!   [`fnv1a64`] is the workspace's digest function.
 //! * [`parallel`] — order-stable parallel fan-out over independent entities
 //!   or replications (rayon), merging by index rather than reduction order.
 //! * [`binio`] — little-endian binary wire primitives for the
@@ -46,8 +47,10 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dethash::{det_hash_map, det_hash_set, BuildDetHasher, DetHashMap, DetHashSet};
-pub use event::{EventQueue, ProcessClock, QueueStats};
+pub use dethash::{
+    det_hash_map, det_hash_set, fnv1a64, BuildDetHasher, DetHashMap, DetHashSet, DetHasher,
+};
+pub use event::{EventQueue, QueueStats};
 pub use rng::{split_seed, Rng};
 pub use stats::{Histogram, OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};

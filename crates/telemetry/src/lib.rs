@@ -51,7 +51,7 @@ pub use event::{Attr, AttrValue, EventPhase, TelemetryEvent, HARNESS_TRACK, NARR
 pub use export::{export_chrome_trace, export_jsonl};
 pub use intern::Sym;
 pub use metrics::{MetricsRegistry, MetricsSnapshot, SimTimeHistogram};
-pub use sink::{FanoutSink, MemorySink, NullSink, StderrNarrationSink, TelemetrySink};
+pub use sink::{MemorySink, NullSink, StderrNarrationSink, TelemetrySink};
 pub use span::SpanGuard;
 
 use opml_simkernel::{SimDuration, SimTime};

@@ -5,7 +5,7 @@
 //! [`MemorySink`] is the recording sink used by the exporters and the
 //! golden-trace tests; [`StderrNarrationSink`] renders only narration
 //! events, replacing the ad-hoc `eprintln!` progress lines the
-//! experiments runner used to have; [`FanoutSink`] composes several.
+//! experiments runner used to have.
 
 use crate::event::{TelemetryEvent, NARRATE};
 use parking_lot::Mutex;
@@ -129,39 +129,6 @@ impl TelemetrySink for StderrNarrationSink {
     }
 }
 
-/// Sends every event to each inner sink, in registration order.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn TelemetrySink>>,
-}
-
-impl std::fmt::Debug for FanoutSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FanoutSink({} sinks)", self.sinks.len())
-    }
-}
-
-impl FanoutSink {
-    /// Empty fan-out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a sink (builder style).
-    pub fn with(mut self, sink: impl TelemetrySink + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
-        self
-    }
-}
-
-impl TelemetrySink for FanoutSink {
-    fn record(&self, event: &TelemetryEvent) {
-        for s in &self.sinks {
-            s.record(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,16 +156,5 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
         assert_eq!(sink.len(), 5);
         assert!(!sink.is_empty());
-    }
-
-    #[test]
-    fn fanout_reaches_every_sink() {
-        let _guard = crate::intern_lock();
-        let a = MemorySink::new();
-        let b = MemorySink::new();
-        let fan = FanoutSink::new().with(a.clone()).with(b.clone());
-        fan.record(&ev(0, "x"));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 }

@@ -73,11 +73,6 @@ impl Cloud {
         self
     }
 
-    /// Attach a telemetry handle in place.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
     /// Pre-size the usage ledger (builder style). Callers that know the
     /// expected record volume — the shard driver derives one from the
     /// shard's student count — use this so the close-record hot loop
@@ -597,17 +592,7 @@ impl Cloud {
                 stored_gb: 0.0,
                 created: now,
                 object_count: 0,
-                mounted_on: Vec::new(),
             })
-    }
-
-    /// Mount a bucket as a filesystem on an instance (Unit 8 lab step).
-    pub fn mount_bucket(&mut self, name: &str, inst: InstanceId) -> Result<(), CloudError> {
-        if !self.instances.get(&inst).is_some_and(Instance::is_active) {
-            return Err(CloudError::NoSuchInstance);
-        }
-        self.bucket(name).mounted_on.push(inst);
-        Ok(())
     }
 
     // ----------------------------------------------------------- closing

@@ -65,8 +65,6 @@ pub struct Bucket {
     pub created: SimTime,
     /// Objects stored (count only; contents are out of scope).
     pub object_count: u64,
-    /// Instances that currently mount the bucket as a filesystem.
-    pub mounted_on: Vec<InstanceId>,
 }
 
 impl Bucket {
@@ -110,7 +108,6 @@ mod tests {
             stored_gb: 0.0,
             created: SimTime::ZERO,
             object_count: 0,
-            mounted_on: vec![],
         };
         b.put(100, 0.7);
         b.put(50, 0.5);

@@ -8,36 +8,21 @@
 //! cargo run --release --example semester_report
 //! ```
 
-use ml_ops_course::experiments::{
-    fig1, fig2, fig3, headline, project_cost, run_paper_course, table1,
-};
+use ml_ops_course::experiments::{paper_sections, run_paper_course};
 
 fn main() {
     let seed = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(42u64);
-    let ctx = run_paper_course(seed);
+    let sections = paper_sections(&run_paper_course(seed));
 
-    let (text, cmp1) = table1::run(&ctx);
-    println!("Table 1 (seed {seed})\n{text}");
-    let (text, cmp2) = fig1::run(&ctx);
-    println!("Figure 1\n{text}");
-    let (text, cmp3) = fig2::run(&ctx);
-    println!("Figure 2\n{text}");
-    let (text, cmp4) = fig3::run(&ctx);
-    println!("Figure 3\n{text}");
-    let (text, cmp5) = project_cost::run(&ctx);
-    println!("Project phase\n{text}");
-    let (text, cmp6) = headline::run(&ctx);
-    println!("Headlines\n{text}");
-
-    let sets = [cmp1, cmp2, cmp3, cmp4, cmp5, cmp6];
-    let total: usize = sets.iter().map(|s| s.rows.len()).sum();
-    let pass: usize = sets
-        .iter()
-        .flat_map(|s| &s.rows)
-        .filter(|c| c.within_tolerance())
-        .count();
+    println!("seed {seed}\n");
+    for section in &sections {
+        println!("{}\n{}", section.title, section.text);
+    }
+    let rows = sections.iter().flat_map(|s| &s.comparisons.rows);
+    let total = rows.clone().count();
+    let pass = rows.filter(|c| c.within_tolerance()).count();
     println!("paper-vs-measured: {pass}/{total} comparisons within tolerance");
 }

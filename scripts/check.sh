@@ -50,7 +50,7 @@ cargo run --release -q -p opml-experiments --bin run-experiments -- \
 
 echo "==> scale smoke run (100k cohort @ 2 threads vs golden digest)"
 scale_digest=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
-    scale --enrollment 100000 --threads 2 --digest-only --quiet \
+    scale --enrollment 100000 --threads 2 --quiet \
     | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')
 golden_digest=$(cat tests/golden/scale_100k_seed42.digest)
 if [ "$scale_digest" != "$golden_digest" ]; then
@@ -60,7 +60,7 @@ fi
 
 echo "==> scale smoke run (1M cohort @ 2 threads vs golden digest)"
 scale_1m_digest=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
-    scale --enrollment 1000000 --threads 2 --digest-only --quiet \
+    scale --enrollment 1000000 --threads 2 --quiet \
     | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')
 golden_1m_digest=$(cat tests/golden/scale_1m_seed42.digest)
 if [ "$scale_1m_digest" != "$golden_1m_digest" ]; then
@@ -76,7 +76,7 @@ echo "==> spill smoke run (2k cohort forced out-of-core vs golden digest)"
 # exceeds it, so the report's EXCEEDED verdict is expected here and not
 # gated (bench_semester owns the RSS gate).
 spill_out=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
-    scale --enrollment 2000 --threads 2 --digest-only --mem-budget-mb 8 --quiet)
+    scale --enrollment 2000 --threads 2 --mem-budget-mb 8 --quiet)
 spill_digest=$(printf '%s\n' "$spill_out" | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')
 golden_spill_digest=$(cat tests/golden/scale_2k_seed42.digest)
 if ! printf '%s\n' "$spill_out" | grep -q "out-of-core path engaged"; then

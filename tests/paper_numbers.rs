@@ -3,15 +3,12 @@
 //! EXPERIMENTS.md claims that at the default seed every paper-vs-
 //! measured comparison lands within its declared tolerance — 71 of 71.
 //! This test pins that claim: it reruns every section `run-experiments`
-//! renders, at seed 42, and fails listing each comparison that fell
-//! outside tolerance, plus the total row count so a silently dropped
-//! (or duplicated) comparison also fails loudly.
+//! renders (the same `paper_sections` list), at seed 42, and fails
+//! listing each comparison that fell outside tolerance, plus the total
+//! row count so a silently dropped (or duplicated) comparison also
+//! fails loudly.
 
-use ml_ops_course::experiments::{
-    ablation, capacity, fig1, fig2, fig3, headline, project_cost, run_paper_course, seeds,
-    spot_ablation, table1,
-};
-use ml_ops_course::report::compare::ComparisonSet;
+use ml_ops_course::experiments::{paper_sections, run_paper_course};
 
 /// Total comparisons across all sections at the default seed (the "71
 /// of 71" in EXPERIMENTS.md). Adding or removing a comparison is fine —
@@ -20,29 +17,17 @@ const PINNED_TOTAL: usize = 71;
 
 #[test]
 fn all_paper_comparisons_stay_within_declared_tolerance() {
-    let seed = 42;
-    let ctx = run_paper_course(seed);
-    let sections: Vec<(&str, ComparisonSet)> = vec![
-        ("table1", table1::run(&ctx).1),
-        ("fig1", fig1::run(&ctx).1),
-        ("fig2", fig2::run(&ctx).1),
-        ("fig3", fig3::run(&ctx).1),
-        ("project_cost", project_cost::run(&ctx).1),
-        ("headline", headline::run(&ctx).1),
-        ("capacity", capacity::run(&ctx).1),
-        ("seeds", seeds::run(seed, 5).1),
-        ("spot_ablation", spot_ablation::run(&ctx, seed).1),
-        ("ablation", ablation::run(seed, 64).1),
-    ];
+    let sections = paper_sections(&run_paper_course(42));
 
     let mut total = 0usize;
     let mut failures: Vec<String> = Vec::new();
-    for (section, cmp) in &sections {
-        for row in &cmp.rows {
+    for section in &sections {
+        for row in &section.comparisons.rows {
             total += 1;
             if !row.within_tolerance() {
                 failures.push(format!(
-                    "[{section}] {}: paper {} vs measured {} (ratio {:.4}, tol ±{:.0}%)",
+                    "[{}] {}: paper {} vs measured {} (ratio {:.4}, tol ±{:.0}%)",
+                    section.title,
                     row.name,
                     row.paper,
                     row.measured,

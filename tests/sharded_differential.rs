@@ -14,8 +14,8 @@ use differential::{
     arms, every_exec_matches_the_reference, forced_multi_shard, intern_lock, run, THREAD_COUNTS,
 };
 use ml_ops_course::cohort::semester::SemesterConfig;
-use ml_ops_course::experiments::digest::fnv1a64;
 use ml_ops_course::experiments::{capacity, fig1, fig2, fig3, headline, project_cost, table1};
+use ml_ops_course::simkernel::fnv1a64;
 use ml_ops_course::simkernel::parallel::with_thread_count;
 
 const SUITE: &str = "sharded_differential";
