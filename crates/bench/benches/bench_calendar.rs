@@ -20,8 +20,10 @@
 //! With `--check` (the perf-regression gate, see `scripts/perfgate.sh`)
 //! the bench reruns both sides min-of-`PERFGATE_RUNS` and compares the
 //! wall times against the committed `BENCH_calendar.json` instead of
-//! overwriting it; admitted-lease counts and the digest verdict are
-//! compared fatally, wall times within `PERFGATE_TOLERANCE`.
+//! overwriting it; admitted-lease counts, the digest verdict and the
+//! speedup floor are compared fatally, wall times within
+//! `PERFGATE_TOLERANCE`. Outside `--check` the floor fails the run
+//! after the baseline is written.
 
 use opml_bench::perfgate::{min_of, Gate};
 use opml_profiler::{timed, Json};
@@ -262,6 +264,11 @@ fn main() {
             "baseline_identical",
             base.get("identical").and_then(Json::as_bool) == Some(true),
             "baseline was recorded with diverging digests",
+        );
+        gate.fatal(
+            "speedup_floor",
+            speedup >= SPEEDUP_FLOOR,
+            &format!("speedup {speedup:.1}x < {SPEEDUP_FLOOR}x"),
         );
         let base_sweep = base
             .get("sweep_wall_s")

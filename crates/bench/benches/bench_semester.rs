@@ -46,8 +46,9 @@
 //!
 //! With `--check` (the perf-regression gate, see `scripts/perfgate.sh`)
 //! the bench compares each arm against the committed
-//! `BENCH_semester.json` instead of overwriting it: digests and record
-//! counts fatally, wall times within `PERFGATE_TOLERANCE` (min of
+//! `BENCH_semester.json` instead of overwriting it: digests, record
+//! counts and the 100k speedup floor fatally, wall times within
+//! `PERFGATE_TOLERANCE` (min of
 //! `PERFGATE_RUNS`, default 2). Oversubscribed arms are exempt from
 //! the *wall* gate only — their times measure host timeslicing, with
 //! run-to-run variance far beyond any sane tolerance — while their
@@ -80,6 +81,9 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// Enrollments where the monolithic driver is still tractable (the
 /// sweep-line calendar pushed this frontier out from 800).
 const UNSHARDED: [u32; 3] = [800, 3000, 10_000];
+/// Required `speedup_floor_100k`: the linearly extrapolated unsharded
+/// wall over the best sharded wall at 100k.
+const SPEEDUP_FLOOR_100K: f64 = 3.0;
 
 /// One measured arm, flattened for the JSON report.
 struct Arm {
@@ -342,6 +346,11 @@ fn main() {
             schema == "bench_semester/v3",
             &format!("baseline schema `{schema}` != bench_semester/v3"),
         );
+        gate.fatal(
+            "speedup_floor_100k",
+            speedup_floor >= SPEEDUP_FLOOR_100K,
+            &format!("speedup floor {speedup_floor:.2}x < {SPEEDUP_FLOOR_100K}x"),
+        );
         // The RSS ceiling was already enforced above (write and check
         // mode alike). Digest/record identity vs the baseline is fatal
         // when the enrollments match; an env-overridden enrollment
@@ -484,8 +493,10 @@ fn main() {
     .expect("write BENCH_semester.json");
     eprintln!("wrote {out}");
 
-    if speedup_floor < 3.0 {
-        eprintln!("bench_semester: FAILED — speedup floor {speedup_floor:.2}x < 3x");
+    if speedup_floor < SPEEDUP_FLOOR_100K {
+        eprintln!(
+            "bench_semester: FAILED — speedup floor {speedup_floor:.2}x < {SPEEDUP_FLOOR_100K}x"
+        );
         std::process::exit(1);
     }
 }

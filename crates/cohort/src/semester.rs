@@ -468,19 +468,13 @@ const QUEUE_EVENTS_PER_STUDENT: usize = 16;
 
 /// A shard's telemetry events and metrics snapshot, folded into the
 /// parent handle by the merge.
-pub(crate) type ShardAux = (Vec<TelemetryEvent>, MetricsSnapshot);
+type ShardAux = (Vec<TelemetryEvent>, MetricsSnapshot);
 
-/// Everything one shard produces, ready for the deterministic merge.
-pub(crate) struct ShardRun {
-    pub(crate) outcome: SemesterOutcome,
-    /// `None` when the parent telemetry handle is disabled.
-    pub(crate) aux: Option<ShardAux>,
-}
-
-/// Where shard output waits between the shard map and the merge: in
-/// memory ([`InMemory`]) or in run files ([`SpillConfig`]).
+/// Where shard ledgers wait between the shard map and the merge: in
+/// memory ([`InMemory`]) or in run files ([`SpillConfig`]). Telemetry
+/// never goes through the store; the driver holds it in memory.
 pub(crate) trait ShardStore: Sync {
-    /// One stored shard.
+    /// One stored shard ledger.
     type Run: Send;
     /// A stored shard's ledger, read back by the merge.
     type Source: RecordSource<Error = Self::Error>;
@@ -489,11 +483,8 @@ pub(crate) trait ShardStore: Sync {
     /// The wall phase the final merge runs under.
     const MERGE_PHASE: &'static str;
 
-    /// Keep one shard's output until the merge.
-    fn store(&self, shard: u32, run: ShardRun) -> Result<Self::Run, Self::Error>;
-
-    /// Take back a stored shard's telemetry, if it recorded any.
-    fn take_aux(&self, run: &mut Self::Run) -> Result<Option<ShardAux>, Self::Error>;
+    /// Keep one shard's canonically sorted ledger until the merge.
+    fn store(&self, shard: u32, ledger: Ledger) -> Result<Self::Run, Self::Error>;
 
     /// Turn the stored shards, in shard order, into merge sources,
     /// counting disk work in `stats`.
@@ -510,32 +501,25 @@ pub(crate) trait ShardStore: Sync {
     }
 }
 
-/// Shard output held in memory until the merge.
+/// Shard ledgers held in memory until the merge.
 struct InMemory;
 
 impl ShardStore for InMemory {
-    type Run = ShardRun;
+    type Run = Ledger;
     type Source = std::vec::IntoIter<UsageRecord>;
     type Error = Infallible;
     const MERGE_PHASE: &'static str = opml_profiler::phases::MERGE_LEDGER;
 
-    fn store(&self, _shard: u32, run: ShardRun) -> Result<ShardRun, Infallible> {
-        Ok(run)
-    }
-
-    fn take_aux(&self, run: &mut ShardRun) -> Result<Option<ShardAux>, Infallible> {
-        Ok(run.aux.take())
+    fn store(&self, _shard: u32, ledger: Ledger) -> Result<Ledger, Infallible> {
+        Ok(ledger)
     }
 
     fn sources(
         &self,
-        runs: Vec<ShardRun>,
+        runs: Vec<Ledger>,
         _stats: &mut SpillStats,
     ) -> Result<Vec<Self::Source>, Infallible> {
-        Ok(runs
-            .into_iter()
-            .map(|run| run.outcome.ledger.into_iter())
-            .collect())
+        Ok(runs.into_iter().map(Ledger::into_iter).collect())
     }
 }
 
@@ -544,8 +528,9 @@ impl ShardStore for InMemory {
 /// A cohort that fits in one shard takes the legacy single-campus path:
 /// the parent telemetry handle, the close-order ledger, no merge and no
 /// disk. Larger cohorts run their shards under `schedule` and keep each
-/// shard's output in `store`, then fold per-shard results in
-/// shard-index order and feed one [`StreamMerge`] into `sink`.
+/// shard's ledger in `store` (its telemetry stays in memory), then fold
+/// per-shard results in shard-index order and feed one [`StreamMerge`]
+/// into `sink`.
 ///
 /// Merge laws, each associative and stable under the fixed shard
 /// order: ledgers merge into the canonical record order, ties broken
@@ -572,11 +557,11 @@ pub(crate) fn drive<S: ShardStore>(
 
     let record = telemetry.is_enabled();
     let run_and_store = |shard: &ShardSpec| {
-        let run = run_shard_buffered(config, seed, shard, record);
-        let scalars = StreamOutcome::of(&run.outcome);
+        let (outcome, aux) = run_shard_buffered(config, seed, shard, record);
+        let scalars = StreamOutcome::of(&outcome);
         store
-            .store(shard.index, run)
-            .map(|stored| (scalars, stored))
+            .store(shard.index, outcome.ledger)
+            .map(|stored| (scalars, aux, stored))
     };
     let stored: Vec<_> = match schedule {
         Schedule::Serial => shards.iter().map(run_and_store).collect(),
@@ -587,10 +572,10 @@ pub(crate) fn drive<S: ShardStore>(
     telemetry.counter_add("semester.shards", stored.len() as u64);
     let mut outcome = StreamOutcome::default();
     let mut runs = Vec::with_capacity(stored.len());
-    for (shard, mut run) in stored {
+    for (shard, aux, run) in stored {
         let metrics = {
             let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_REPLAY);
-            store.take_aux(&mut run)?.map(|(events, metrics)| {
+            aux.map(|(events, metrics)| {
                 telemetry.replay_owned(events);
                 metrics
             })
@@ -625,13 +610,14 @@ pub(crate) fn drive<S: ShardStore>(
 /// Execute one shard against a private telemetry buffer (or fully
 /// disabled telemetry when the parent handle is disabled), so shards
 /// never contend on the parent handle and their event streams can be
-/// replayed in shard order afterwards.
+/// replayed in shard order afterwards. The telemetry comes back as
+/// `None` when the parent handle is disabled.
 fn run_shard_buffered(
     config: &SemesterConfig,
     seed: u64,
     shard: &ShardSpec,
     record: bool,
-) -> ShardRun {
+) -> (SemesterOutcome, Option<ShardAux>) {
     // Wall-phase attribution (no-op unless a profiled run enabled the
     // profiler): the shard body vs the merge stages is exactly the
     // split that explains sharded-vs-serial wall time.
@@ -652,7 +638,7 @@ fn run_shard_buffered(
         // merge's restamp pass.
         (sink.take_events(), metrics)
     });
-    ShardRun { outcome, aux }
+    (outcome, aux)
 }
 
 /// Run one shard of the semester against its own replicated campus.
@@ -893,12 +879,10 @@ fn run_shard(
                             });
                         }
                         let down_at = t + vm.wall;
-                        if fe.plan.fires(
-                            FaultKind::InstanceCrash,
-                            Some(vm.flavor),
-                            site,
-                            vm.fault_attempts,
-                        ) {
+                        if fe
+                            .plan
+                            .fires(FaultKind::InstanceCrash, site, vm.fault_attempts)
+                        {
                             let frac = fe.plan.fraction(
                                 FaultKind::InstanceCrash,
                                 site,
@@ -1109,7 +1093,7 @@ fn run_shard(
                             queue.push(fip_until, Ev::FipDown(fip));
                         }
                         let site = site_key(&name);
-                        if fe.plan.fires(FaultKind::LeaseRevoke, None, site, attempt) {
+                        if fe.plan.fires(FaultKind::LeaseRevoke, site, attempt) {
                             let frac =
                                 fe.plan
                                     .fraction(FaultKind::LeaseRevoke, site, attempt, 0.05, 0.95);
@@ -1210,10 +1194,7 @@ fn run_shard(
             }
             Ev::VolUp(mut v) => {
                 let site = site_key(&v.name);
-                if fe
-                    .plan
-                    .fires(FaultKind::VolumeAttach, None, site, v.attempts)
-                {
+                if fe.plan.fires(FaultKind::VolumeAttach, site, v.attempts) {
                     fe.stats.injected += 1;
                     telemetry.instant(t, "fault.inject", || {
                         vec![
@@ -1358,12 +1339,7 @@ fn deploy_vm(
     plan: &FaultPlan,
 ) -> Result<(Deployed, bool), CloudError> {
     let site = site_key(&vm.name);
-    if plan.fires(
-        FaultKind::LaunchFail,
-        Some(vm.flavor),
-        site,
-        vm.fault_attempts,
-    ) {
+    if plan.fires(FaultKind::LaunchFail, site, vm.fault_attempts) {
         return Err(CloudError::TransientFault {
             op: "create_instance",
         });
@@ -1401,7 +1377,7 @@ fn deploy_vm(
     };
     let mut degraded = false;
     let fip = if vm.fip {
-        if plan.fires(FaultKind::FipFail, Some(vm.flavor), site, vm.fault_attempts) {
+        if plan.fires(FaultKind::FipFail, site, vm.fault_attempts) {
             degraded = true;
             None
         } else {

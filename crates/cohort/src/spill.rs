@@ -1,30 +1,26 @@
 //! Out-of-core storage for the semester driver: spill-to-disk shard
 //! runs and a hierarchical k-way merge with O(shard) peak memory.
 //!
-//! With in-memory storage the driver holds every shard's ledger,
-//! telemetry buffer and metrics snapshot until the global merge, so
-//! peak RSS is O(cohort) — ~30 GB at 1M students. With
-//! [`Storage::Spill`](crate::semester::Storage::Spill) the *simulation*
-//! is identical but each shard's output goes to an on-disk **run** the
-//! moment the shard finishes, releasing its buffers, and the driver
-//! consumes the runs incrementally:
+//! With in-memory storage the driver holds every shard's ledger until
+//! the global merge, so peak RSS is O(cohort) — ~30 GB at 1M students.
+//! With [`Storage::Spill`](crate::semester::Storage::Spill) the
+//! *simulation* is identical but each shard's ledger goes to an on-disk
+//! **run** the moment the shard finishes, releasing its buffer, and the
+//! driver consumes the runs incrementally:
 //!
 //! 1. **Spill** (`merge.spill` phase): each shard's canonically sorted
-//!    ledger, telemetry buffer and metrics snapshot are encoded into
-//!    `run-0-<shard>.bin` via the compact binary codecs
-//!    ([`opml_testbed::ledger::UsageRecord::encode_into`],
-//!    [`opml_telemetry::spillcodec`]).
-//! 2. **Aux replay** (`merge.replay_restamp` / `merge.metrics`): the
-//!    telemetry and metrics blocks are read back one run at a time, in
-//!    shard-index order, and folded through the parent handle by the
-//!    same fold as in-memory shards.
-//! 3. **Merge** (`merge.spill` for intermediate passes, `merge.stream`
+//!    ledger is encoded into `run-0-<shard>.bin` with
+//!    [`opml_testbed::ledger::UsageRecord::encode_into`]. A recording
+//!    run's telemetry buffers and metrics snapshots never reach disk:
+//!    the driver holds them in memory and replays them in shard order,
+//!    exactly as under in-memory storage.
+//! 2. **Merge** (`merge.spill` for intermediate passes, `merge.stream`
 //!    for the final pass): runs are k-way merged with bounded
 //!    read-ahead by [`StreamMerge`]. When the run count exceeds the
 //!    merge fan-in, *contiguous* groups are merged into intermediate
 //!    runs first — contiguity preserves the shard-index tie-break, so
 //!    the final stream is byte-identical to the in-memory merge.
-//! 4. **Consume**: the sink sees each merged record once, in canonical
+//! 3. **Consume**: the sink sees each merged record once, in canonical
 //!    order; nothing cohort-sized is ever materialized.
 //!
 //! A run is read once: its source deletes the file on the pull that
@@ -33,21 +29,19 @@
 //! touches no disk.
 //!
 //! Peak memory is O(threads × shard) during simulation and
-//! O(fan-in × read-ahead) during the merge; peak disk is about twice
-//! the encoded cohort ledger (one extra copy during an intermediate
-//! merge pass).
+//! O(fan-in × read-ahead) during the merge, plus every shard's trace
+//! when telemetry is recording; peak disk is about twice the encoded
+//! cohort ledger (one extra copy during an intermediate merge pass).
 //!
 //! All failure modes — I/O errors, truncated or corrupt run files —
 //! surface as [`SpillError`], never a panic: the spill entry points are
 //! detlint DL008 panic-freedom roots.
 
-use crate::semester::{
-    drive, Schedule, SemesterConfig, SemesterOutcome, ShardAux, ShardRun, ShardStore,
-};
+use crate::semester::{drive, Schedule, SemesterConfig, SemesterOutcome, ShardStore};
 use opml_faults::FaultStats;
 use opml_profiler::{phases, wall_phase};
 use opml_simkernel::binio;
-use opml_telemetry::{spillcodec, Telemetry};
+use opml_telemetry::Telemetry;
 use opml_testbed::ledger::{Ledger, RecordSource, StreamMerge, UsageRecord};
 use std::fmt;
 use std::fs::{self, File};
@@ -55,7 +49,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every spill-run file.
-const MAGIC: &[u8; 8] = b"OPMLRUN1";
+const MAGIC: &[u8; 8] = b"OPMLRUN2";
 
 /// Record-encode buffer flush threshold while writing a run.
 const WRITE_CHUNK: usize = 64 * 1024;
@@ -203,8 +197,6 @@ impl StreamOutcome {
 pub(crate) struct RunRef {
     path: PathBuf,
     records: u64,
-    /// Whether the run carries a telemetry/metrics block.
-    aux: bool,
     /// Bytes written to the file.
     bytes: u64,
 }
@@ -213,7 +205,8 @@ pub(crate) struct RunRef {
 /// the calling thread, delivering the merged canonical ledger
 /// record-by-record to `consumer`: [`crate::semester::simulate_semester_exec`]
 /// with [`Schedule::Serial`] and spill storage. Peak memory is
-/// O(shard).
+/// O(shard) when `telemetry` is disabled; a recording handle keeps every
+/// shard's trace in memory until the replay.
 pub fn simulate_semester_streaming_serial<F: FnMut(&UsageRecord)>(
     config: &SemesterConfig,
     seed: u64,
@@ -237,49 +230,21 @@ impl ShardStore for SpillConfig {
     type Error = SpillError;
     const MERGE_PHASE: &'static str = phases::MERGE_STREAM;
 
-    /// Write one shard's output as a run file. Consumes the `ShardRun`,
-    /// releasing its buffers on return — this is what makes peak RSS
+    /// Write one shard's ledger as a run file. Consumes the ledger,
+    /// releasing its buffer on return — this is what makes peak RSS
     /// O(shard) instead of O(cohort).
-    fn store(&self, shard: u32, run: ShardRun) -> Result<RunRef, SpillError> {
+    fn store(&self, shard: u32, ledger: Ledger) -> Result<RunRef, SpillError> {
         let _phase = wall_phase(phases::MERGE_SPILL);
         fs::create_dir_all(&self.dir).map_err(|e| SpillError::from_io(&self.dir, e))?;
-        let mut aux = Vec::new();
-        if let Some((events, metrics)) = &run.aux {
-            spillcodec::encode_metrics(metrics, &mut aux);
-            binio::put_u64(&mut aux, events.len() as u64);
-            for ev in events {
-                spillcodec::encode_event(ev, &mut aux);
-            }
-        }
         let path = self.dir.join(format!("run-0-{shard}.bin"));
-        let records = run.outcome.ledger.records().len() as u64;
-        let mut ledger = run.outcome.ledger.into_iter();
-        let bytes = write_run(&path, &aux, records, || Ok(ledger.next()))?;
+        let records = ledger.records().len() as u64;
+        let mut ledger = ledger.into_iter();
+        let bytes = write_run(&path, records, || Ok(ledger.next()))?;
         Ok(RunRef {
             path,
             records,
-            aux: run.aux.is_some(),
             bytes,
         })
-    }
-
-    /// Read one run's telemetry events and metrics snapshot back.
-    fn take_aux(&self, run: &mut RunRef) -> Result<Option<ShardAux>, SpillError> {
-        if !run.aux {
-            return Ok(None);
-        }
-        let path = &run.path;
-        let file = File::open(path).map_err(|e| SpillError::from_io(path, e))?;
-        let mut r = BufReader::with_capacity(READ_AHEAD, file);
-        read_header(&mut r, path)?;
-        let metrics =
-            spillcodec::decode_metrics(&mut r).map_err(|e| SpillError::from_io(path, e))?;
-        let count = binio::read_u64(&mut r).map_err(|e| SpillError::from_io(path, e))?;
-        let events = (0..count)
-            .map(|_| spillcodec::decode_event(&mut r))
-            .collect::<io::Result<Vec<_>>>()
-            .map_err(|e| SpillError::from_io(path, e))?;
-        Ok(Some((events, metrics)))
     }
 
     /// Merge contiguous groups of runs into intermediate runs until one
@@ -312,14 +277,13 @@ impl ShardStore for SpillConfig {
                     .join(format!("run-{}-{gi}.bin", stats.merge_passes));
                 let records = group.iter().map(|run| run.records).sum();
                 let mut merge = StreamMerge::new(open_all(group)?)?;
-                let bytes = write_run(&path, &[], records, || merge.next())?;
+                let bytes = write_run(&path, records, || merge.next())?;
                 stats.max_open_runs = stats.max_open_runs.max(group.len());
                 stats.spilled_bytes += bytes;
                 stats.intermediate_runs += 1;
                 next.push(RunRef {
                     path,
                     records,
-                    aux: false,
                     bytes,
                 });
             }
@@ -344,11 +308,10 @@ impl ShardStore for SpillConfig {
     }
 }
 
-/// Write a run file: header, the `aux` block, then `records` records
-/// pulled from `next`. Returns the bytes written.
+/// Write a run file, `"OPMLRUN2" | record_count: u64 | records`, with
+/// `records` records pulled from `next`. Returns the bytes written.
 fn write_run(
     path: &Path,
-    aux: &[u8],
     records: u64,
     mut next: impl FnMut() -> Result<Option<UsageRecord>, SpillError>,
 ) -> Result<u64, SpillError> {
@@ -357,12 +320,8 @@ fn write_run(
     let mut w = BufWriter::with_capacity(WRITE_CHUNK, file);
     let mut buf = Vec::with_capacity(WRITE_CHUNK + 256);
     buf.extend_from_slice(MAGIC);
-    binio::put_u64(&mut buf, aux.len() as u64);
     binio::put_u64(&mut buf, records);
-    w.write_all(&buf).map_err(io_err)?;
-    w.write_all(aux).map_err(io_err)?;
-    let mut bytes = (buf.len() + aux.len()) as u64;
-    buf.clear();
+    let mut bytes = 0u64;
     let mut written = 0u64;
     while let Some(rec) = next()? {
         rec.encode_into(&mut buf);
@@ -388,9 +347,9 @@ fn write_run(
     Ok(bytes)
 }
 
-/// Read a run-file header, leaving the reader positioned at the aux
-/// block. Returns `(aux_len, record_count)`.
-fn read_header(r: &mut impl io::Read, path: &Path) -> Result<(u64, u64), SpillError> {
+/// Read a run-file header, leaving the reader positioned at the first
+/// record. Returns the record count.
+fn read_header(r: &mut impl io::Read, path: &Path) -> Result<u64, SpillError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)
         .map_err(|e| SpillError::from_io(path, e))?;
@@ -400,9 +359,7 @@ fn read_header(r: &mut impl io::Read, path: &Path) -> Result<(u64, u64), SpillEr
             detail: format!("bad magic {magic:02x?}"),
         });
     }
-    let aux_len = binio::read_u64(r).map_err(|e| SpillError::from_io(path, e))?;
-    let record_count = binio::read_u64(r).map_err(|e| SpillError::from_io(path, e))?;
-    Ok((aux_len, record_count))
+    binio::read_u64(r).map_err(|e| SpillError::from_io(path, e))
 }
 
 /// A run file opened for streaming record decode: the bounded
@@ -414,14 +371,14 @@ pub(crate) struct RunRecordSource {
 }
 
 impl RunRecordSource {
-    /// Open `run`, skip its aux block, and position at the first
-    /// record. Decode is count-driven, so a truncated file surfaces as
+    /// Open `run` and position at the first record. Decode is
+    /// count-driven, so a truncated file surfaces as
     /// `UnexpectedEof` mid-stream rather than silently ending early.
     fn open(run: &RunRef) -> Result<RunRecordSource, SpillError> {
         let path = run.path.clone();
         let file = File::open(&path).map_err(|e| SpillError::from_io(&path, e))?;
         let mut reader = BufReader::with_capacity(READ_AHEAD, file);
-        let (aux_len, record_count) = read_header(&mut reader, &path)?;
+        let record_count = read_header(&mut reader, &path)?;
         if record_count != run.records {
             return Err(SpillError::Corrupt {
                 path,
@@ -431,26 +388,11 @@ impl RunRecordSource {
                 ),
             });
         }
-        skip_bytes(&mut reader, aux_len, &path)?;
         Ok(RunRecordSource {
             path,
             reader,
             remaining: record_count,
         })
-    }
-}
-
-/// Skip `n` bytes of an open run reader (the aux block) without
-/// reading them into memory.
-fn skip_bytes(r: &mut BufReader<File>, n: u64, path: &Path) -> Result<(), SpillError> {
-    match i64::try_from(n) {
-        Ok(delta) => r
-            .seek_relative(delta)
-            .map_err(|e| SpillError::from_io(path, e)),
-        Err(_) => Err(SpillError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("implausible aux length {n}"),
-        }),
     }
 }
 
@@ -526,17 +468,25 @@ mod tests {
         let dir = test_dir("corrupt");
         fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("run-0-0.bin");
-        fs::write(&path, b"NOTARUN!").expect("write");
-        let run = RunRef {
-            path: path.clone(),
-            records: 1,
-            aux: false,
-            bytes: 8,
-        };
-        match RunRecordSource::open(&run) {
-            Err(SpillError::Corrupt { .. }) => {}
-            Err(other) => panic!("expected Corrupt, got {other:?}"),
-            Ok(_) => panic!("expected Corrupt, got a source"),
+        // A stale run in the old format (`OPMLRUN1 | aux_len | count`)
+        // must fail on its magic, not be misread as a record count.
+        let mut stale = b"OPMLRUN1".to_vec();
+        binio::put_u64(&mut stale, 0);
+        binio::put_u64(&mut stale, 1);
+        for contents in [b"NOTARUN!".to_vec(), stale] {
+            fs::write(&path, &contents).expect("write");
+            let run = RunRef {
+                path: path.clone(),
+                records: 1,
+                bytes: contents.len() as u64,
+            };
+            match RunRecordSource::open(&run) {
+                Err(SpillError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("bad magic"), "{detail}");
+                }
+                Err(other) => panic!("expected Corrupt, got {other:?}"),
+                Ok(_) => panic!("expected Corrupt, got a source"),
+            }
         }
         let _ = fs::remove_file(&path);
         let _ = fs::remove_dir(&dir);

@@ -19,7 +19,7 @@
 //!
 //! With a spill directory (`--spill-dir`) or a memory budget the
 //! estimated in-memory peak would exceed (`--mem-budget-mb`), each arm
-//! runs with [`Storage::Spill`]: shard outputs go to on-disk runs, so
+//! runs with [`Storage::Spill`]: shard ledgers go to on-disk runs, so
 //! peak RSS is O(shard), not O(cohort). The stream is byte-identical to
 //! the in-memory merge, hence so is the digest — the sharded
 //! differential test and the `check.sh` forced-spill smoke pin this

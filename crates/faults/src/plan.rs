@@ -1,7 +1,6 @@
 //! The seeded fault plan: replay-stable injection decisions.
 
 use opml_simkernel::{split_seed, Rng};
-use opml_testbed::flavor::FlavorId;
 use serde::{Deserialize, Serialize};
 
 /// Where a fault can be injected — the testbed seams the semester and
@@ -123,41 +122,17 @@ impl FaultRates {
 pub struct FaultPlan {
     seed: u64,
     rates: FaultRates,
-    /// Per-`(kind, flavor)` rate overrides (e.g. flaky GPU nodes), kept
-    /// sorted so serialization and iteration order are stable.
-    overrides: Vec<(FaultKind, FlavorId, f64)>,
 }
 
 impl FaultPlan {
     /// A plan with the given seed and base rates.
     pub fn new(seed: u64, rates: FaultRates) -> FaultPlan {
-        FaultPlan {
-            seed,
-            rates,
-            overrides: Vec::new(),
-        }
+        FaultPlan { seed, rates }
     }
 
     /// The inert plan: never fires, never draws.
     pub fn none() -> FaultPlan {
         FaultPlan::new(0, FaultRates::none())
-    }
-
-    /// Override the rate of `kind` for one flavor (builder style).
-    pub fn with_flavor_rate(mut self, kind: FaultKind, flavor: FlavorId, rate: f64) -> FaultPlan {
-        let rate = rate.clamp(0.0, 1.0);
-        match self
-            .overrides
-            .iter_mut()
-            .find(|(k, f, _)| *k == kind && *f == flavor)
-        {
-            Some(slot) => slot.2 = rate,
-            None => {
-                self.overrides.push((kind, flavor, rate));
-                self.overrides.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-            }
-        }
-        self
     }
 
     /// The plan seed.
@@ -170,21 +145,14 @@ impl FaultPlan {
         &self.rates
     }
 
-    /// Effective rate for a kind at a flavor.
-    pub fn rate(&self, kind: FaultKind, flavor: Option<FlavorId>) -> f64 {
-        flavor
-            .and_then(|f| {
-                self.overrides
-                    .iter()
-                    .find(|(k, of, _)| *k == kind && *of == f)
-                    .map(|&(_, _, r)| r)
-            })
-            .unwrap_or_else(|| self.rates.rate(kind))
+    /// Rate for a kind.
+    pub fn rate(&self, kind: FaultKind) -> f64 {
+        self.rates.rate(kind)
     }
 
-    /// True when no query can ever fire (zero rates, no overrides above 0).
+    /// True when no query can ever fire (every rate is zero).
     pub fn is_inert(&self) -> bool {
-        self.rates.is_zero() && self.overrides.iter().all(|&(_, _, r)| r <= 0.0)
+        self.rates.is_zero()
     }
 
     /// The decision stream for `(kind, site, attempt)`.
@@ -196,14 +164,8 @@ impl FaultPlan {
     ///
     /// Zero-rate queries return `false` without constructing a stream, so
     /// an inert plan is free and byte-identical to no plan.
-    pub fn fires(
-        &self,
-        kind: FaultKind,
-        flavor: Option<FlavorId>,
-        site: u64,
-        attempt: u32,
-    ) -> bool {
-        let rate = self.rate(kind, flavor);
+    pub fn fires(&self, kind: FaultKind, site: u64, attempt: u32) -> bool {
+        let rate = self.rate(kind);
         if rate <= 0.0 {
             return false;
         }
@@ -240,7 +202,7 @@ mod tests {
         assert!(plan.is_inert());
         for &kind in &FaultKind::ALL {
             for site in 0..100 {
-                assert!(!plan.fires(kind, None, site, 0));
+                assert!(!plan.fires(kind, site, 0));
             }
         }
     }
@@ -249,7 +211,7 @@ mod tests {
     fn full_rate_always_fires() {
         let plan = FaultPlan::new(7, FaultRates::uniform(1.0));
         for &kind in &FaultKind::ALL {
-            assert!(plan.fires(kind, None, 42, 3));
+            assert!(plan.fires(kind, 42, 3));
         }
     }
 
@@ -258,8 +220,8 @@ mod tests {
         let plan = FaultPlan::new(99, FaultRates::uniform(0.3));
         for &kind in &FaultKind::ALL {
             for site in 0..200u64 {
-                let a = plan.fires(kind, None, site, 1);
-                let b = plan.fires(kind, None, site, 1);
+                let a = plan.fires(kind, site, 1);
+                let b = plan.fires(kind, site, 1);
                 assert_eq!(a, b);
             }
         }
@@ -269,8 +231,8 @@ mod tests {
     fn sites_and_attempts_decorrelate() {
         let plan = FaultPlan::new(5, FaultRates::uniform(0.5));
         let hits = |f: &dyn Fn(u64) -> bool| (0..1000).filter(|&i| f(i)).count();
-        let by_site = hits(&|i| plan.fires(FaultKind::LaunchFail, None, i, 0));
-        let by_attempt = hits(&|i| plan.fires(FaultKind::LaunchFail, None, 7, i as u32));
+        let by_site = hits(&|i| plan.fires(FaultKind::LaunchFail, i, 0));
+        let by_attempt = hits(&|i| plan.fires(FaultKind::LaunchFail, 7, i as u32));
         // Roughly half fire either way; neither collapses to all/none.
         assert!((300..700).contains(&by_site), "{by_site}");
         assert!((300..700).contains(&by_attempt), "{by_attempt}");
@@ -281,23 +243,10 @@ mod tests {
         let plan = FaultPlan::new(11, FaultRates::uniform(0.2));
         let n = 20_000;
         let fired = (0..n)
-            .filter(|&i| plan.fires(FaultKind::InstanceCrash, None, i, 0))
+            .filter(|&i| plan.fires(FaultKind::InstanceCrash, i, 0))
             .count();
         let observed = fired as f64 / n as f64;
         assert!((observed - 0.2).abs() < 0.02, "observed {observed}");
-    }
-
-    #[test]
-    fn flavor_override_applies() {
-        let plan = FaultPlan::new(3, FaultRates::none()).with_flavor_rate(
-            FaultKind::LaunchFail,
-            FlavorId::GpuV100,
-            1.0,
-        );
-        assert!(!plan.is_inert());
-        assert!(plan.fires(FaultKind::LaunchFail, Some(FlavorId::GpuV100), 1, 0));
-        assert!(!plan.fires(FaultKind::LaunchFail, Some(FlavorId::M1Small), 1, 0));
-        assert!(!plan.fires(FaultKind::LaunchFail, None, 1, 0));
     }
 
     #[test]
@@ -323,11 +272,7 @@ mod tests {
 
     #[test]
     fn serialization_is_stable() {
-        let plan = FaultPlan::new(21, FaultRates::uniform(0.1)).with_flavor_rate(
-            FaultKind::SpotPreempt,
-            FlavorId::GpuA100Pcie,
-            0.9,
-        );
+        let plan = FaultPlan::new(21, FaultRates::uniform(0.1));
         let a = serde_json::to_string(&plan).expect("serialize");
         let b = serde_json::to_string(&plan.clone()).expect("serialize");
         assert_eq!(a, b);

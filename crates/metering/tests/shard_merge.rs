@@ -29,7 +29,7 @@ fn record(student: u32, kind_sel: usize, start: u64, len: u64) -> UsageRecord {
     let kind = match kind_sel % 6 {
         0 | 1 => UsageKind::Instance {
             flavor: flavors[kind_sel % flavors.len()],
-            auto_terminated: kind_sel % 2 == 0,
+            auto_terminated: kind_sel.is_multiple_of(2),
         },
         2 => UsageKind::FloatingIp,
         3 => UsageKind::Volume {

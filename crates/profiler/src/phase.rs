@@ -51,7 +51,7 @@ pub mod phases {
     pub const MERGE_METRICS: &str = "merge.metrics";
     /// K-way merge of shard ledgers.
     pub const MERGE_LEDGER: &str = "merge.ledger";
-    /// Encoding shard output into on-disk spill runs (out-of-core
+    /// Encoding shard ledgers into on-disk spill runs (out-of-core
     /// path), plus intermediate merge passes that rewrite runs.
     pub const MERGE_SPILL: &str = "merge.spill";
     /// Final streaming k-way merge over on-disk runs (decode +

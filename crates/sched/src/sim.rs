@@ -162,17 +162,15 @@ impl SchedSim {
         let mut preempted: HashMap<usize, SimDuration> = HashMap::new();
         let mut discarded: Vec<bool> = Vec::new();
 
-        loop {
-            let Some(now) = [
-                arrivals.peek().map(|j| j.submit),
-                requeues.peek_time(),
-                completions.peek_time(),
-            ]
-            .into_iter()
-            .flatten()
-            .min() else {
-                break;
-            };
+        while let Some(now) = [
+            arrivals.peek().map(|j| j.submit),
+            requeues.peek_time(),
+            completions.peek_time(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        {
             // Free completed jobs first so arrivals at `now` can use them.
             for (end, idx) in completions.pop_due(now) {
                 // detlint::allow(DL008): completion indices are outcome positions recorded at start
@@ -307,10 +305,7 @@ impl SchedSim {
         // reclaim lands 10–90% of the way through, so every segment
         // makes progress and restart chains terminate.
         let site = site_key(&format!("job-{}", job.id.0));
-        if self
-            .faults
-            .fires(FaultKind::SpotPreempt, None, site, restarts)
-        {
+        if self.faults.fires(FaultKind::SpotPreempt, site, restarts) {
             let frac = self
                 .faults
                 .fraction(FaultKind::SpotPreempt, site, restarts, 0.1, 0.9);

@@ -62,11 +62,9 @@ impl OpCounts {
     /// Unserved fraction in parts-per-million (integer, digest-safe);
     /// 0 when nothing was generated.
     pub fn failure_ppm(&self) -> u64 {
-        if self.generated == 0 {
-            0
-        } else {
-            self.unserved() * 1_000_000 / self.generated
-        }
+        (self.unserved() * 1_000_000)
+            .checked_div(self.generated)
+            .unwrap_or(0)
     }
 }
 

@@ -438,10 +438,7 @@ impl Service {
         let ti = op.tenant as usize;
         match op.kind {
             OpKind::Launch => {
-                if self
-                    .plan
-                    .fires(FaultKind::LaunchFail, Some(op.vm_flavor), op.id, attempt)
-                {
+                if self.plan.fires(FaultKind::LaunchFail, op.id, attempt) {
                     self.inject(op, acc);
                     return Err(CloudError::TransientFault {
                         op: "create_instance",
@@ -455,10 +452,7 @@ impl Service {
                 Ok(())
             }
             OpKind::Terminate => {
-                if self
-                    .plan
-                    .fires(FaultKind::InstanceCrash, None, op.id, attempt)
-                {
+                if self.plan.fires(FaultKind::InstanceCrash, op.id, attempt) {
                     self.inject(op, acc);
                     return Err(CloudError::TransientFault {
                         op: "delete_instance",
@@ -479,10 +473,7 @@ impl Service {
                 }
             }
             OpKind::Reserve => {
-                if self
-                    .plan
-                    .fires(FaultKind::LeaseRevoke, Some(op.bm_flavor), op.id, attempt)
-                {
+                if self.plan.fires(FaultKind::LeaseRevoke, op.id, attempt) {
                     self.inject(op, acc);
                     return Err(CloudError::TransientFault { op: "reserve" });
                 }

@@ -78,18 +78,6 @@ impl Sym {
     pub fn id(self) -> u32 {
         self.0
     }
-
-    /// Reconstruct a symbol from a raw id, validating it against the
-    /// current table. Returns `None` for ids the interner has never
-    /// assigned — the spill-run decoder uses this so a corrupt id
-    /// surfaces as a typed error instead of resolving to `""`.
-    pub fn from_id(id: u32) -> Option<Sym> {
-        if (id as usize) < INTERNER.read().names.len() {
-            Some(Sym(id))
-        } else {
-            None
-        }
-    }
 }
 
 impl Deref for Sym {
@@ -157,9 +145,8 @@ pub fn intern(name: &str) -> Sym {
     intern_slow(name, None)
 }
 
-/// Intern a `'static` string without copying it (preseed path, and the
-/// spill codec's attribute-key table — keys are `&'static str` by
-/// construction, so interning them costs no leak).
+/// Intern a `'static` string without copying it (the preseed path):
+/// the table stores the caller's `&'static str`, so nothing is leaked.
 pub fn intern_static(name: &'static str) -> Sym {
     {
         let interner = INTERNER.read();
@@ -240,14 +227,6 @@ mod tests {
         preseed(&["test.intern.pre_a", "test.intern.pre_b"]);
         let _ = Sym::new("test.intern.pre_a");
         assert_eq!(interned_count(), before);
-    }
-
-    #[test]
-    fn from_id_validates_against_the_table() {
-        let _guard = crate::intern_lock();
-        let s = Sym::new("test.intern.from_id");
-        assert_eq!(Sym::from_id(s.id()), Some(s));
-        assert_eq!(Sym::from_id(u32::MAX), None);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod intern;
 pub mod metrics;
 pub mod sink;
 pub mod span;
-pub mod spillcodec;
 
 pub use event::{Attr, AttrValue, EventPhase, TelemetryEvent, HARNESS_TRACK, NARRATE, TRACK_ATTR};
 pub use export::{export_chrome_trace, export_jsonl};

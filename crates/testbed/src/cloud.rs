@@ -129,10 +129,7 @@ impl Cloud {
             // `None` is legitimate here — the lease was admitted but never
             // provisioned against, or was revoked early (revoke_lease
             // already drained its instances). Anything else is a bug.
-            let ids = match self.lease_instances.remove(&lease_id) {
-                Some(ids) => ids,
-                None => Vec::new(),
-            };
+            let ids = self.lease_instances.remove(&lease_id).unwrap_or_default();
             for id in ids {
                 if self.instances.get(&id).is_some_and(Instance::is_active) {
                     self.close_instance(id, end_time, InstanceState::AutoTerminated);
@@ -383,10 +380,7 @@ impl Cloud {
     pub fn revoke_lease(&mut self, lease_id: LeaseId) -> Result<Vec<InstanceId>, CloudError> {
         self.calendar.revoke(lease_id, self.now)?;
         // `None` just means nothing was provisioned against the lease yet.
-        let ids = match self.lease_instances.remove(&lease_id) {
-            Some(ids) => ids,
-            None => Vec::new(),
-        };
+        let ids = self.lease_instances.remove(&lease_id).unwrap_or_default();
         let mut terminated = Vec::new();
         for id in ids {
             if self.instances.get(&id).is_some_and(Instance::is_active) {

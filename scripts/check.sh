@@ -27,8 +27,8 @@ done
 echo "==> detlint (workspace, gated on detlint.baseline.json)"
 cargo run --release -q -p opml-detlint --bin detlint -- --baseline detlint.baseline.json
 
-echo "==> cargo clippy (detlint crate, deny warnings)"
-cargo clippy -q -p opml-detlint --all-targets -- -D warnings
+echo "==> cargo clippy (workspace, deny warnings)"
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace

@@ -502,7 +502,8 @@ pub fn run_all_units(seed: u64) -> Vec<LabWorkOutcome> {
 pub fn run_all_units_with(seed: u64, telemetry: &opml_telemetry::Telemetry) -> Vec<LabWorkOutcome> {
     use opml_simkernel::SimTime;
     use opml_telemetry::{narrate, HARNESS_TRACK, TRACK_ATTR};
-    let units: [(&str, fn(u64) -> LabWorkOutcome, u64); 7] = [
+    type UnitBody = fn(u64) -> LabWorkOutcome;
+    let units: [(&str, UnitBody, u64); 7] = [
         ("unit 2 (cloud computing)", unit2_cloud_computing, seed),
         ("unit 3 (MLOps pipeline)", unit3_mlops, seed),
         ("unit 4 (training at scale)", unit4_train_at_scale, seed + 1),

@@ -8,7 +8,8 @@
 //! JSONL, ledger bytes, metrics snapshot, scalar counters and fault
 //! stats, the streamed outcome digest, and folded span stacks. Along
 //! the way it pins spill hygiene (directories end empty; a one-shard
-//! cohort touches no disk) and the intern table settling after the
+//! cohort touches no disk; a run file holds its header and the shard's
+//! records, nothing else) and the intern table settling after the
 //! first run. Each suite runs the reference plus its own slice of the
 //! arm matrix.
 
@@ -25,6 +26,9 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 pub(crate) const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// A spill run's header: 8 bytes of magic and a `u64` record count.
+const RUN_HEADER_BYTES: u64 = 16;
 
 /// Every differential test interns event names into the process-global
 /// intern table, and the runs assert the table stops growing; each test
@@ -122,14 +126,24 @@ impl RunBytes {
 }
 
 /// Run one arm with recording telemetry; the sink both materializes the
-/// ledger and folds the streamed outcome digest.
+/// ledger and folds the streamed outcome digest. A spill arm also sums
+/// the encoded size of the delivered records and holds its shard runs
+/// to exactly that plus one header each: the trace stays in memory.
 pub(crate) fn run(config: &SemesterConfig, seed: u64, arm: &Arm) -> (RunBytes, StreamOutcome) {
     let sink = MemorySink::new();
     let telemetry = Telemetry::with_sink(sink.clone());
     let mut ledger = Ledger::new();
     let mut digest = OutcomeDigest::new();
+    let spills = arm.spills();
+    let mut encoded = Vec::new();
+    let mut encoded_bytes = 0u64;
     let mut simulate = || {
         let mut consume = |r: UsageRecord| {
+            if spills {
+                encoded.clear();
+                r.encode_into(&mut encoded);
+                encoded_bytes += encoded.len() as u64;
+            }
             digest.push(&r);
             ledger.push(r);
         };
@@ -146,6 +160,17 @@ pub(crate) fn run(config: &SemesterConfig, seed: u64, arm: &Arm) -> (RunBytes, S
         "{}: outcome record count must match delivered records",
         arm.name
     );
+    let stats = &outcome.stats;
+    if stats.shard_runs > 0 {
+        // Harness configs stay within the default fan-in, so every
+        // record is spilled exactly once, by its shard's run.
+        assert_eq!(
+            stats.spilled_bytes,
+            RUN_HEADER_BYTES * stats.shard_runs as u64 + encoded_bytes,
+            "{}: spill runs must hold only their headers and records ({stats:?})",
+            arm.name
+        );
+    }
     let events = sink.take_events();
     let bytes = RunBytes {
         trace: export_jsonl(&events),
@@ -186,7 +211,10 @@ pub(crate) fn every_exec_matches_the_reference(
         interned_count() > 0,
         "a telemetry-enabled run must intern names"
     );
-    let mut settled = None;
+    // The reference may intern names no earlier test touched; no later
+    // run may grow the table — the emit hot path only ever sees the
+    // read-lock fast path once the vocabulary exists.
+    let settled = interned_count();
     for arm in arms.filter(|arm| keep(arm)) {
         let (bytes, outcome) = run(config, 42, &arm);
         if let Some(part) = reference.diff(&bytes) {
@@ -195,15 +223,9 @@ pub(crate) fn every_exec_matches_the_reference(
                 arm.name
             );
         }
-        // The first run under each storage (the reference, then the
-        // first spill run, whose decoding interns the codec's attribute
-        // keys) may intern names no earlier test touched; no later run
-        // may grow the table — the emit hot path only ever sees the
-        // read-lock fast path once the vocabulary exists.
-        let count = interned_count();
         assert_eq!(
-            *settled.get_or_insert(count),
-            count,
+            interned_count(),
+            settled,
             "{tag}: intern table grew on the {} run",
             arm.name
         );
