@@ -26,9 +26,13 @@
 //! cohort-mean wall duration hits the paper's observed per-student mean
 //! for that lab (Table 1 hours ÷ 191 ÷ node count) — see
 //! [`observed_mean_wall`].
+//!
+//! A shard takes each student's draws in one call, `sample_student`,
+//! before it books anything.
 
 use crate::labspec::LabSpec;
-use opml_simkernel::Rng;
+use opml_simkernel::{split_seed, Rng, SimDuration, SimTime};
+use opml_testbed::FlavorId;
 use serde::{Deserialize, Serialize};
 
 /// Probability a student is tidy (prompt teardown).
@@ -195,6 +199,55 @@ impl StudentProfile {
     /// lab (uniform over the first five days).
     pub fn start_offset_hours(&self, rng: &mut Rng) -> f64 {
         rng.range_f64(0.0, 120.0)
+    }
+}
+
+/// One step of a student's semester: drawn, not yet booked.
+#[derive(Debug)]
+pub(crate) enum Intent<'s> {
+    /// Deploy VM lab `spec` at `at` for `wall`.
+    Vm {
+        spec: &'s LabSpec,
+        at: SimTime,
+        wall: SimDuration,
+    },
+    /// Start a leased lab: its first session searches from `at`.
+    Leased { at: SimTime },
+    /// Book one session of leased lab `spec` on `flavor`.
+    Session { spec: &'s LabSpec, flavor: FlavorId },
+}
+
+/// Draw every behaviour choice student `sid` makes, in lab order, into
+/// `intents` (cleared first). Only the student's own stream is read, so
+/// no draw can depend on what booking later finds: a session the
+/// calendar skips has still drawn its flavor. VM walls are capped at
+/// `vm_cap` (the auto-termination ablation).
+pub(crate) fn sample_student<'s>(
+    specs: &'s [LabSpec],
+    seed: u64,
+    sid: u32,
+    vm_cap: Option<SimDuration>,
+    intents: &mut Vec<Intent<'s>>,
+) {
+    intents.clear();
+    let mut rng = Rng::new(split_seed(seed, u64::from(sid)));
+    let profile = StudentProfile::sample(sid, &mut rng);
+    for spec in specs {
+        let week_start = SimTime::at(spec.week, 0, 0, 0);
+        let at = week_start + SimDuration::from_hours_f64(profile.start_offset_hours(&mut rng));
+        if spec.is_leased() {
+            intents.push(Intent::Leased { at });
+            for _ in 0..profile.slots_booked(spec, &mut rng) {
+                let flavor = profile.pick_flavor(spec, &mut rng);
+                intents.push(Intent::Session { spec, flavor });
+            }
+        } else {
+            let mut wall = SimDuration::from_hours_f64(profile.vm_wall_hours(spec, &mut rng));
+            if let Some(cap) = vm_cap {
+                wall = wall.min(cap);
+            }
+            intents.push(Intent::Vm { spec, at, wall });
+        }
     }
 }
 

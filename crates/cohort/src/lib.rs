@@ -15,10 +15,13 @@
 //! * [`project`] — 48 groups of 3–4 students (191 total) with
 //!   light/medium/heavy intensity classes generating the §5 project-phase
 //!   usage (VM services, GPU training sessions, bare-metal data
-//!   pipelines, edge deployments, block/object storage).
-//! * [`semester`] — the discrete-event driver: plans per-student
-//!   deployments and reservations, plays them time-ordered against the
-//!   cloud, and returns the closed usage ledger.
+//!   pipelines, edge deployments, block/object storage), booked into
+//!   the same event queue as the students' labs, kind by kind.
+//! * [`semester`] — the discrete-event simulation. Each shard samples every
+//!   student's draws from the student's own stream, books them against
+//!   the reservation calendar into one event queue, then executes the
+//!   queue time-ordered against the cloud and returns the closed usage
+//!   ledger.
 //!
 //! Lab durations come from [`labspec`] and [`behavior`]'s calibrated
 //! model, not from running any lab, so this crate depends on neither

@@ -13,8 +13,8 @@
 //! numerically given in the paper; the flavor mixes here are our
 //! documented assumption (see EXPERIMENTS.md).
 
-use crate::semester::{PlannedLease, PlannedVm, PlannedVolume};
-use opml_simkernel::{split_seed, Rng, SimDuration, SimTime};
+use crate::semester::{Ev, PlannedVm, PlannedVolume};
+use opml_simkernel::{split_seed, EventQueue, Rng, SimDuration, SimTime};
 use opml_testbed::flavor::FlavorId;
 use opml_testbed::Cloud;
 use serde::{Deserialize, Serialize};
@@ -87,52 +87,33 @@ impl Intensity {
     }
 }
 
-/// The planned project-phase actions.
-#[derive(Debug, Default)]
-pub struct ProjectPlan {
-    /// VM service deployments.
-    pub vms: Vec<PlannedVm>,
-    /// Lease-backed deployments (GPU/bare-metal/edge sessions).
-    pub leases: Vec<PlannedLease>,
-    /// Block volumes.
-    pub volumes: Vec<PlannedVolume>,
-    /// Object buckets `(name, gb, at)`.
-    pub buckets: Vec<(String, f64, SimTime)>,
-}
-
-/// Plan all project-phase usage for groups `0..GROUPS`. Leases are
-/// admitted against the cloud's reservation calendar here (reservations
-/// are future-dated); the semester driver executes the plan in time
-/// order.
-pub fn plan_projects(
-    cloud: &mut Cloud,
-    window_start: SimTime,
-    window_end: SimTime,
-    seed: u64,
-) -> ProjectPlan {
-    plan_projects_range(cloud, window_start, window_end, seed, 0..GROUPS)
-}
-
-/// Plan project-phase usage for a contiguous range of **global** group
-/// ids (the sharded semester gives each shard its own id range).
+/// Book project-phase usage for a contiguous range of **global** group
+/// ids (the sharded semester gives each shard its own id range) into
+/// the shard's event queue. Leases are admitted against the cloud's
+/// reservation calendar here (reservations are future-dated); the
+/// shard then executes the queue in time order.
 ///
 /// Group `g`'s RNG stream, resource names (`proj-g<g>-…`) and per-group
 /// budgets depend only on `g` and `seed` — never on the range bounds —
 /// so planning groups `0..48` in one call or in two split calls against
 /// independent campuses draws identical per-group decisions (only
 /// calendar contention differs, and each shard owns its own calendar).
-pub fn plan_projects_range(
+///
+/// Same-minute events pop in push order, and projects queue kind by
+/// kind: every group's VMs, then every lease, volume and bucket.
+pub(crate) fn plan_projects_range(
     cloud: &mut Cloud,
+    queue: &mut EventQueue<Ev>,
     window_start: SimTime,
     window_end: SimTime,
     seed: u64,
     groups: std::ops::Range<u32>,
-) -> ProjectPlan {
+) {
     assert!(window_end > window_start);
     let window_h = (window_end - window_start).as_hours_f64();
-    let mut plan = ProjectPlan::default();
     let vm_weights: Vec<f64> = VM_MIX.iter().map(|&(_, w)| w).collect();
     let gpu_weights: Vec<f64> = GPU_MIX.iter().map(|&(_, w)| w).collect();
+    let (mut leases, mut volumes, mut buckets) = (Vec::new(), Vec::new(), Vec::new());
 
     let mut total_block_gb = 0u64;
     for g in groups {
@@ -140,6 +121,36 @@ pub fn plan_projects_range(
         let intensity = Intensity::sample(&mut rng);
         let m = intensity.multiplier();
         let gname = |suffix: &str| format!("proj-g{g:02}-{suffix}");
+        // Reserve one `hours`-long session under the name `kind`, and
+        // keep its lease-up, which runs as `kind<index>`. A session the
+        // calendar cannot place, or cannot end by `latest_end`, is
+        // skipped.
+        let mut book = |kind: &str,
+                        index: u32,
+                        flavor: FlavorId,
+                        preferred: SimTime,
+                        hours: f64,
+                        latest_end: Option<SimTime>| {
+            let dur = SimDuration::from_hours_f64(hours);
+            let Some(start) = cloud.earliest_slot(flavor, 1, dur, preferred) else {
+                return;
+            };
+            if latest_end.is_some_and(|end| start + dur > end) {
+                return;
+            }
+            // Slot search admitted this window, so the reserve should
+            // succeed; if it races anything, skip the session rather
+            // than abort the plan.
+            if let Ok(lease) = cloud.reserve(flavor, 1, start, start + dur, &gname(kind)) {
+                let ev = Ev::LeaseUp {
+                    name: gname(&format!("{kind}{index}")),
+                    lease: lease.id,
+                    fip_until: start + dur,
+                    attempt: 0,
+                };
+                leases.push((start, ev));
+            }
+        };
 
         // ---- VM services -------------------------------------------
         let mut vm_budget = targets::VM_HOURS / GROUPS as f64 * m * rng.lognormal(-0.06125, 0.35);
@@ -150,17 +161,19 @@ pub fn plan_projects_range(
             let flavor = VM_MIX[rng.weighted_index(&vm_weights)].0;
             let latest_start = window_h - hours;
             let start_h = rng.range_f64(0.0, latest_start.max(1e-6));
-            plan.vms.push(PlannedVm {
-                name: gname(&format!("svc{svc}")),
-                flavor,
-                node_count: 1,
-                start: window_start + SimDuration::from_hours_f64(start_h),
-                wall: SimDuration::from_hours_f64(hours),
-                fip: svc % 3 == 0, // every third service is public-facing
-                network: svc == 0, // one private network per group
-                attempts: 0,
-                fault_attempts: 0,
-            });
+            queue.push(
+                window_start + SimDuration::from_hours_f64(start_h),
+                Ev::VmUp(PlannedVm {
+                    name: gname(&format!("svc{svc}")),
+                    flavor,
+                    node_count: 1,
+                    wall: SimDuration::from_hours_f64(hours),
+                    fip: svc % 3 == 0, // every third service is public-facing
+                    network: svc == 0, // one private network per group
+                    attempts: 0,
+                    fault_attempts: 0,
+                }),
+            );
             vm_budget -= hours;
             svc += 1;
         }
@@ -174,23 +187,9 @@ pub fn plan_projects_range(
             let flavor = GPU_MIX[rng.weighted_index(&gpu_weights)].0;
             let preferred =
                 window_start + SimDuration::from_hours_f64(rng.range_f64(0.0, window_h - hours));
-            let dur = SimDuration::from_hours_f64(hours);
-            if let Some(start) = cloud.earliest_slot(flavor, 1, dur, preferred) {
-                if start + dur <= window_end + SimDuration::weeks(1) {
-                    // Slot search admitted this window, so the reserve
-                    // should succeed; if it races anything, skip the
-                    // session rather than abort the plan.
-                    if let Ok(lease) = cloud.reserve(flavor, 1, start, start + dur, &gname("train"))
-                    {
-                        plan.leases.push(PlannedLease {
-                            name: gname(&format!("train{session}")),
-                            lease: lease.id,
-                            start,
-                            end: start + dur,
-                        });
-                    }
-                }
-            }
+            // Only training must end within a week of the window.
+            let latest_end = window_end + SimDuration::weeks(1);
+            book("train", session, flavor, preferred, hours, Some(latest_end));
             gpu_budget -= hours;
             session += 1;
         }
@@ -204,25 +203,8 @@ pub fn plan_projects_range(
                 let hours = rng.range_f64(4.0, 12.0).min(bm_budget.max(4.0));
                 let preferred = window_start
                     + SimDuration::from_hours_f64(rng.range_f64(0.0, window_h - hours));
-                let dur = SimDuration::from_hours_f64(hours);
-                if let Some(start) =
-                    cloud.earliest_slot(FlavorId::ComputeCascadeLake, 1, dur, preferred)
-                {
-                    if let Ok(lease) = cloud.reserve(
-                        FlavorId::ComputeCascadeLake,
-                        1,
-                        start,
-                        start + dur,
-                        &gname("etl"),
-                    ) {
-                        plan.leases.push(PlannedLease {
-                            name: gname(&format!("etl{batch}")),
-                            lease: lease.id,
-                            start,
-                            end: start + dur,
-                        });
-                    }
-                }
+                let flavor = FlavorId::ComputeCascadeLake;
+                book("etl", batch, flavor, preferred, hours, None);
                 bm_budget -= hours;
                 batch += 1;
             }
@@ -237,24 +219,7 @@ pub fn plan_projects_range(
                 let hours = rng.range_f64(2.0, 5.0).min(edge_budget.max(2.0));
                 let preferred = window_start
                     + SimDuration::from_hours_f64(rng.range_f64(0.0, window_h - hours));
-                let dur = SimDuration::from_hours_f64(hours);
-                if let Some(start) = cloud.earliest_slot(FlavorId::RaspberryPi5, 1, dur, preferred)
-                {
-                    if let Ok(lease) = cloud.reserve(
-                        FlavorId::RaspberryPi5,
-                        1,
-                        start,
-                        start + dur,
-                        &gname("edge"),
-                    ) {
-                        plan.leases.push(PlannedLease {
-                            name: gname(&format!("edge{dev}")),
-                            lease: lease.id,
-                            start,
-                            end: start + dur,
-                        });
-                    }
-                }
+                book("edge", dev, FlavorId::RaspberryPi5, preferred, hours, None);
                 edge_budget -= hours;
                 dev += 1;
             }
@@ -265,38 +230,63 @@ pub fn plan_projects_range(
         // Respect the 10 TB project quota across all groups.
         let gb = want_gb.min(10_240u64.saturating_sub(total_block_gb)).max(2);
         total_block_gb += gb;
-        plan.volumes.push(PlannedVolume {
-            name: gname("data"),
-            gb,
-            start: window_start + SimDuration::hours(rng.range_u64(0, 48)),
-            end: window_end,
-            attempts: 0,
-        });
-        plan.buckets.push((
-            gname("bucket"),
-            targets::OBJECT_GB / GROUPS as f64 * m * rng.lognormal(-0.08, 0.4),
-            window_start + SimDuration::hours(rng.range_u64(0, 72)),
+        volumes.push((
+            window_start + SimDuration::hours(rng.range_u64(0, 48)),
+            Ev::VolUp(PlannedVolume {
+                name: gname("data"),
+                gb,
+                end: window_end,
+                attempts: 0,
+            }),
         ));
+        let bucket_gb = targets::OBJECT_GB / GROUPS as f64 * m * rng.lognormal(-0.08, 0.4);
+        let bucket_at = window_start + SimDuration::hours(rng.range_u64(0, 72));
+        let bucket = Ev::BucketPut {
+            name: gname("bucket"),
+            gb: bucket_gb,
+        };
+        buckets.push((bucket_at, bucket));
     }
-    plan
+    // The VMs are already queued; the other kinds follow in turn.
+    for (at, ev) in leases.into_iter().chain(volumes).chain(buckets) {
+        queue.push(at, ev);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn plan_fixture(seed: u64) -> (Cloud, ProjectPlan) {
+    /// Plan all groups against a fresh campus and pop the queue in time
+    /// order.
+    fn plan_fixture(seed: u64) -> (Cloud, Vec<(SimTime, Ev)>) {
         let mut cloud = Cloud::paper_course();
+        let mut queue = EventQueue::new();
         let start = SimTime::at(8, 3, 12, 0);
         let end = SimTime::at(15, 0, 0, 0);
-        let plan = plan_projects(&mut cloud, start, end, seed);
-        (cloud, plan)
+        plan_projects_range(&mut cloud, &mut queue, start, end, seed, 0..GROUPS);
+        let events = std::iter::from_fn(|| queue.pop()).collect();
+        (cloud, events)
+    }
+
+    fn vms(events: &[(SimTime, Ev)]) -> impl Iterator<Item = &PlannedVm> {
+        events.iter().filter_map(|(_, ev)| match ev {
+            Ev::VmUp(vm) => Some(vm),
+            _ => None,
+        })
+    }
+
+    fn volumes(events: &[(SimTime, Ev)]) -> impl Iterator<Item = &PlannedVolume> {
+        events.iter().filter_map(|(_, ev)| match ev {
+            Ev::VolUp(v) => Some(v),
+            _ => None,
+        })
     }
 
     #[test]
     fn vm_hours_near_target() {
-        let (_, plan) = plan_fixture(1);
-        let total: f64 = plan.vms.iter().map(|v| v.wall.as_hours_f64()).sum();
+        let (_, events) = plan_fixture(1);
+        let total: f64 = vms(&events).map(|v| v.wall.as_hours_f64()).sum();
         assert!(
             (total / targets::VM_HOURS - 1.0).abs() < 0.15,
             "VM hours {total:.0} vs target {}",
@@ -306,12 +296,15 @@ mod tests {
 
     #[test]
     fn gpu_hours_near_target() {
-        let (_, plan) = plan_fixture(2);
-        let gpu: f64 = plan
-            .leases
+        let (_, events) = plan_fixture(2);
+        let gpu: f64 = events
             .iter()
-            .filter(|l| l.name.contains("train"))
-            .map(|l| (l.end - l.start).as_hours_f64())
+            .filter_map(|(start, ev)| match ev {
+                Ev::LeaseUp {
+                    name, fip_until, ..
+                } if name.contains("train") => Some((*fip_until - *start).as_hours_f64()),
+                _ => None,
+            })
             .sum();
         assert!(
             (gpu / targets::GPU_HOURS - 1.0).abs() < 0.25,
@@ -322,15 +315,21 @@ mod tests {
 
     #[test]
     fn storage_near_targets_and_within_quota() {
-        let (_, plan) = plan_fixture(3);
-        let block: u64 = plan.volumes.iter().map(|v| v.gb).sum();
+        let (_, events) = plan_fixture(3);
+        let block: u64 = volumes(&events).map(|v| v.gb).sum();
         assert!(block <= 10_240, "block {block} exceeds quota");
         assert!(
             (block as f64 / targets::BLOCK_GB - 1.0).abs() < 0.25,
             "block {block} vs target {}",
             targets::BLOCK_GB
         );
-        let object: f64 = plan.buckets.iter().map(|(_, gb, _)| gb).sum();
+        let object: f64 = events
+            .iter()
+            .filter_map(|(_, ev)| match ev {
+                Ev::BucketPut { gb, .. } => Some(gb),
+                _ => None,
+            })
+            .sum();
         assert!(
             (object / targets::OBJECT_GB - 1.0).abs() < 0.25,
             "object {object:.0} vs target {}",
@@ -340,15 +339,15 @@ mod tests {
 
     #[test]
     fn every_group_plans_something() {
-        let (_, plan) = plan_fixture(4);
+        let (_, events) = plan_fixture(4);
         for g in 0..GROUPS {
             let prefix = format!("proj-g{g:02}-");
             assert!(
-                plan.vms.iter().any(|v| v.name.starts_with(&prefix)),
+                vms(&events).any(|v| v.name.starts_with(&prefix)),
                 "group {g} has no VM services"
             );
             assert!(
-                plan.volumes.iter().any(|v| v.name.starts_with(&prefix)),
+                volumes(&events).any(|v| v.name.starts_with(&prefix)),
                 "group {g} has no volume"
             );
         }
@@ -356,13 +355,14 @@ mod tests {
 
     #[test]
     fn leases_admitted_in_calendar() {
-        let (cloud, plan) = plan_fixture(5);
-        for l in &plan.leases {
-            assert!(
-                cloud.calendar().get(l.lease).is_some(),
-                "{} lease missing",
-                l.name
-            );
+        let (cloud, events) = plan_fixture(5);
+        for (_, ev) in &events {
+            if let Ev::LeaseUp { name, lease, .. } = ev {
+                assert!(
+                    cloud.calendar().get(*lease).is_some(),
+                    "{name} lease missing"
+                );
+            }
         }
     }
 
@@ -380,10 +380,9 @@ mod tests {
     fn deterministic() {
         let (_, a) = plan_fixture(6);
         let (_, b) = plan_fixture(6);
-        assert_eq!(a.vms.len(), b.vms.len());
-        assert_eq!(a.leases.len(), b.leases.len());
-        let key = |p: &ProjectPlan| -> Vec<(String, u64)> {
-            p.vms.iter().map(|v| (v.name.clone(), v.wall.0)).collect()
+        assert_eq!(a.len(), b.len());
+        let key = |events: &[(SimTime, Ev)]| -> Vec<(String, u64)> {
+            vms(events).map(|v| (v.name.clone(), v.wall.0)).collect()
         };
         assert_eq!(key(&a), key(&b));
     }

@@ -1,10 +1,12 @@
-//! The semester driver: plan → time-ordered execution → closed ledger.
+//! Semester simulation: sample → book → execute → closed ledger.
 //!
-//! Planning makes all bare-metal/edge reservations against the cloud's
-//! calendar (reservations are future-dated, like the real course's
-//! advance arrangements in §4), then every action is executed through a
-//! single time-ordered event queue so the cloud's clock stays monotone
-//! and lease auto-terminations fire exactly when they should.
+//! Each shard samples every student's behaviour from the student's own
+//! stream, then books it: bare-metal/edge reservations go into the
+//! cloud's calendar (reservations are future-dated, like the real
+//! course's advance arrangements in §4) and every action into one
+//! time-ordered event queue. Executing that queue keeps the cloud's
+//! clock monotone, so lease auto-terminations fire exactly when they
+//! should.
 //!
 //! ## Sharded execution
 //!
@@ -19,15 +21,15 @@
 //! and [`simulate_semester`] runs on the pool in memory. A cohort that
 //! fits in one shard takes the legacy single-campus path unchanged.
 
-use crate::behavior::StudentProfile;
+use crate::behavior::{sample_student, Intent};
 use crate::labspec::lab_specs;
-use crate::project::{plan_projects_range, ProjectPlan, GROUPS};
+use crate::project::{plan_projects_range, GROUPS};
 use crate::spill::{SpillConfig, SpillError, SpillStats, StreamOutcome};
 use opml_faults::{site_key, CircuitBreaker, FaultKind, FaultPlan, FaultProfile, FaultStats};
 use opml_metering::attribution::student_name;
 use opml_simkernel::parallel::map_slice;
 use opml_simkernel::{split_seed, EventQueue, Rng, SimDuration, SimTime};
-use opml_telemetry::{MemorySink, MetricsSnapshot, Telemetry, TelemetryEvent};
+use opml_telemetry::{AttrValue, MemorySink, MetricsSnapshot, Telemetry, TelemetryEvent};
 use opml_testbed::error::CloudError;
 use opml_testbed::flavor::FlavorId;
 use opml_testbed::instance::InstanceId;
@@ -39,57 +41,39 @@ use opml_testbed::Cloud;
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 
-/// A planned on-demand VM deployment.
-#[derive(Debug, Clone)]
-pub struct PlannedVm {
+/// A queued on-demand VM deployment.
+#[derive(Debug)]
+pub(crate) struct PlannedVm {
     /// Deployment name (attribution key; nodes get `-node<k>` suffixes).
-    pub name: String,
+    pub(crate) name: String,
     /// Flavor.
-    pub flavor: FlavorId,
+    pub(crate) flavor: FlavorId,
     /// Instances in the deployment.
-    pub node_count: u32,
-    /// Creation time.
-    pub start: SimTime,
+    pub(crate) node_count: u32,
     /// How long the deployment lives.
-    pub wall: SimDuration,
+    pub(crate) wall: SimDuration,
     /// Whether it holds a floating IP.
-    pub fip: bool,
+    pub(crate) fip: bool,
     /// Whether it creates a private network + router.
-    pub network: bool,
+    pub(crate) network: bool,
     /// Quota-retry attempts so far.
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Injected-fault retries/relaunches so far (also the attempt index
     /// for fault-plan draws, so each retry re-rolls independently).
-    pub fault_attempts: u32,
+    pub(crate) fault_attempts: u32,
 }
 
-/// A planned lease-backed deployment (instance created at lease start,
-/// auto-terminated at lease end).
-#[derive(Debug, Clone)]
-pub struct PlannedLease {
-    /// Instance/FIP name.
-    pub name: String,
-    /// Admitted lease.
-    pub lease: LeaseId,
-    /// Lease start.
-    pub start: SimTime,
-    /// Lease end.
-    pub end: SimTime,
-}
-
-/// A planned block volume.
-#[derive(Debug, Clone)]
-pub struct PlannedVolume {
+/// A queued block volume.
+#[derive(Debug)]
+pub(crate) struct PlannedVolume {
     /// Volume name.
-    pub name: String,
+    pub(crate) name: String,
     /// Size in GB.
-    pub gb: u64,
-    /// Creation time.
-    pub start: SimTime,
+    pub(crate) gb: u64,
     /// Deletion time.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Injected-fault retries so far.
-    pub attempts: u32,
+    pub(crate) attempts: u32,
 }
 
 /// Semester configuration.
@@ -225,22 +209,15 @@ pub struct SemesterOutcome {
     pub faults: FaultStats,
 }
 
-enum Ev {
+/// One queued event of a shard's semester.
+pub(crate) enum Ev {
     VmUp(PlannedVm),
-    VmDown {
-        ids: Vec<InstanceId>,
-        fip: Option<FloatingIpId>,
-        net: Option<NetworkId>,
-        vol: Option<VolumeId>,
-    },
+    VmDown(Deployment),
     /// An injected mid-lab crash of a running deployment (fault path
     /// only; never scheduled under an inert plan).
     VmCrash {
         vm: PlannedVm,
-        ids: Vec<InstanceId>,
-        fip: Option<FloatingIpId>,
-        net: Option<NetworkId>,
-        vol: Option<VolumeId>,
+        dep: Deployment,
         down_at: SimTime,
     },
     LeaseUp {
@@ -466,6 +443,10 @@ const LEDGER_RECORDS_PER_STUDENT: usize = 96;
 /// events is far below the total event count).
 const QUEUE_EVENTS_PER_STUDENT: usize = 16;
 
+/// Intent-buffer capacity: one per lab (12) plus the most sessions one
+/// student can book (26), so the buffer never grows.
+const INTENTS_PER_STUDENT: usize = 38;
+
 /// A shard's telemetry events and metrics snapshot, folded into the
 /// parent handle by the merge.
 type ShardAux = (Vec<TelemetryEvent>, MetricsSnapshot);
@@ -534,10 +515,10 @@ impl ShardStore for InMemory {
 ///
 /// Merge laws, each associative and stable under the fixed shard
 /// order: ledgers merge into the canonical record order, ties broken
-/// by shard index (exactly [`Ledger::merge_sorted`]); `u64` counters
-/// sum exactly; [`FaultStats`] sum fieldwise; telemetry buffers replay
-/// through the parent handle in shard-index order (fresh, gapless
-/// sequence stamps); metric snapshots fold via
+/// by shard index (the stable sort of their concatenation); `u64`
+/// counters sum exactly; [`FaultStats`] sum fieldwise; telemetry
+/// buffers replay through the parent handle in shard-index order
+/// (fresh, gapless sequence stamps); metric snapshots fold via
 /// [`Telemetry::merge_metrics`].
 pub(crate) fn drive<S: ShardStore>(
     config: &SemesterConfig,
@@ -659,12 +640,18 @@ fn run_shard(
     // ledger and the event queue from reallocating mid-simulation.
     // Hints, not bounds — a shard that outgrows them just grows.
     let students = shard.student_count() as usize;
-    let mut cloud = Cloud::paper_course()
-        .with_telemetry(telemetry.clone())
-        .with_ledger_capacity(students * LEDGER_RECORDS_PER_STUDENT);
-    let mut queue: EventQueue<Ev> = EventQueue::with_capacity(students * QUEUE_EVENTS_PER_STUDENT);
-    let mut slot_pushbacks = 0u64;
-    let mut fe = FaultEngine::new(&config.faults, seed);
+    let semester_end = SimTime::at(config.weeks + 1, 0, 0, 0);
+    let mut campus = Campus {
+        cloud: Cloud::paper_course()
+            .with_telemetry(telemetry.clone())
+            .with_ledger_capacity(students * LEDGER_RECORDS_PER_STUDENT),
+        queue: EventQueue::with_capacity(students * QUEUE_EVENTS_PER_STUDENT),
+        fe: FaultEngine::new(&config.faults, seed),
+        telemetry,
+        semester_end,
+        quota_denials: 0,
+        slot_pushbacks: 0,
+    };
     let plan_span = telemetry.span(SimTime::ZERO, "semester.plan", || {
         let mut attrs = vec![
             ("enrollment", shard.student_count().into()),
@@ -677,43 +664,143 @@ fn run_shard(
         attrs
     });
 
-    // ------------------------------------------------ plan student labs
     let specs = lab_specs();
+    let vm_cap = config.vm_auto_terminate_after;
+    let mut intents = Vec::with_capacity(INTENTS_PER_STUDENT);
     for sid in shard.students.clone() {
-        let mut rng = Rng::new(split_seed(seed, sid as u64));
-        let profile = StudentProfile::sample(sid, &mut rng);
-        for spec in &specs {
-            let week_start = SimTime::at(spec.week, 0, 0, 0);
-            let preferred =
-                week_start + SimDuration::from_hours_f64(profile.start_offset_hours(&mut rng));
-            if spec.is_leased() {
-                let slots = profile.slots_booked(spec, &mut rng);
-                let mut earliest = preferred;
-                for _ in 0..slots {
-                    let flavor = profile.pick_flavor(spec, &mut rng);
+        sample_student(&specs, seed, sid, vm_cap, &mut intents);
+        campus.book_student(sid, &intents);
+    }
+    if config.run_projects && !shard.groups.is_empty() {
+        let window_start = SimTime::at(8, 3, 12, 0);
+        telemetry.instant(window_start, "project.window_open", || {
+            vec![("until_min", semester_end.0.into())]
+        });
+        // The project seed and per-group streams are global (shard 0
+        // reproduces the legacy plan bit-for-bit); only the group range
+        // is shard-local.
+        plan_projects_range(
+            &mut campus.cloud,
+            &mut campus.queue,
+            window_start,
+            semester_end,
+            seed ^ 0x1234_5678,
+            shard.groups.clone(),
+        );
+    }
+    plan_span.end(SimTime::ZERO);
+
+    let exec_span = telemetry.span(SimTime::ZERO, "semester.exec", Vec::new);
+    campus.execute();
+    exec_span.end(semester_end);
+    let quota_denials = campus.quota_denials;
+    telemetry.instant(semester_end, "semester.finalize", || {
+        vec![("quota_denials", quota_denials.into())]
+    });
+    let stats = campus.queue.stats();
+    telemetry.counter_add("semester.queue_pushes", stats.pushes);
+    telemetry.counter_add("semester.queue_pops", stats.pops);
+    telemetry.gauge_set("semester.queue_high_water", stats.high_water as f64);
+    telemetry.counter_add("semester.quota_denials", quota_denials);
+    let faults = campus.fe.stats;
+    telemetry.counter_add("semester.faults_injected", faults.injected);
+    telemetry.counter_add("semester.faults_abandoned", faults.abandoned);
+    telemetry.counter_add("semester.faults_leaked", faults.leaked);
+    SemesterOutcome {
+        ledger: campus.cloud.into_ledger(),
+        quota_denials,
+        slot_pushbacks: campus.slot_pushbacks,
+        faults,
+    }
+}
+
+/// One shard's replicated campus while its semester runs: the cloud,
+/// the event queue every booking pushes into, the fault engine, and the
+/// counters the outcome reports.
+struct Campus<'t> {
+    cloud: Cloud,
+    queue: EventQueue<Ev>,
+    fe: FaultEngine,
+    telemetry: &'t Telemetry,
+    semester_end: SimTime,
+    quota_denials: u64,
+    slot_pushbacks: u64,
+}
+
+impl Campus<'_> {
+    /// Book one student's sampled labs in lab order. Each VM lab queues
+    /// its deployment, and lab 8 its volume and bucket behind it. A
+    /// leased lab's first session searches the calendar from the
+    /// student's preferred time, each later one from the end of the
+    /// last booked session; a skipped session leaves the search point
+    /// where it was.
+    fn book_student(&mut self, sid: u32, intents: &[Intent<'_>]) {
+        let mut from = SimTime::ZERO;
+        for intent in intents {
+            match *intent {
+                Intent::Vm { spec, at, wall } => {
+                    let name = student_name(spec.tag, sid);
+                    let storage = spec
+                        .storage
+                        .map(|s| (s, format!("{name}-vol"), format!("{name}-bucket")));
+                    self.queue.push(
+                        at,
+                        Ev::VmUp(PlannedVm {
+                            name,
+                            // detlint::allow(DL008): every LabSpec declares at least one flavor
+                            flavor: spec.flavors[0].0,
+                            node_count: spec.node_count,
+                            wall,
+                            fip: true,
+                            network: spec.private_network,
+                            attempts: 0,
+                            fault_attempts: 0,
+                        }),
+                    );
+                    if let Some((storage, volume, bucket)) = storage {
+                        self.queue.push(
+                            at,
+                            Ev::VolUp(PlannedVolume {
+                                name: volume,
+                                gb: storage.block_gb,
+                                end: at + wall,
+                                attempts: 0,
+                            }),
+                        );
+                        self.queue.push(
+                            at + SimDuration::minutes(30),
+                            Ev::BucketPut {
+                                name: bucket,
+                                gb: storage.object_gb,
+                            },
+                        );
+                    }
+                }
+                Intent::Leased { at } => from = at,
+                Intent::Session { spec, flavor } => {
                     let dur = SimDuration::hours(spec.slot_hours);
-                    let Some(start) = cloud.earliest_slot(flavor, 1, dur, earliest) else {
+                    let Some(start) = self.cloud.earliest_slot(flavor, 1, dur, from) else {
                         continue;
                     };
-                    if start > earliest {
-                        slot_pushbacks += 1;
-                        telemetry.instant(SimTime::ZERO, "slot.pushback", || {
+                    if start > from {
+                        self.slot_pushbacks += 1;
+                        self.telemetry.instant(SimTime::ZERO, "slot.pushback", || {
                             vec![
                                 ("name", student_name(spec.tag, sid).into()),
                                 ("flavor", flavor.name().into()),
-                                ("wanted_min", earliest.0.into()),
+                                ("wanted_min", from.0.into()),
                                 ("got_min", start.0.into()),
                             ]
                         });
-                        telemetry.counter_add("semester.slot_pushbacks", 1);
+                        self.telemetry.counter_add("semester.slot_pushbacks", 1);
                     }
                     let name = student_name(spec.tag, sid);
                     // earliest_slot admitted this window; if the reserve
                     // is refused anyway, the student just loses the slot.
-                    let Ok(lease) = cloud.reserve(flavor, 1, start, start + dur, &name) else {
+                    let Ok(lease) = self.cloud.reserve(flavor, 1, start, start + dur, &name) else {
                         continue;
                     };
-                    queue.push(
+                    self.queue.push(
                         start,
                         Ev::LeaseUp {
                             name,
@@ -722,614 +809,453 @@ fn run_shard(
                             attempt: 0,
                         },
                     );
-                    earliest = start + dur;
-                }
-            } else {
-                let mut wall = SimDuration::from_hours_f64(profile.vm_wall_hours(spec, &mut rng));
-                if let Some(cap) = config.vm_auto_terminate_after {
-                    wall = wall.min(cap);
-                }
-                queue.push(
-                    preferred,
-                    Ev::VmUp(PlannedVm {
-                        name: student_name(spec.tag, sid),
-                        // detlint::allow(DL008): every LabSpec declares at least one flavor
-                        flavor: spec.flavors[0].0,
-                        node_count: spec.node_count,
-                        start: preferred,
-                        wall,
-                        fip: true,
-                        network: spec.private_network,
-                        attempts: 0,
-                        fault_attempts: 0,
-                    }),
-                );
-                if let Some(storage) = spec.storage {
-                    let name = student_name(spec.tag, sid);
-                    queue.push(
-                        preferred,
-                        Ev::VolUp(PlannedVolume {
-                            name: format!("{name}-vol"),
-                            gb: storage.block_gb,
-                            start: preferred,
-                            end: preferred + wall,
-                            attempts: 0,
-                        }),
-                    );
-                    queue.push(
-                        preferred + SimDuration::minutes(30),
-                        Ev::BucketPut {
-                            name: format!("{name}-bucket"),
-                            gb: storage.object_gb,
-                        },
-                    );
+                    from = start + dur;
                 }
             }
         }
     }
 
-    // ----------------------------------------------------- plan projects
-    if config.run_projects && !shard.groups.is_empty() {
-        let window_start = SimTime::at(8, 3, 12, 0);
-        let window_end = SimTime::at(config.weeks + 1, 0, 0, 0);
-        telemetry.instant(window_start, "project.window_open", || {
-            vec![("until_min", window_end.0.into())]
-        });
-        // The project seed and per-group streams are global (shard 0
-        // reproduces the legacy plan bit-for-bit); only the group range
-        // is shard-local.
-        let plan: ProjectPlan = plan_projects_range(
-            &mut cloud,
-            window_start,
-            window_end,
-            seed ^ 0x1234_5678,
-            shard.groups.clone(),
-        );
-        for vm in plan.vms {
-            queue.push(vm.start, Ev::VmUp(vm));
-        }
-        for l in plan.leases {
-            queue.push(
-                l.start,
+    /// Pop and execute every queued event in time order, then close the
+    /// books at the end of the semester.
+    fn execute(&mut self) {
+        let mut last_week: Option<u64> = None;
+        while let Some((t, ev)) = self.queue.pop() {
+            if self.telemetry.is_enabled() {
+                let week = t.week();
+                if last_week != Some(week) {
+                    last_week = Some(week);
+                    self.telemetry
+                        .instant(t, "semester.week_start", || vec![("week", week.into())]);
+                }
+                let kind = ev.kind();
+                let depth = self.queue.len();
+                self.telemetry.instant(t, "queue.pop", || {
+                    vec![("kind", kind.into()), ("depth", depth.into())]
+                });
+            }
+            self.cloud.advance_to(t);
+            match ev {
+                Ev::VmUp(vm) => self.vm_up(t, vm),
+                Ev::VmDown(dep) => dep.tear_down(&mut self.cloud),
+                Ev::VmCrash { vm, dep, down_at } => self.vm_crash(t, vm, dep, down_at),
                 Ev::LeaseUp {
-                    name: l.name,
-                    lease: l.lease,
-                    fip_until: l.end,
-                    attempt: 0,
+                    name,
+                    lease,
+                    fip_until,
+                    attempt,
+                } => self.lease_up(t, name, lease, fip_until, attempt),
+                Ev::LeaseRevoked {
+                    name,
+                    lease,
+                    end,
+                    attempt,
+                } => self.lease_revoked(t, name, lease, end, attempt),
+                Ev::FipDown(fip) => {
+                    let _ = self.cloud.release_fip(fip);
+                }
+                Ev::VolUp(v) => self.vol_up(t, v),
+                Ev::VolDown(id) => {
+                    let _ = self.cloud.detach_volume(id);
+                    let _ = self.cloud.delete_volume(id);
+                }
+                Ev::BucketPut { name, gb } => {
+                    self.cloud.bucket(&name).put((gb * 1000.0) as u64, gb);
+                }
+            }
+        }
+        self.cloud.finalize(self.semester_end);
+    }
+
+    fn vm_up(&mut self, t: SimTime, mut vm: PlannedVm) {
+        // Retry drift must not outlive the books: a requeued deployment
+        // that can no longer finish before finalize is abandoned. First
+        // attempts are untouched (legacy path).
+        if (vm.attempts > 0 || vm.fault_attempts > 0 || self.fe.breaker.is_some())
+            && t + vm.wall > self.semester_end
+        {
+            self.abandon(t, &vm.name, "term_end".into(), false);
+            return;
+        }
+        // An open quota breaker defers the whole attempt ("staff said
+        // stop launching") without burning a retry.
+        if let Some(at) = self.fe.breaker.as_ref().and_then(|b| b.retry_at(t)) {
+            self.telemetry.instant(t, "retry.attempt", || {
+                vec![
+                    ("name", vm.name.clone().into()),
+                    ("cause", "breaker".into()),
+                ]
+            });
+            self.queue.push(at, Ev::VmUp(vm));
+            return;
+        }
+        let site = site_key(&vm.name);
+        match deploy_vm(&mut self.cloud, &vm, &self.fe.plan) {
+            Ok((dep, degraded)) => {
+                if let Some(b) = self.fe.breaker.as_mut() {
+                    b.record_success();
+                }
+                if degraded {
+                    // Floating-IP allocation failed: the lab runs on the
+                    // private network only.
+                    self.fe.stats.degraded += 1;
+                    self.inject(t, FaultKind::FipFail, &vm.name, None);
+                    self.telemetry.instant(t, "recover.degraded", || {
+                        vec![("name", vm.name.clone().into()), ("mode", "no_fip".into())]
+                    });
+                }
+                let down_at = t + vm.wall;
+                let crash = FaultKind::InstanceCrash;
+                if self.fe.plan.fires(crash, site, vm.fault_attempts) {
+                    let frac = self
+                        .fe
+                        .plan
+                        .fraction(crash, site, vm.fault_attempts, 0.1, 0.9);
+                    let crash_in =
+                        SimDuration((vm.wall.0 as f64 * frac).ceil().max(1.0) as u64).min(vm.wall);
+                    self.queue
+                        .push(t + crash_in, Ev::VmCrash { vm, dep, down_at });
+                } else {
+                    self.queue.push(down_at, Ev::VmDown(dep));
+                }
+            }
+            Err(CloudError::QuotaExceeded { .. }) => {
+                self.quota_denials += 1;
+                vm.attempts += 1;
+                let fe = &mut self.fe;
+                let mut retry_at = fe
+                    .profile
+                    .quota_retry
+                    .backoff(fe.plan.seed(), site, vm.attempts)
+                    .map(|d| t + d);
+                if let Some(b) = fe.breaker.as_mut() {
+                    if b.record_failure(t) {
+                        fe.stats.breaker_trips += 1;
+                        self.telemetry
+                            .instant(t, "breaker.open", || vec![("name", vm.name.clone().into())]);
+                    }
+                    if let (Some(at), Some(open_until)) = (retry_at, b.retry_at(t)) {
+                        retry_at = Some(at.max(open_until));
+                    }
+                }
+                self.requeue_or_abandon(t, retry_at, "quota", vm.attempts, vm);
+            }
+            Err(e) if e.is_retryable() => {
+                // Injected transient failure on the deploy path.
+                if matches!(e, CloudError::TransientFault { .. }) {
+                    self.inject(t, FaultKind::LaunchFail, &vm.name, Some(vm.fault_attempts));
+                }
+                vm.fault_attempts += 1;
+                let fe = &self.fe;
+                let retry_at = fe
+                    .profile
+                    .fault_retry
+                    .backoff(fe.plan.seed(), site, vm.fault_attempts)
+                    .map(|d| t + d);
+                self.requeue_or_abandon(t, retry_at, "fault", vm.fault_attempts, vm);
+            }
+            // Permanent refusal: retrying the identical call can never
+            // succeed, so the student gives up.
+            Err(e) => self.abandon(t, &vm.name, e.to_string().into(), false),
+        }
+    }
+
+    fn vm_crash(&mut self, t: SimTime, mut vm: PlannedVm, dep: Deployment, down_at: SimTime) {
+        self.inject(t, FaultKind::InstanceCrash, &vm.name, None);
+        if let Some(&first) = dep.ids.first() {
+            let _ = self.cloud.crash_instance(first);
+        }
+        let site = site_key(&vm.name);
+        if self.fe.leaks(site, vm.fault_attempts) {
+            // The paper's signature pathology: the student walks away and
+            // the surviving nodes, floating IP and network all run until
+            // semester finalize.
+            self.abandon(t, &vm.name, "crash".into(), true);
+            return;
+        }
+        // Tidy recovery: tear down the survivors now, then relaunch for
+        // the remaining wall if it is worth it.
+        dep.tear_down(&mut self.cloud);
+        let remaining = down_at.since(t);
+        vm.fault_attempts += 1;
+        let fe = &mut self.fe;
+        match fe
+            .profile
+            .fault_retry
+            .backoff(fe.plan.seed(), site, vm.fault_attempts)
+        {
+            Some(d) if remaining >= SimDuration::minutes(30) => {
+                fe.stats.retries += 1;
+                vm.wall = remaining;
+                self.telemetry.instant(t, "recover.relaunch", || {
+                    vec![
+                        ("name", vm.name.clone().into()),
+                        ("remaining_min", remaining.0.into()),
+                    ]
+                });
+                self.queue.push(t + d, Ev::VmUp(vm));
+            }
+            _ => self.abandon(t, &vm.name, "crash".into(), false),
+        }
+    }
+
+    fn lease_up(
+        &mut self,
+        t: SimTime,
+        name: String,
+        lease: LeaseId,
+        fip_until: SimTime,
+        attempt: u32,
+    ) {
+        // Bare-metal provisioning per §4: the student claims the node at
+        // slot start; auto-termination reclaims it.
+        if let Err(e) = self.cloud.create_leased_instance(&name, lease) {
+            // The slot no longer exists (e.g. revoked before its start);
+            // the student loses the session.
+            self.fe.stats.abandoned += 1;
+            let msg = e.to_string();
+            self.telemetry.instant(t, "lease.skip", || {
+                vec![("name", name.clone().into()), ("error", msg.clone().into())]
+            });
+            return;
+        }
+        if let Ok(fip) = self.cloud.allocate_fip(&name) {
+            self.queue.push(fip_until, Ev::FipDown(fip));
+        }
+        let site = site_key(&name);
+        let plan = &self.fe.plan;
+        if plan.fires(FaultKind::LeaseRevoke, site, attempt) {
+            let frac = plan.fraction(FaultKind::LeaseRevoke, site, attempt, 0.05, 0.95);
+            let window = fip_until.since(t);
+            let revoke_in =
+                SimDuration((window.0 as f64 * frac).ceil().max(1.0) as u64).min(window);
+            self.queue.push(
+                t + revoke_in,
+                Ev::LeaseRevoked {
+                    name,
+                    lease,
+                    end: fip_until,
+                    attempt,
                 },
             );
         }
-        for v in plan.volumes {
-            queue.push(v.start, Ev::VolUp(v));
-        }
-        for (name, gb, at) in plan.buckets {
-            queue.push(at, Ev::BucketPut { name, gb });
-        }
     }
 
-    // -------------------------------------------------------- execution
-    plan_span.end(SimTime::ZERO);
-    let exec_span = telemetry.span(SimTime::ZERO, "semester.exec", Vec::new);
-    let semester_end = SimTime::at(config.weeks + 1, 0, 0, 0);
-    let mut quota_denials = 0u64;
-    let mut last_week: Option<u64> = None;
-    while let Some((t, ev)) = queue.pop() {
-        if telemetry.is_enabled() {
-            let week = t.week();
-            if last_week != Some(week) {
-                last_week = Some(week);
-                telemetry.instant(t, "semester.week_start", || vec![("week", week.into())]);
-            }
-            let kind = ev.kind();
-            let depth = queue.len();
-            telemetry.instant(t, "queue.pop", || {
-                vec![("kind", kind.into()), ("depth", depth.into())]
-            });
+    fn lease_revoked(
+        &mut self,
+        t: SimTime,
+        name: String,
+        lease: LeaseId,
+        end: SimTime,
+        attempt: u32,
+    ) {
+        let flavor = self.cloud.calendar().get(lease).map(|l| l.flavor);
+        if self.cloud.revoke_lease(lease).is_err() {
+            // A revocation racing the natural lease end is a no-op.
+            return;
         }
-        cloud.advance_to(t);
-        match ev {
-            Ev::VmUp(mut vm) => {
-                let site = site_key(&vm.name);
-                // Retry drift must not outlive the books: a requeued
-                // deployment that can no longer finish before finalize is
-                // abandoned. First attempts are untouched (legacy path).
-                if (vm.attempts > 0 || vm.fault_attempts > 0 || fe.breaker.is_some())
-                    && t + vm.wall > semester_end
-                {
-                    fe.stats.abandoned += 1;
-                    telemetry.instant(t, "vm.abandon", || {
-                        vec![
-                            ("name", vm.name.clone().into()),
-                            ("cause", "term_end".into()),
-                            ("leaked", false.into()),
-                        ]
-                    });
-                    continue;
-                }
-                // An open quota breaker defers the whole attempt ("staff
-                // said stop launching") without burning a retry.
-                if let Some(at) = fe.breaker.as_ref().and_then(|b| b.retry_at(t)) {
-                    telemetry.instant(t, "retry.attempt", || {
-                        vec![
-                            ("name", vm.name.clone().into()),
-                            ("cause", "breaker".into()),
-                        ]
-                    });
-                    queue.push(at, Ev::VmUp(vm));
-                    continue;
-                }
-                match deploy_vm(&mut cloud, &vm, &fe.plan) {
-                    Ok(((ids, fip, net, vol), degraded)) => {
-                        if let Some(b) = fe.breaker.as_mut() {
-                            b.record_success();
-                        }
-                        if degraded {
-                            // Floating-IP allocation failed: the lab runs
-                            // on the private network only.
-                            fe.stats.injected += 1;
-                            fe.stats.degraded += 1;
-                            telemetry.instant(t, "fault.inject", || {
-                                vec![
-                                    ("kind", FaultKind::FipFail.name().into()),
-                                    ("name", vm.name.clone().into()),
-                                ]
-                            });
-                            telemetry.instant(t, "recover.degraded", || {
-                                vec![("name", vm.name.clone().into()), ("mode", "no_fip".into())]
-                            });
-                        }
-                        let down_at = t + vm.wall;
-                        if fe
-                            .plan
-                            .fires(FaultKind::InstanceCrash, site, vm.fault_attempts)
-                        {
-                            let frac = fe.plan.fraction(
-                                FaultKind::InstanceCrash,
-                                site,
-                                vm.fault_attempts,
-                                0.1,
-                                0.9,
-                            );
-                            let crash_in =
-                                SimDuration((vm.wall.0 as f64 * frac).ceil().max(1.0) as u64)
-                                    .min(vm.wall);
-                            queue.push(
-                                t + crash_in,
-                                Ev::VmCrash {
-                                    vm,
-                                    ids,
-                                    fip,
-                                    net,
-                                    vol,
-                                    down_at,
-                                },
-                            );
-                        } else {
-                            queue.push(down_at, Ev::VmDown { ids, fip, net, vol });
-                        }
-                    }
-                    Err(CloudError::QuotaExceeded { .. }) => {
-                        quota_denials += 1;
-                        vm.attempts += 1;
-                        let mut retry_at = fe
-                            .profile
-                            .quota_retry
-                            .backoff(fe.plan.seed(), site, vm.attempts)
-                            .map(|d| t + d);
-                        if let Some(b) = fe.breaker.as_mut() {
-                            if b.record_failure(t) {
-                                fe.stats.breaker_trips += 1;
-                                telemetry.instant(t, "breaker.open", || {
-                                    vec![("name", vm.name.clone().into())]
-                                });
-                            }
-                            if let (Some(at), Some(open_until)) = (retry_at, b.retry_at(t)) {
-                                retry_at = Some(at.max(open_until));
-                            }
-                        }
-                        match retry_at {
-                            Some(at) => {
-                                fe.stats.retries += 1;
-                                telemetry.instant(t, "vm.retry", || {
-                                    vec![
-                                        ("name", vm.name.clone().into()),
-                                        ("attempt", vm.attempts.into()),
-                                        ("cause", "quota".into()),
-                                    ]
-                                });
-                                // Student tries again later.
-                                queue.push(at, Ev::VmUp(vm));
-                            }
-                            None => {
-                                fe.stats.abandoned += 1;
-                                telemetry.instant(t, "vm.abandon", || {
-                                    vec![
-                                        ("name", vm.name.clone().into()),
-                                        ("cause", "quota".into()),
-                                        ("leaked", false.into()),
-                                    ]
-                                });
-                            }
-                        }
-                    }
-                    Err(e) if e.is_retryable() => {
-                        // Injected transient failure on the deploy path.
-                        if matches!(e, CloudError::TransientFault { .. }) {
-                            fe.stats.injected += 1;
-                            telemetry.instant(t, "fault.inject", || {
-                                vec![
-                                    ("kind", FaultKind::LaunchFail.name().into()),
-                                    ("name", vm.name.clone().into()),
-                                    ("attempt", vm.fault_attempts.into()),
-                                ]
-                            });
-                        }
-                        vm.fault_attempts += 1;
-                        retry_or_abandon_vm(&mut fe, telemetry, &mut queue, t, site, vm);
-                    }
-                    Err(e) => {
-                        // Permanent refusal: retrying the identical call
-                        // can never succeed, so the student gives up.
-                        fe.stats.abandoned += 1;
-                        let msg = e.to_string();
-                        telemetry.instant(t, "vm.abandon", || {
-                            vec![
-                                ("name", vm.name.clone().into()),
-                                ("cause", msg.clone().into()),
-                                ("leaked", false.into()),
-                            ]
-                        });
-                    }
-                }
-            }
-            Ev::VmDown { ids, fip, net, vol } => {
-                for id in ids {
-                    // Ignore instances already reaped (ablation overlap).
-                    let _ = cloud.delete_instance(id);
-                }
-                if let Some(f) = fip {
-                    let _ = cloud.release_fip(f);
-                }
-                if let Some(n) = net {
-                    let _ = cloud.delete_network(n);
-                }
-                if let Some(v) = vol {
-                    let _ = cloud.detach_volume(v);
-                    let _ = cloud.delete_volume(v);
-                }
-            }
-            Ev::VmCrash {
-                mut vm,
-                ids,
-                fip,
-                net,
-                vol,
-                down_at,
-            } => {
-                fe.stats.injected += 1;
-                telemetry.instant(t, "fault.inject", || {
-                    vec![
-                        ("kind", FaultKind::InstanceCrash.name().into()),
-                        ("name", vm.name.clone().into()),
-                    ]
-                });
-                if let Some(&first) = ids.first() {
-                    let _ = cloud.crash_instance(first);
-                }
-                let site = site_key(&vm.name);
-                if fe.leaks(site, vm.fault_attempts) {
-                    // The paper's signature pathology: the student walks
-                    // away and the surviving nodes, floating IP, network
-                    // and volume all run until semester finalize. A leak
-                    // is an abandonment that also keeps metering.
-                    fe.stats.abandoned += 1;
-                    fe.stats.leaked += 1;
-                    telemetry.instant(t, "vm.abandon", || {
-                        vec![
-                            ("name", vm.name.clone().into()),
-                            ("cause", "crash".into()),
-                            ("leaked", true.into()),
-                        ]
-                    });
-                    telemetry.counter_add("semester.leaks", 1);
-                } else {
-                    // Tidy recovery: tear down the survivors now, then
-                    // relaunch for the remaining wall if it is worth it.
-                    for id in ids.iter().skip(1) {
-                        let _ = cloud.delete_instance(*id);
-                    }
-                    if let Some(f) = fip {
-                        let _ = cloud.release_fip(f);
-                    }
-                    if let Some(n) = net {
-                        let _ = cloud.delete_network(n);
-                    }
-                    if let Some(v) = vol {
-                        let _ = cloud.detach_volume(v);
-                        let _ = cloud.delete_volume(v);
-                    }
-                    let remaining = down_at.since(t);
-                    vm.fault_attempts += 1;
-                    let delay =
-                        fe.profile
-                            .fault_retry
-                            .backoff(fe.plan.seed(), site, vm.fault_attempts);
-                    match delay {
-                        Some(d) if remaining >= SimDuration::minutes(30) => {
-                            fe.stats.retries += 1;
-                            vm.wall = remaining;
-                            telemetry.instant(t, "recover.relaunch", || {
-                                vec![
-                                    ("name", vm.name.clone().into()),
-                                    ("remaining_min", remaining.0.into()),
-                                ]
-                            });
-                            queue.push(t + d, Ev::VmUp(vm));
-                        }
-                        _ => {
-                            fe.stats.abandoned += 1;
-                            telemetry.instant(t, "vm.abandon", || {
-                                vec![
-                                    ("name", vm.name.clone().into()),
-                                    ("cause", "crash".into()),
-                                    ("leaked", false.into()),
-                                ]
-                            });
-                        }
-                    }
-                }
-            }
+        self.inject(t, FaultKind::LeaseRevoke, &name, None);
+        let remaining = end.since(t);
+        let next_attempt = attempt + 1;
+        let rebooked = if next_attempt < self.fe.profile.fault_retry.max_attempts
+            && remaining >= SimDuration::minutes(30)
+        {
+            flavor.and_then(|fl| {
+                self.cloud
+                    .earliest_slot(fl, 1, remaining, t + SimDuration::hours(1))
+                    // The rebooked window must still close its books
+                    // before finalize.
+                    .filter(|&s| s + remaining <= self.semester_end)
+                    .and_then(|s| {
+                        self.cloud
+                            .reserve(fl, 1, s, s + remaining, &name)
+                            .ok()
+                            .map(|l2| (s, l2.id))
+                    })
+            })
+        } else {
+            None
+        };
+        let Some((start, lease)) = rebooked else {
+            self.abandon(t, &name, "lease_revoked".into(), false);
+            return;
+        };
+        self.fe.stats.requeued += 1;
+        self.telemetry.instant(t, "recover.rebook", || {
+            vec![("name", name.clone().into()), ("start_min", start.0.into())]
+        });
+        self.queue.push(
+            start,
             Ev::LeaseUp {
                 name,
                 lease,
-                fip_until,
-                attempt,
-            } => {
-                // Bare-metal provisioning per §4: student claims the node
-                // at slot start; auto-termination reclaims it.
-                match cloud.create_leased_instance(&name, lease) {
-                    Ok(_inst) => {
-                        if let Ok(fip) = cloud.allocate_fip(&name) {
-                            queue.push(fip_until, Ev::FipDown(fip));
-                        }
-                        let site = site_key(&name);
-                        if fe.plan.fires(FaultKind::LeaseRevoke, site, attempt) {
-                            let frac =
-                                fe.plan
-                                    .fraction(FaultKind::LeaseRevoke, site, attempt, 0.05, 0.95);
-                            let window = fip_until.since(t);
-                            let revoke_in =
-                                SimDuration((window.0 as f64 * frac).ceil().max(1.0) as u64)
-                                    .min(window);
-                            queue.push(
-                                t + revoke_in,
-                                Ev::LeaseRevoked {
-                                    name,
-                                    lease,
-                                    end: fip_until,
-                                    attempt,
-                                },
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        // The slot no longer exists (e.g. revoked before
-                        // its start); the student loses the session.
-                        fe.stats.abandoned += 1;
-                        let msg = e.to_string();
-                        telemetry.instant(t, "lease.skip", || {
-                            vec![("name", name.clone().into()), ("error", msg.clone().into())]
-                        });
-                    }
-                }
-            }
-            Ev::LeaseRevoked {
-                name,
-                lease,
-                end,
-                attempt,
-            } => {
-                let flavor = cloud.calendar().get(lease).map(|l| l.flavor);
-                if cloud.revoke_lease(lease).is_ok() {
-                    fe.stats.injected += 1;
-                    telemetry.instant(t, "fault.inject", || {
+                fip_until: start + remaining,
+                attempt: next_attempt,
+            },
+        );
+    }
+
+    fn vol_up(&mut self, t: SimTime, mut v: PlannedVolume) {
+        let site = site_key(&v.name);
+        let attach = FaultKind::VolumeAttach;
+        if self.fe.plan.fires(attach, site, v.attempts) {
+            self.inject(t, attach, &v.name, Some(v.attempts));
+            v.attempts += 1;
+            let fe = &mut self.fe;
+            match fe
+                .profile
+                .fault_retry
+                .backoff(fe.plan.seed(), site, v.attempts)
+            {
+                Some(d) if t + d < v.end => {
+                    fe.stats.retries += 1;
+                    self.telemetry.instant(t, "retry.attempt", || {
                         vec![
-                            ("kind", FaultKind::LeaseRevoke.name().into()),
-                            ("name", name.clone().into()),
-                        ]
-                    });
-                    let remaining = end.since(t);
-                    let next_attempt = attempt + 1;
-                    let rebooked = if next_attempt < fe.profile.fault_retry.max_attempts
-                        && remaining >= SimDuration::minutes(30)
-                    {
-                        flavor.and_then(|fl| {
-                            cloud
-                                .earliest_slot(fl, 1, remaining, t + SimDuration::hours(1))
-                                // The rebooked window must still close its
-                                // books before finalize.
-                                .filter(|&s| s + remaining <= semester_end)
-                                .and_then(|s| {
-                                    cloud
-                                        .reserve(fl, 1, s, s + remaining, &name)
-                                        .ok()
-                                        .map(|l2| (s, l2.id))
-                                })
-                        })
-                    } else {
-                        None
-                    };
-                    match rebooked {
-                        Some((start, lease2)) => {
-                            fe.stats.requeued += 1;
-                            telemetry.instant(t, "recover.rebook", || {
-                                vec![("name", name.clone().into()), ("start_min", start.0.into())]
-                            });
-                            queue.push(
-                                start,
-                                Ev::LeaseUp {
-                                    name,
-                                    lease: lease2,
-                                    fip_until: start + remaining,
-                                    attempt: next_attempt,
-                                },
-                            );
-                        }
-                        None => {
-                            fe.stats.abandoned += 1;
-                            telemetry.instant(t, "vm.abandon", || {
-                                vec![
-                                    ("name", name.clone().into()),
-                                    ("cause", "lease_revoked".into()),
-                                    ("leaked", false.into()),
-                                ]
-                            });
-                        }
-                    }
-                }
-                // A revocation racing the natural lease end is a no-op.
-            }
-            Ev::FipDown(fip) => {
-                let _ = cloud.release_fip(fip);
-            }
-            Ev::VolUp(mut v) => {
-                let site = site_key(&v.name);
-                if fe.plan.fires(FaultKind::VolumeAttach, site, v.attempts) {
-                    fe.stats.injected += 1;
-                    telemetry.instant(t, "fault.inject", || {
-                        vec![
-                            ("kind", FaultKind::VolumeAttach.name().into()),
                             ("name", v.name.clone().into()),
+                            ("cause", "fault".into()),
                             ("attempt", v.attempts.into()),
                         ]
                     });
-                    v.attempts += 1;
-                    let delay = fe
-                        .profile
-                        .fault_retry
-                        .backoff(fe.plan.seed(), site, v.attempts);
-                    match delay {
-                        Some(d) if t + d < v.end => {
-                            fe.stats.retries += 1;
-                            telemetry.instant(t, "retry.attempt", || {
-                                vec![
-                                    ("name", v.name.clone().into()),
-                                    ("cause", "fault".into()),
-                                    ("attempt", v.attempts.into()),
-                                ]
-                            });
-                            queue.push(t + d, Ev::VolUp(v));
-                        }
-                        _ => {
-                            fe.stats.abandoned += 1;
-                            telemetry.instant(t, "volume.abandon", || {
-                                vec![("name", v.name.clone().into()), ("cause", "fault".into())]
-                            });
-                        }
-                    }
-                } else {
-                    match cloud.create_volume(&v.name, v.gb) {
-                        Ok(id) => {
-                            queue.push(v.end, Ev::VolDown(id));
-                        }
-                        Err(CloudError::QuotaExceeded { .. }) => {
-                            quota_denials += 1;
-                        }
-                        Err(e) => {
-                            // Typed failure instead of the old panic: the
-                            // student proceeds without the volume.
-                            fe.stats.abandoned += 1;
-                            let msg = e.to_string();
-                            telemetry.instant(t, "volume.abandon", || {
-                                vec![
-                                    ("name", v.name.clone().into()),
-                                    ("cause", msg.clone().into()),
-                                ]
-                            });
-                        }
-                    }
+                    self.queue.push(t + d, Ev::VolUp(v));
+                }
+                _ => {
+                    fe.stats.abandoned += 1;
+                    self.telemetry.instant(t, "volume.abandon", || {
+                        vec![("name", v.name.clone().into()), ("cause", "fault".into())]
+                    });
                 }
             }
-            Ev::VolDown(id) => {
-                let _ = cloud.detach_volume(id);
-                let _ = cloud.delete_volume(id);
-            }
-            Ev::BucketPut { name, gb } => {
-                cloud.bucket(&name).put((gb * 1000.0) as u64, gb);
+            return;
+        }
+        match self.cloud.create_volume(&v.name, v.gb) {
+            Ok(id) => self.queue.push(v.end, Ev::VolDown(id)),
+            Err(CloudError::QuotaExceeded { .. }) => self.quota_denials += 1,
+            Err(e) => {
+                // A typed failure, not a panic: the student proceeds
+                // without the volume.
+                self.fe.stats.abandoned += 1;
+                let msg = e.to_string();
+                self.telemetry.instant(t, "volume.abandon", || {
+                    vec![
+                        ("name", v.name.clone().into()),
+                        ("cause", msg.clone().into()),
+                    ]
+                });
             }
         }
     }
-    cloud.finalize(semester_end);
-    exec_span.end(semester_end);
-    telemetry.instant(semester_end, "semester.finalize", || {
-        vec![("quota_denials", quota_denials.into())]
-    });
-    let stats = queue.stats();
-    telemetry.counter_add("semester.queue_pushes", stats.pushes);
-    telemetry.counter_add("semester.queue_pops", stats.pops);
-    telemetry.gauge_set("semester.queue_high_water", stats.high_water as f64);
-    telemetry.counter_add("semester.quota_denials", quota_denials);
-    telemetry.counter_add("semester.faults_injected", fe.stats.injected);
-    telemetry.counter_add("semester.faults_abandoned", fe.stats.abandoned);
-    telemetry.counter_add("semester.faults_leaked", fe.stats.leaked);
-    SemesterOutcome {
-        ledger: cloud.into_ledger(),
-        quota_denials,
-        slot_pushbacks,
-        faults: fe.stats,
+
+    /// Requeue a failed VM deployment at `retry_at`, or abandon it when
+    /// the retry policy is exhausted (`None`). `attempt` is the counter
+    /// of the failure being handled: quota or injected fault.
+    fn requeue_or_abandon(
+        &mut self,
+        t: SimTime,
+        retry_at: Option<SimTime>,
+        cause: &'static str,
+        attempt: u32,
+        vm: PlannedVm,
+    ) {
+        let Some(at) = retry_at else {
+            self.abandon(t, &vm.name, cause.into(), false);
+            return;
+        };
+        self.fe.stats.retries += 1;
+        self.telemetry.instant(t, "vm.retry", || {
+            vec![
+                ("name", vm.name.clone().into()),
+                ("attempt", attempt.into()),
+                ("cause", cause.into()),
+            ]
+        });
+        self.queue.push(at, Ev::VmUp(vm));
+    }
+
+    /// Count and trace an abandoned deployment. A leaked one is an
+    /// abandonment that also keeps metering until finalize.
+    fn abandon(&mut self, t: SimTime, name: &str, cause: AttrValue, leaked: bool) {
+        self.fe.stats.abandoned += 1;
+        self.telemetry.instant(t, "vm.abandon", || {
+            vec![
+                ("name", name.to_owned().into()),
+                ("cause", cause),
+                ("leaked", leaked.into()),
+            ]
+        });
+        if leaked {
+            self.fe.stats.leaked += 1;
+            self.telemetry.counter_add("semester.leaks", 1);
+        }
+    }
+
+    /// Count and trace an injected fault; `attempt` is traced for the
+    /// faults that retry.
+    fn inject(&mut self, t: SimTime, kind: FaultKind, name: &str, attempt: Option<u32>) {
+        self.fe.stats.injected += 1;
+        self.telemetry.instant(t, "fault.inject", || {
+            let mut attrs = Vec::with_capacity(3);
+            attrs.push(("kind", kind.name().into()));
+            attrs.push(("name", name.to_owned().into()));
+            attrs.extend(attempt.map(|a| ("attempt", a.into())));
+            attrs
+        });
     }
 }
 
-/// Schedule a fault-policy retry of a VM deployment, or abandon it once
-/// the policy is exhausted. `vm.fault_attempts` must already count the
-/// failure being handled.
-fn retry_or_abandon_vm(
-    fe: &mut FaultEngine,
-    telemetry: &Telemetry,
-    queue: &mut EventQueue<Ev>,
-    t: SimTime,
-    site: u64,
-    vm: PlannedVm,
-) {
-    match fe
-        .profile
-        .fault_retry
-        .backoff(fe.plan.seed(), site, vm.fault_attempts)
-    {
-        Some(delay) => {
-            fe.stats.retries += 1;
-            telemetry.instant(t, "vm.retry", || {
-                vec![
-                    ("name", vm.name.clone().into()),
-                    ("attempt", vm.fault_attempts.into()),
-                    ("cause", "fault".into()),
-                ]
-            });
-            queue.push(t + delay, Ev::VmUp(vm));
+/// What a running VM deployment holds.
+pub(crate) struct Deployment {
+    ids: Vec<InstanceId>,
+    fip: Option<FloatingIpId>,
+    net: Option<NetworkId>,
+}
+
+impl Deployment {
+    /// Create the parts in order: instances, private network, floating
+    /// IP. On failure the parts created so far stay in `self`.
+    fn create(
+        &mut self,
+        cloud: &mut Cloud,
+        vm: &PlannedVm,
+        with_fip: bool,
+    ) -> Result<(), CloudError> {
+        for k in 0..vm.node_count {
+            let id = if vm.node_count == 1 {
+                cloud.create_instance(&vm.name, vm.flavor)?
+            } else {
+                cloud.create_instance(&format!("{}-node{k}", vm.name), vm.flavor)?
+            };
+            self.ids.push(id);
         }
-        None => {
-            fe.stats.abandoned += 1;
-            telemetry.instant(t, "vm.abandon", || {
-                vec![
-                    ("name", vm.name.clone().into()),
-                    ("cause", "fault".into()),
-                    ("leaked", false.into()),
-                ]
-            });
+        if vm.network {
+            self.net = Some(cloud.create_network(&vm.name)?);
+        }
+        if with_fip {
+            self.fip = Some(cloud.allocate_fip(&vm.name)?);
+        }
+        Ok(())
+    }
+
+    /// Release what the deployment holds: the network, the instances,
+    /// then the floating IP. Parts already gone (a crashed node, say)
+    /// are skipped. Deleting a network neither meters nor emits, so its
+    /// place in the order changes no output; it goes first so that a
+    /// rollback after a floating-IP failure deletes the network before
+    /// the instances.
+    fn tear_down(self, cloud: &mut Cloud) {
+        if let Some(n) = self.net {
+            let _ = cloud.delete_network(n);
+        }
+        for id in self.ids {
+            let _ = cloud.delete_instance(id);
+        }
+        if let Some(f) = self.fip {
+            let _ = cloud.release_fip(f);
         }
     }
 }
 
-type Deployed = (
-    Vec<InstanceId>,
-    Option<FloatingIpId>,
-    Option<NetworkId>,
-    Option<VolumeId>,
-);
-
-/// Create a VM deployment atomically; on quota failure, roll back any
-/// partial allocation so the retry starts clean. Fault seams: the whole
-/// launch can fail transiently ([`FaultKind::LaunchFail`], surfaced as
+/// Create a VM deployment atomically; on any failure, tear down what
+/// was created so the retry starts clean. Fault seams: the whole launch
+/// can fail transiently ([`FaultKind::LaunchFail`], surfaced as
 /// [`CloudError::TransientFault`]); floating-IP allocation can fail
 /// ([`FaultKind::FipFail`]), degrading the deployment (returned flag)
 /// rather than failing it.
@@ -1337,65 +1263,26 @@ fn deploy_vm(
     cloud: &mut Cloud,
     vm: &PlannedVm,
     plan: &FaultPlan,
-) -> Result<(Deployed, bool), CloudError> {
+) -> Result<(Deployment, bool), CloudError> {
     let site = site_key(&vm.name);
     if plan.fires(FaultKind::LaunchFail, site, vm.fault_attempts) {
         return Err(CloudError::TransientFault {
             op: "create_instance",
         });
     }
-    let mut ids = Vec::with_capacity(vm.node_count as usize);
-    let rollback = |cloud: &mut Cloud, ids: &[InstanceId]| {
-        for &id in ids {
-            let _ = cloud.delete_instance(id);
-        }
+    let degraded = vm.fip && plan.fires(FaultKind::FipFail, site, vm.fault_attempts);
+    let mut dep = Deployment {
+        ids: Vec::with_capacity(vm.node_count as usize),
+        fip: None,
+        net: None,
     };
-    for k in 0..vm.node_count {
-        let node_name = if vm.node_count == 1 {
-            vm.name.clone()
-        } else {
-            format!("{}-node{k}", vm.name)
-        };
-        match cloud.create_instance(&node_name, vm.flavor) {
-            Ok(id) => ids.push(id),
-            Err(e) => {
-                rollback(cloud, &ids);
-                return Err(e);
-            }
+    match dep.create(cloud, vm, vm.fip && !degraded) {
+        Ok(()) => Ok((dep, degraded)),
+        Err(e) => {
+            dep.tear_down(cloud);
+            Err(e)
         }
     }
-    let net = if vm.network {
-        match cloud.create_network(&vm.name) {
-            Ok(n) => Some(n),
-            Err(e) => {
-                rollback(cloud, &ids);
-                return Err(e);
-            }
-        }
-    } else {
-        None
-    };
-    let mut degraded = false;
-    let fip = if vm.fip {
-        if plan.fires(FaultKind::FipFail, site, vm.fault_attempts) {
-            degraded = true;
-            None
-        } else {
-            match cloud.allocate_fip(&vm.name) {
-                Ok(f) => Some(f),
-                Err(e) => {
-                    if let Some(n) = net {
-                        let _ = cloud.delete_network(n);
-                    }
-                    rollback(cloud, &ids);
-                    return Err(e);
-                }
-            }
-        }
-    } else {
-        None
-    };
-    Ok(((ids, fip, net, None), degraded))
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
 //! Property tests for the shard-merge laws.
 //!
 //! The sharded semester driver folds per-shard results with three
-//! merges: the canonical [`StreamMerge`] for usage records (packaged as
-//! [`Ledger::merge_sorted`]), fieldwise
-//! [`FaultStats::merge`] for failure counters, and rollups rebuilt from
-//! the canonically merged ledger. Each law must be associative and
-//! invariant to shard order, or the parallel driver could not promise
-//! byte-identical outcomes at any thread count. These properties pin
-//! exactly that, on arbitrary synthetic fragments.
+//! merges: the canonical [`StreamMerge`] over canonically sorted shard
+//! ledgers for usage records, fieldwise [`FaultStats::merge`] for
+//! failure counters, and rollups rebuilt from the canonically merged
+//! ledger. Each law must be associative and invariant to shard order,
+//! or a parallel semester could not promise byte-identical outcomes at
+//! any thread count. These properties pin exactly that, on arbitrary
+//! synthetic fragments.
 
 use opml_faults::FaultStats;
 use opml_metering::attribution::student_name;
@@ -60,6 +60,25 @@ fn fragments(draws: &[(u32, usize, u64, u64)], shards: usize) -> Vec<Ledger> {
     frags
 }
 
+/// Merge fragments as a sharded semester does: sort each one
+/// canonically, then drain one [`StreamMerge`] over them in fragment
+/// order.
+fn merge(frags: impl IntoIterator<Item = Ledger>) -> Ledger {
+    let sources: Vec<_> = frags
+        .into_iter()
+        .map(|mut frag| {
+            frag.sort_canonical();
+            frag.into_iter()
+        })
+        .collect();
+    let Ok(mut merge) = StreamMerge::new(sources);
+    let mut merged = Ledger::new();
+    while let Ok(Some(rec)) = merge.next() {
+        merged.push(rec);
+    }
+    merged
+}
+
 fn ledger_bytes(l: &Ledger) -> String {
     serde_json::to_string(l).expect("ledger serializes")
 }
@@ -76,16 +95,16 @@ proptest! {
         let frags = fragments(&draws, shards);
 
         // Fragment order: forward vs reversed.
-        let forward = Ledger::merge_sorted(frags.clone());
+        let forward = merge(frags.clone());
         let mut reversed_frags = frags.clone();
         reversed_frags.reverse();
-        let reversed = Ledger::merge_sorted(reversed_frags);
+        let reversed = merge(reversed_frags);
         prop_assert_eq!(ledger_bytes(&forward), ledger_bytes(&reversed));
 
         // Grouping: fold pairwise-left vs merge-all-at-once.
         let mut left = Ledger::new();
         for frag in frags {
-            left = Ledger::merge_sorted([left, frag]);
+            left = merge([left, frag]);
         }
         prop_assert_eq!(ledger_bytes(&forward), ledger_bytes(&left));
     }
@@ -141,8 +160,8 @@ proptest! {
         let mut rotated = frags.clone();
         rotated.rotate_left(1);
 
-        let merged_a = Ledger::merge_sorted(frags);
-        let merged_b = Ledger::merge_sorted(rotated);
+        let merged_a = merge(frags);
+        let merged_b = merge(rotated);
 
         let rollup_a = AssignmentRollup::from_ledger(&merged_a, 191);
         let rollup_b = AssignmentRollup::from_ledger(&merged_b, 191);
@@ -165,13 +184,13 @@ proptest! {
     /// identical to concatenating the fragments and stably sorting —
     /// the law that lets the semester driver merge shard ledgers, in
     /// memory or as disk runs, without perturbing a single byte of the
-    /// canonical ledger. [`Ledger::merge_sorted`] obeys the same law.
+    /// canonical ledger.
     #[test]
     fn stream_merge_equals_in_memory_merge(
         draws in prop::collection::vec((0u32..40, 0usize..12, 0u64..2000, 1u64..200), 1..80),
         shards in 1usize..6,
     ) {
-        let mut frags = fragments(&draws, shards);
+        let frags = fragments(&draws, shards);
         let mut reference = Ledger::new();
         for frag in &frags {
             for rec in frag.records() {
@@ -179,21 +198,6 @@ proptest! {
             }
         }
         reference.sort_canonical();
-        prop_assert_eq!(
-            ledger_bytes(&Ledger::merge_sorted(frags.clone())),
-            ledger_bytes(&reference)
-        );
-
-        for frag in &mut frags {
-            frag.sort_canonical();
-        }
-        let sources: Vec<_> = frags.into_iter().map(Ledger::into_iter).collect();
-        let Ok(mut merge) = StreamMerge::new(sources);
-        let mut streamed = Ledger::new();
-        while let Ok(Some(rec)) = merge.next() {
-            streamed.push(rec);
-        }
-
-        prop_assert_eq!(ledger_bytes(&reference), ledger_bytes(&streamed));
+        prop_assert_eq!(ledger_bytes(&merge(frags)), ledger_bytes(&reference));
     }
 }

@@ -216,35 +216,6 @@ impl Ledger {
             .sort_by(|a, b| record_key(a).cmp(&record_key(b)));
     }
 
-    /// Merge ledger fragments into one canonically-ordered ledger.
-    ///
-    /// This is the shard-merge law for usage records: each part is
-    /// stably sorted (one linear pass when it already is, as shard
-    /// ledgers are), then a [`StreamMerge`] over the parts, ties broken
-    /// by part order, drains into a ledger allocated once at its final
-    /// size. The result equals concatenating and running the stable
-    /// [`Ledger::sort_canonical`]; the sort key is a total order, so the
-    /// merge is associative *and* fragment-order-invariant — any
-    /// grouping of shards serializes to identical bytes.
-    /// Property-tested in `crates/metering/tests/shard_merge.rs`.
-    pub fn merge_sorted(parts: impl IntoIterator<Item = Ledger>) -> Ledger {
-        let mut total = 0;
-        let sources: Vec<_> = parts
-            .into_iter()
-            .map(|mut part| {
-                part.sort_canonical();
-                total += part.records.len();
-                part.into_iter()
-            })
-            .collect();
-        let mut merged = Ledger::with_capacity(total);
-        let Ok(mut merge) = StreamMerge::new(sources);
-        while let Ok(Some(record)) = merge.next() {
-            merged.records.push(record);
-        }
-        merged
-    }
-
     /// Total instance-hours, optionally restricted to one flavor.
     pub fn instance_hours(&self, flavor: Option<FlavorId>) -> f64 {
         self.records
@@ -623,43 +594,31 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_is_order_invariant() {
-        let mut a = Ledger::new();
-        a.push(inst("lab2-b", FlavorId::M1Small, 3, 5));
-        a.push(inst("lab1-a", FlavorId::M1Small, 0, 1));
-        let mut b = Ledger::new();
-        b.push(UsageRecord {
+    fn canonical_order_is_name_then_window_then_kind() {
+        let mut l = Ledger::new();
+        l.push(inst("lab2-b", FlavorId::M1Small, 3, 5));
+        l.push(UsageRecord {
             name: "lab1-a".into(),
             kind: UsageKind::FloatingIp,
             start: t(0),
             end: t(1),
         });
-        b.push(inst("lab1-a", FlavorId::M1Medium, 0, 1));
-        let mut c = Ledger::new();
-        c.push(inst("lab1-a", FlavorId::M1Small, 0, 1)); // duplicate of a's
-        let merge = |parts: Vec<&Ledger>| {
-            let m = Ledger::merge_sorted(parts.into_iter().cloned());
-            serde_json::to_string(m.records()).expect("serialize")
-        };
-        let abc = merge(vec![&a, &b, &c]);
-        assert_eq!(abc, merge(vec![&c, &a, &b]), "order must not matter");
-        // Associativity: ((a ∪ b) ∪ c) == (a ∪ (b ∪ c)).
-        let left = Ledger::merge_sorted([Ledger::merge_sorted([a.clone(), b.clone()]), c.clone()]);
-        let right = Ledger::merge_sorted([a.clone(), Ledger::merge_sorted([b.clone(), c.clone()])]);
+        l.push(inst("lab1-a", FlavorId::M1Medium, 0, 2));
+        l.push(inst("lab1-a", FlavorId::M1Small, 0, 1));
+        l.sort_canonical();
+        // Name first, then start/end, then kind rank (Instance before
+        // FloatingIp at the same window).
+        let order: Vec<(&str, u64)> = l
+            .records()
+            .iter()
+            .map(|r| (r.name.as_str(), r.end.0 / 60))
+            .collect();
         assert_eq!(
-            serde_json::to_string(left.records()).expect("serialize"),
-            serde_json::to_string(right.records()).expect("serialize"),
+            order,
+            [("lab1-a", 1), ("lab1-a", 1), ("lab1-a", 2), ("lab2-b", 5)]
         );
-        // Canonical order: name first, then start/end, then kind rank
-        // (Instance before FloatingIp at the same window).
-        let m = Ledger::merge_sorted([a, b, c]);
-        let names: Vec<&str> = m.records().iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["lab1-a", "lab1-a", "lab1-a", "lab1-a", "lab2-b"]
-        );
-        assert!(matches!(m.records()[0].kind, UsageKind::Instance { .. }));
-        assert_eq!(m.records()[3].kind, UsageKind::FloatingIp);
+        assert!(matches!(l.records()[0].kind, UsageKind::Instance { .. }));
+        assert_eq!(l.records()[1].kind, UsageKind::FloatingIp);
     }
 
     /// Deterministic pseudo-random fragments with heavy key collisions
@@ -702,22 +661,6 @@ mod tests {
 
     fn json(l: &Ledger) -> String {
         serde_json::to_string(l.records()).expect("serialize")
-    }
-
-    #[test]
-    fn merge_sorted_matches_concat_then_sort() {
-        let parts = colliding_fragments(0x9e37_79b9, 7, 50);
-        let reference = json(&concat_then_sort(&parts));
-        // Unsorted, pre-sorted and mixed parts all merge byte-identically.
-        assert_eq!(json(&Ledger::merge_sorted(parts.clone())), reference);
-        let mut sorted_parts = parts.clone();
-        for p in &mut sorted_parts {
-            p.sort_canonical();
-        }
-        assert_eq!(json(&Ledger::merge_sorted(sorted_parts)), reference);
-        let mut mixed = parts;
-        mixed[0].sort_canonical();
-        assert_eq!(json(&Ledger::merge_sorted(mixed)), reference);
     }
 
     fn all_kinds_corpus() -> Vec<UsageRecord> {

@@ -114,7 +114,7 @@ echo "==> perfgate smoke (calendar --check, generous tolerance)"
 PERFGATE_TOLERANCE=1.0 PERFGATE_RUNS=2 \
     cargo bench -q -p opml-bench --bench bench_calendar -- --check
 
-echo "==> profile smoke (counts digest stable across runs and threads)"
+echo "==> profile smoke (counts digest stable across threads, vs golden digest)"
 profile_dir=$(mktemp -d)
 cargo run --release -q -p opml-experiments --bin run-experiments -- \
     profile --seed 42 --enrollment 2000 --threads 2 --out "$profile_dir/a" >/dev/null
@@ -125,6 +125,12 @@ digest_a=$(sed -n 's/.*"counts_digest": "\([0-9a-f]*\)".*/\1/p' "$profile_dir/a/
 digest_b=$(sed -n 's/.*"counts_digest": "\([0-9a-f]*\)".*/\1/p' "$profile_dir/b/profile.json")
 if [ -z "$digest_a" ] || [ "$digest_a" != "$digest_b" ]; then
     echo "profile smoke FAILED: counts digest '$digest_a' != '$digest_b' (2 vs 8 threads)" >&2
+    exit 1
+fi
+golden_profile_file=tests/golden/profile_counts_2k_seed42.digest
+golden_profile_digest=$(cat "$golden_profile_file")
+if [ "$digest_a" != "$golden_profile_digest" ]; then
+    echo "profile smoke FAILED: counts digest $digest_a != golden $golden_profile_digest ($golden_profile_file)" >&2
     exit 1
 fi
 rm -rf "$profile_dir"

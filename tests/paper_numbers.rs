@@ -7,17 +7,29 @@
 //! listing each comparison that fell outside tolerance, plus the total
 //! row count so a silently dropped (or duplicated) comparison also
 //! fails loudly.
+//!
+//! The tolerances let each number drift, so the same run's ledger is
+//! also pinned exactly: its outcome digest must equal the committed
+//! `tests/golden/paper_seed42.digest`.
 
-use ml_ops_course::experiments::{paper_sections, run_paper_course};
+use ml_ops_course::experiments::scale::digest_outcome;
+use ml_ops_course::experiments::{paper_sections, run_paper_course, ExperimentContext};
+use std::sync::OnceLock;
 
 /// Total comparisons across all sections at the default seed (the "71
 /// of 71" in EXPERIMENTS.md). Adding or removing a comparison is fine —
 /// it just has to be deliberate enough to update this pin.
 const PINNED_TOTAL: usize = 71;
 
+/// The paper course at seed 42, run once for both tests.
+fn paper_course() -> &'static ExperimentContext {
+    static CONTEXT: OnceLock<ExperimentContext> = OnceLock::new();
+    CONTEXT.get_or_init(|| run_paper_course(42))
+}
+
 #[test]
 fn all_paper_comparisons_stay_within_declared_tolerance() {
-    let sections = paper_sections(&run_paper_course(42));
+    let sections = paper_sections(paper_course());
 
     let mut total = 0usize;
     let mut failures: Vec<String> = Vec::new();
@@ -47,5 +59,15 @@ fn all_paper_comparisons_stay_within_declared_tolerance() {
         total, PINNED_TOTAL,
         "comparison count drifted from the pinned {PINNED_TOTAL}; \
          update the pin only with a deliberate experiment change"
+    );
+}
+
+#[test]
+fn paper_ledger_matches_golden_digest() {
+    let got = format!("{:016x}", digest_outcome(&paper_course().outcome));
+    assert_eq!(
+        got,
+        include_str!("golden/paper_seed42.digest").trim(),
+        "paper course outcome digest differs from tests/golden/paper_seed42.digest"
     );
 }
