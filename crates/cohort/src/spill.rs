@@ -57,24 +57,22 @@ const WRITE_CHUNK: usize = 64 * 1024;
 /// Per-run read-ahead buffer in bytes while reading runs back.
 const READ_AHEAD: usize = 256 * 1024;
 
-/// Out-of-core execution knobs.
+/// Maximum runs merged in one pass, and therefore the maximum number of
+/// run files open at once.
+const FANIN: usize = 64;
+
+/// Where the out-of-core path keeps its run files.
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Directory for run files. Created on demand; removed afterwards
     /// if it ends up empty.
     pub dir: PathBuf,
-    /// Maximum runs merged in one pass (and therefore the maximum
-    /// simultaneously open run files). Values below 2 are treated as 2.
-    pub fanin: usize,
 }
 
 impl SpillConfig {
-    /// Default knobs (fan-in 64) in `dir`.
+    /// Spill to run files in `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> SpillConfig {
-        SpillConfig {
-            dir: dir.into(),
-            fanin: 64,
-        }
+        SpillConfig { dir: dir.into() }
     }
 }
 
@@ -256,17 +254,16 @@ impl ShardStore for SpillConfig {
     ) -> Result<Vec<RunRecordSource>, SpillError> {
         stats.shard_runs = runs.len();
         stats.spilled_bytes = runs.iter().map(|run| run.bytes).sum();
-        let fanin = self.fanin.max(2);
         let mut level = runs;
-        while level.len() > fanin {
+        while level.len() > FANIN {
             let _phase = wall_phase(phases::MERGE_SPILL);
             stats.merge_passes += 1;
-            let mut next = Vec::with_capacity(level.len().div_ceil(fanin));
+            let mut next = Vec::with_capacity(level.len().div_ceil(FANIN));
             // Merging CONTIGUOUS groups, in order, preserves the global
             // shard-index tie-break: ties within a group keep their input
             // order (StreamMerge is index-stable), ties across groups are
             // resolved by group order, which equals shard order.
-            for (gi, group) in level.chunks(fanin).enumerate() {
+            for (gi, group) in level.chunks(FANIN).enumerate() {
                 if let [only] = group {
                     // An undersized tail group passes through unmerged.
                     next.push(only.clone());
@@ -424,29 +421,22 @@ fn open_all(runs: &[RunRef]) -> Result<Vec<RunRecordSource>, SpillError> {
 mod tests {
     use super::*;
     use crate::semester::simulate_semester_with;
-    use opml_faults::FaultProfile;
 
     fn test_dir(tag: &str) -> PathBuf {
         // detlint::allow(DL001): test-unique temp path, never simulation input
         std::env::temp_dir().join(format!("opml-spill-test-{}-{tag}", std::process::id()))
     }
 
-    fn small_config() -> SemesterConfig {
-        SemesterConfig {
-            enrollment: 30,
-            weeks: 14,
-            run_projects: true,
-            vm_auto_terminate_after: None,
-            faults: FaultProfile::none(),
-            shard_students: 8,
-        }
-    }
-
     #[test]
-    fn tiny_fanin_forces_intermediate_passes() {
-        let config = small_config(); // 4 shards
-        let mut spill = SpillConfig::new(test_dir("fanin"));
-        spill.fanin = 2;
+    fn more_shards_than_the_fanin_force_an_intermediate_pass() {
+        // Labs only, 2 students per shard: 65 shards, one past the fan-in.
+        let config = SemesterConfig {
+            enrollment: 130,
+            shard_students: 2,
+            ..SemesterConfig::labs_only()
+        };
+        assert_eq!(config.shards().len(), 65);
+        let spill = SpillConfig::new(test_dir("fanin"));
         let reference = simulate_semester_with(&config, 7, &Telemetry::disabled());
         let mut ledger = Ledger::new();
         let stream =
@@ -454,9 +444,9 @@ mod tests {
                 ledger.push(r.clone())
             })
             .expect("streaming run");
-        assert!(stream.stats.merge_passes >= 1, "{:?}", stream.stats);
+        assert_eq!(stream.stats.merge_passes, 1, "{:?}", stream.stats);
         assert!(stream.stats.intermediate_runs >= 1);
-        assert!(stream.stats.max_open_runs <= 2);
+        assert!(stream.stats.max_open_runs <= FANIN);
         assert_eq!(
             serde_json::to_string(ledger.records()).expect("serialize"),
             serde_json::to_string(reference.ledger.records()).expect("serialize"),

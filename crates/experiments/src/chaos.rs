@@ -189,7 +189,7 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
         text.push_str(&latency_table(
             "histogram (sim time)",
             LatencyUnit::Hours,
-            arm.metrics.histograms.iter().map(|(n, h)| (n.as_str(), h)),
+            arm.metrics.histograms.iter().map(|(&n, h)| (n, h)),
         ));
     }
     ChaosReport {

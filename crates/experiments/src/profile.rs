@@ -39,50 +39,6 @@ use serde_json::{json, Value};
 /// Schema tag written into `profile.json`.
 pub const PROFILE_SCHEMA: &str = "opml_profile/v2";
 
-/// Every event name the profiled semester can emit, preseeded into the
-/// telemetry interner before the counted window opens so interning
-/// performs **zero** allocations while the counting allocator is
-/// attributing (the intern table would otherwise grow mid-run and the
-/// growth schedule would depend on which shard first emitted a name).
-/// An entry that never fires is harmless; a missing entry only costs
-/// one leak-on-first-use allocation, visible as an
-/// `interned_count()` probe failure in the differential tests.
-const EVENT_NAME_VOCAB: &[&str] = &[
-    "breaker.open",
-    "fault.inject",
-    "instance.crash",
-    "instance.launch",
-    "instance.terminate",
-    "job.complete",
-    "job.preempt",
-    "job.start",
-    "lab.unit",
-    "lease.accept",
-    "lease.deny",
-    "lease.revoke",
-    "lease.skip",
-    "narrate",
-    "project.window_open",
-    "queue.pop",
-    "quota.deny",
-    "recover.degraded",
-    "recover.rebook",
-    "recover.relaunch",
-    "retry.attempt",
-    "semester.exec",
-    "semester.finalize",
-    "semester.plan",
-    "semester.week_start",
-    "slot.pushback",
-    "stage.profile",
-    "stage.semester",
-    "vm.abandon",
-    "vm.retry",
-    "volume.abandon",
-    "workflow.task",
-    "workflow.wave",
-];
-
 /// What to profile.
 #[derive(Debug, Clone)]
 pub struct ProfileConfig {
@@ -141,11 +97,10 @@ pub struct ProfileReport {
 pub fn run(config: &ProfileConfig) -> ProfileReport {
     opml_profiler::reset();
     opml_profiler::reset_totals();
-    // Pool bookkeeping goes to `runtime.pool`, and the interner's table
-    // is fully populated, before any allocation is attributed — both
-    // are what keep the user-phase alloc counts thread-count invariant.
+    // Pool bookkeeping goes to `runtime.pool` before any allocation is
+    // attributed: that is what keeps the user-phase alloc counts
+    // thread-count invariant.
     opml_profiler::install_pool_attribution();
-    opml_telemetry::intern::preseed(EVENT_NAME_VOCAB);
     opml_profiler::enable();
     let alloc_counted = opml_profiler::counting_allocator_installed();
     if alloc_counted {

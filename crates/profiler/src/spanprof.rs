@@ -57,7 +57,7 @@ pub struct SpanProfile {
 }
 
 struct OpenSpan {
-    name: opml_telemetry::Sym,
+    name: &'static str,
     path: String,
     begin_min: u64,
     child_min: u64,
@@ -240,14 +240,14 @@ mod tests {
         seq: u64,
         t: u64,
         phase: EventPhase,
-        name: &str,
+        name: &'static str,
         attrs: Vec<(&'static str, AttrValue)>,
     ) -> TelemetryEvent {
         TelemetryEvent {
             seq,
             time: SimTime(t),
             phase,
-            name: name.into(),
+            name,
             attrs,
         }
     }

@@ -18,7 +18,7 @@ pub fn metrics_summary(snapshot: &MetricsSnapshot) -> String {
     if !snapshot.counters.is_empty() {
         let mut t = Table::new(&["counter", "value"]);
         for (name, value) in &snapshot.counters {
-            t.row(&[name.clone(), value.to_string()]);
+            t.row(&[name.to_string(), value.to_string()]);
         }
         out.push_str(&t.render());
         out.push('\n');
@@ -26,7 +26,7 @@ pub fn metrics_summary(snapshot: &MetricsSnapshot) -> String {
     if !snapshot.gauges.is_empty() {
         let mut t = Table::new(&["gauge", "value"]);
         for (name, value) in &snapshot.gauges {
-            t.row(&[name.clone(), format!("{value:.1}")]);
+            t.row(&[name.to_string(), format!("{value:.1}")]);
         }
         out.push_str(&t.render());
         out.push('\n');
@@ -35,7 +35,7 @@ pub fn metrics_summary(snapshot: &MetricsSnapshot) -> String {
         out.push_str(&latency_table(
             "histogram (sim time)",
             LatencyUnit::Hours,
-            snapshot.histograms.iter().map(|(n, h)| (n.as_str(), h)),
+            snapshot.histograms.iter().map(|(&n, h)| (n, h)),
         ));
         out.push('\n');
     }

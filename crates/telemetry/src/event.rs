@@ -6,7 +6,6 @@
 //! simulation is itself deterministic. Attributes are an ordered list of
 //! key/value pairs — insertion order is the serialization order.
 
-use crate::intern::Sym;
 use opml_simkernel::SimTime;
 use std::fmt;
 
@@ -164,9 +163,9 @@ pub struct TelemetryEvent {
     pub time: SimTime,
     /// Phase (span open/close or point event).
     pub phase: EventPhase,
-    /// Dotted event name (`instance.launch`, `queue.pop`, …), interned:
-    /// a copyable symbol that dereferences to the name string.
-    pub name: Sym,
+    /// Dotted event name (`instance.launch`, `queue.pop`, …), a string
+    /// literal at every emitting call site.
+    pub name: &'static str,
     /// Ordered attributes.
     pub attrs: Vec<Attr>,
 }
@@ -194,7 +193,7 @@ impl TelemetryEvent {
         out.push_str(",\"ph\":\"");
         out.push_str(self.phase.code());
         out.push_str("\",\"name\":");
-        write_json_str(&mut out, &self.name);
+        write_json_str(&mut out, self.name);
         if !self.attrs.is_empty() {
             out.push_str(",\"attrs\":{");
             for (i, (k, v)) in self.attrs.iter().enumerate() {
@@ -262,12 +261,11 @@ mod tests {
 
     #[test]
     fn json_line_shape_and_escaping() {
-        let _guard = crate::intern_lock();
         let ev = TelemetryEvent {
             seq: 3,
             time: SimTime(120),
             phase: EventPhase::Instant,
-            name: "quota.deny".into(),
+            name: "quota.deny",
             attrs: vec![
                 ("resource", "instance".into()),
                 ("who", "lab2-s007\"x\"".into()),
@@ -285,12 +283,11 @@ mod tests {
 
     #[test]
     fn attr_lookup_and_track() {
-        let _guard = crate::intern_lock();
         let ev = TelemetryEvent {
             seq: 0,
             time: SimTime::ZERO,
             phase: EventPhase::Begin,
-            name: "stage.table1".into(),
+            name: "stage.table1",
             attrs: vec![(TRACK_ATTR, HARNESS_TRACK.into())],
         };
         assert!(ev.is_harness_track());
@@ -299,7 +296,6 @@ mod tests {
 
     #[test]
     fn float_attr_is_integral_stable() {
-        let _guard = crate::intern_lock();
         let mut s = String::new();
         write_json_f64(&mut s, 4.0);
         assert_eq!(s, "4.0");

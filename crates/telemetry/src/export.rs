@@ -77,7 +77,7 @@ fn write_chrome_event(out: &mut String, e: &TelemetryEvent) {
         SIM_TID
     };
     out.push_str("{\"name\":");
-    write_json_str(out, &e.name);
+    write_json_str(out, e.name);
     out.push_str(",\"ph\":\"");
     out.push_str(e.phase.code());
     out.push_str("\",\"ts\":");
@@ -109,19 +109,18 @@ mod tests {
     use crate::event::{AttrValue, TRACK_ATTR};
     use opml_simkernel::SimTime;
 
-    fn ev(seq: u64, t: u64, phase: EventPhase, name: &str) -> TelemetryEvent {
+    fn ev(seq: u64, t: u64, phase: EventPhase, name: &'static str) -> TelemetryEvent {
         TelemetryEvent {
             seq,
             time: SimTime(t),
             phase,
-            name: name.into(),
+            name,
             attrs: Vec::new(),
         }
     }
 
     #[test]
     fn jsonl_is_seq_ordered_and_newline_terminated() {
-        let _guard = crate::intern_lock();
         let events = vec![
             ev(2, 30, EventPhase::Instant, "c"),
             ev(0, 10, EventPhase::Instant, "a"),
@@ -137,7 +136,6 @@ mod tests {
 
     #[test]
     fn chrome_ts_is_monotone_non_decreasing() {
-        let _guard = crate::intern_lock();
         // Deliberately shuffled input: exporter must sort by (time, seq).
         let mut events = vec![
             ev(5, 500, EventPhase::End, "z"),
@@ -150,7 +148,7 @@ mod tests {
             seq: 0,
             time: SimTime(0),
             phase: EventPhase::Instant,
-            name: "stage".into(),
+            name: "stage",
             attrs: vec![(TRACK_ATTR, AttrValue::from(HARNESS_TRACK))],
         });
         let out = export_chrome_trace(&events);
@@ -170,156 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_well_formed_json() {
-        let _guard = crate::intern_lock();
-        let events = vec![
-            ev(0, 10, EventPhase::Begin, "span \"quoted\""),
-            ev(1, 20, EventPhase::Instant, "tick"),
-            ev(2, 30, EventPhase::End, "span \"quoted\""),
-        ];
-        let out = export_chrome_trace(&events);
-        let mut p = Json {
-            bytes: out.as_bytes(),
-            pos: 0,
-        };
-        p.value();
-        p.ws();
-        assert_eq!(p.pos, p.bytes.len(), "trailing garbage after JSON value");
-    }
-
-    #[test]
     fn export_is_byte_stable() {
-        let _guard = crate::intern_lock();
         let events = vec![
             ev(0, 10, EventPhase::Instant, "a"),
             ev(1, 20, EventPhase::Instant, "b"),
         ];
         assert_eq!(export_jsonl(&events), export_jsonl(&events));
         assert_eq!(export_chrome_trace(&events), export_chrome_trace(&events));
-    }
-
-    /// Minimal recursive-descent JSON validator (the vendored serde_json
-    /// shim has no parser). Panics on malformed input.
-    struct Json<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Json<'_> {
-        fn ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b" \t\r\n".contains(b))
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) {
-            assert_eq!(
-                self.bytes.get(self.pos),
-                Some(&b),
-                "expected {:?} at byte {}",
-                b as char,
-                self.pos
-            );
-            self.pos += 1;
-        }
-
-        fn value(&mut self) {
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string(),
-                Some(b't') => self.literal(b"true"),
-                Some(b'f') => self.literal(b"false"),
-                Some(b'n') => self.literal(b"null"),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                other => panic!("unexpected byte {other:?} at {}", self.pos),
-            }
-        }
-
-        fn object(&mut self) {
-            self.expect(b'{');
-            self.ws();
-            if self.bytes.get(self.pos) == Some(&b'}') {
-                self.pos += 1;
-                return;
-            }
-            loop {
-                self.ws();
-                self.string();
-                self.ws();
-                self.expect(b':');
-                self.value();
-                self.ws();
-                match self.bytes.get(self.pos) {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return;
-                    }
-                    other => panic!("bad object separator {other:?} at {}", self.pos),
-                }
-            }
-        }
-
-        fn array(&mut self) {
-            self.expect(b'[');
-            self.ws();
-            if self.bytes.get(self.pos) == Some(&b']') {
-                self.pos += 1;
-                return;
-            }
-            loop {
-                self.value();
-                self.ws();
-                match self.bytes.get(self.pos) {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return;
-                    }
-                    other => panic!("bad array separator {other:?} at {}", self.pos),
-                }
-            }
-        }
-
-        fn string(&mut self) {
-            self.expect(b'"');
-            while let Some(&b) = self.bytes.get(self.pos) {
-                match b {
-                    b'"' => {
-                        self.pos += 1;
-                        return;
-                    }
-                    b'\\' => self.pos += 2,
-                    _ => self.pos += 1,
-                }
-            }
-            panic!("unterminated string");
-        }
-
-        fn number(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_digit() || b"-+.eE".contains(b))
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn literal(&mut self, lit: &[u8]) {
-            assert_eq!(
-                &self.bytes[self.pos..self.pos + lit.len()],
-                lit,
-                "bad literal at {}",
-                self.pos
-            );
-            self.pos += lit.len();
-        }
     }
 }

@@ -18,6 +18,10 @@
 //!    interleave across threads.
 //! 3. **Stable iteration.** The metrics registry is `BTreeMap`-backed;
 //!    snapshots render identically regardless of registration order.
+//! 4. **No process-wide state.** Event and metric names are
+//!    `&'static str` literals: an event carries its name by reference
+//!    and the registry is keyed by it, so recording a name allocates
+//!    nothing and a handle shares no table with any other.
 //!
 //! # Cost when disabled
 //!
@@ -41,14 +45,12 @@
 
 pub mod event;
 pub mod export;
-pub mod intern;
 pub mod metrics;
 pub mod sink;
 pub mod span;
 
 pub use event::{Attr, AttrValue, EventPhase, TelemetryEvent, HARNESS_TRACK, NARRATE, TRACK_ATTR};
 pub use export::{export_chrome_trace, export_jsonl};
-pub use intern::Sym;
 pub use metrics::{MetricsRegistry, MetricsSnapshot, SimTimeHistogram};
 pub use sink::{MemorySink, NullSink, StderrNarrationSink, TelemetrySink};
 pub use span::SpanGuard;
@@ -126,7 +128,7 @@ impl Telemetry {
     /// enabled path is outlined (`#[cold]`) so a disabled emit inlines
     /// to a single test-and-skip at the call site.
     #[inline]
-    pub fn emit<F>(&self, time: SimTime, phase: EventPhase, name: &str, attrs: F)
+    pub fn emit<F>(&self, time: SimTime, phase: EventPhase, name: &'static str, attrs: F)
     where
         F: FnOnce() -> Vec<Attr>,
     {
@@ -137,7 +139,7 @@ impl Telemetry {
 
     /// Emit a point event (`"i"`).
     #[inline]
-    pub fn instant<F>(&self, time: SimTime, name: &str, attrs: F)
+    pub fn instant<F>(&self, time: SimTime, name: &'static str, attrs: F)
     where
         F: FnOnce() -> Vec<Attr>,
     {
@@ -164,28 +166,28 @@ impl Telemetry {
     }
 
     /// Add `delta` to a counter.
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    pub fn counter_add(&self, name: &'static str, delta: u64) {
         if let Some(inner) = &self.inner {
             inner.metrics.lock().counter_add(name, delta);
         }
     }
 
     /// Set a gauge (last write wins).
-    pub fn gauge_set(&self, name: &str, value: f64) {
+    pub fn gauge_set(&self, name: &'static str, value: f64) {
         if let Some(inner) = &self.inner {
             inner.metrics.lock().gauge_set(name, value);
         }
     }
 
     /// Raise a gauge high-water mark.
-    pub fn gauge_max(&self, name: &str, value: f64) {
+    pub fn gauge_max(&self, name: &'static str, value: f64) {
         if let Some(inner) = &self.inner {
             inner.metrics.lock().gauge_max(name, value);
         }
     }
 
     /// Record a sim-duration histogram sample.
-    pub fn observe(&self, name: &str, d: SimDuration) {
+    pub fn observe(&self, name: &'static str, d: SimDuration) {
         if let Some(inner) = &self.inner {
             inner.metrics.lock().observe(name, d);
         }
@@ -199,28 +201,10 @@ impl Telemetry {
     /// records into its own buffer with its own dense `seq` space, and
     /// the merger replays the buffers in shard-index order — so the
     /// merged stream's sequence stamps depend only on the shard
-    /// structure, never on which thread finished first.
-    pub fn replay(&self, events: &[TelemetryEvent]) {
-        if let Some(inner) = &self.inner {
-            for e in events {
-                let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-                inner.sink.record_owned(TelemetryEvent {
-                    seq,
-                    time: e.time,
-                    phase: e.phase,
-                    name: e.name,
-                    attrs: e.attrs.clone(),
-                });
-            }
-        }
-    }
-
-    /// [`Telemetry::replay`], but taking ownership: reserves the whole
-    /// sequence range with one counter bump, restamps the events in
-    /// place, and hands the buffer to the sink as a single batch. No
-    /// per-event allocation — this is the merge-phase hot path
-    /// (`merge.replay_restamp`), which previously re-allocated every
-    /// event's name and attribute vector.
+    /// structure, never on which thread finished first. The whole
+    /// sequence range is reserved with one counter bump, the events are
+    /// restamped in place, and the buffer reaches the sink as a single
+    /// batch: no per-event allocation in `merge.replay_restamp`.
     pub fn replay_owned(&self, mut events: Vec<TelemetryEvent>) {
         if let Some(inner) = &self.inner {
             let base = inner.seq.fetch_add(events.len() as u64, Ordering::Relaxed);
@@ -253,16 +237,16 @@ impl Telemetry {
 /// `bench_telemetry`'s overhead gate).
 #[cold]
 #[inline(never)]
-fn emit_enabled<F>(inner: &Inner, time: SimTime, phase: EventPhase, name: &str, attrs: F)
+fn emit_enabled<F>(inner: &Inner, time: SimTime, phase: EventPhase, name: &'static str, attrs: F)
 where
     F: FnOnce() -> Vec<Attr>,
 {
     let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-    inner.sink.record_owned(TelemetryEvent {
+    inner.sink.record(TelemetryEvent {
         seq,
         time,
         phase,
-        name: Sym::new(name),
+        name,
         attrs: attrs(),
     });
 }
@@ -279,22 +263,12 @@ macro_rules! narrate {
     };
 }
 
-/// Unit tests share the process-global intern table, and some assert
-/// that `interned_count` does not grow; every test in this crate holds
-/// this lock so none can intern concurrently with such a check.
-#[cfg(test)]
-fn intern_lock() -> std::sync::MutexGuard<'static, ()> {
-    static INTERN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    INTERN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sequence_numbers_are_dense_and_ordered() {
-        let _guard = crate::intern_lock();
         let sink = MemorySink::new();
         let t = Telemetry::with_sink(sink.clone());
         for i in 0..10u64 {
@@ -306,7 +280,6 @@ mod tests {
 
     #[test]
     fn disabled_handle_skips_attr_construction() {
-        let _guard = crate::intern_lock();
         let t = Telemetry::disabled();
         let mut called = false;
         t.instant(SimTime::ZERO, "x", || {
@@ -319,7 +292,6 @@ mod tests {
 
     #[test]
     fn narrate_macro_formats_lazily() {
-        let _guard = crate::intern_lock();
         let sink = MemorySink::new();
         let t = Telemetry::with_sink(sink.clone());
         narrate!(t, SimTime(5), "step {} of {}", 2, 3);
@@ -340,7 +312,6 @@ mod tests {
 
     #[test]
     fn metrics_via_handle() {
-        let _guard = crate::intern_lock();
         let t = Telemetry::with_sink(NullSink);
         t.counter_add("c", 1);
         t.counter_add("c", 2);
@@ -357,7 +328,6 @@ mod tests {
 
     #[test]
     fn replay_restamps_sequence_numbers() {
-        let _guard = crate::intern_lock();
         let shard_sink = MemorySink::new();
         let shard = Telemetry::with_sink(shard_sink.clone());
         shard.instant(SimTime(5), "a", || vec![("k", 1u64.into())]);
@@ -366,7 +336,7 @@ mod tests {
         let parent_sink = MemorySink::new();
         let parent = Telemetry::with_sink(parent_sink.clone());
         parent.instant(SimTime(1), "pre", Vec::new);
-        parent.replay(&shard_sink.events());
+        parent.replay_owned(shard_sink.events());
         let events = parent_sink.events();
         assert_eq!(events.len(), 3);
         // Fresh, dense seq stamps from the parent's counter...
@@ -380,40 +350,11 @@ mod tests {
         assert_eq!(events[1].attr("k"), Some(&AttrValue::U64(1)));
 
         // Replay through a disabled handle is a no-op.
-        Telemetry::disabled().replay(&shard_sink.events());
-    }
-
-    #[test]
-    fn replay_owned_is_byte_identical_to_replay() {
-        let _guard = crate::intern_lock();
-        let shard_sink = MemorySink::new();
-        let shard = Telemetry::with_sink(shard_sink.clone());
-        shard.instant(SimTime(5), "a", || vec![("k", 1u64.into())]);
-        let g = shard.span(SimTime(6), "s", Vec::new);
-        g.end(SimTime(8));
-        shard.narrate(SimTime(9), "done");
-
-        let run = |owned: bool| {
-            let sink = MemorySink::new();
-            let parent = Telemetry::with_sink(sink.clone());
-            parent.instant(SimTime(1), "pre", Vec::new);
-            if owned {
-                parent.replay_owned(shard_sink.events());
-            } else {
-                parent.replay(&shard_sink.events());
-            }
-            parent.instant(SimTime(99), "post", Vec::new);
-            export_jsonl(&sink.events())
-        };
-        assert_eq!(run(false), run(true));
-
-        // Disabled handle: still a no-op.
         Telemetry::disabled().replay_owned(shard_sink.events());
     }
 
     #[test]
     fn merge_metrics_folds_shard_snapshots() {
-        let _guard = crate::intern_lock();
         let mk = |c: u64, g: f64, h_hours: u64| {
             let t = Telemetry::with_sink(NullSink);
             t.counter_add("n", c);
@@ -438,7 +379,6 @@ mod tests {
 
     #[test]
     fn clones_share_sequence_space() {
-        let _guard = crate::intern_lock();
         let sink = MemorySink::new();
         let t = Telemetry::with_sink(sink.clone());
         let t2 = t.clone();

@@ -1,8 +1,9 @@
 //! Deterministic metrics: counters, gauges, and sim-time histograms.
 //!
-//! Every map is a `BTreeMap` so iteration (and therefore rendering and
-//! serialization) is stable by metric name regardless of registration
-//! order. Values are only ever derived from simulation state — never
+//! Every map is a `BTreeMap` keyed by the metric's `&'static str` name,
+//! so iteration (and therefore rendering and serialization) is stable
+//! by name regardless of registration order, and recording into an
+//! existing metric allocates nothing. Values are only ever derived from simulation state — never
 //! wall clock — so two identical runs produce identical snapshots.
 
 use opml_simkernel::SimDuration;
@@ -130,9 +131,9 @@ impl SimTimeHistogram {
 /// The mutable metrics store behind a [`crate::Telemetry`] handle.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, SimTimeHistogram>,
+    counters: BTreeMap<&'static str, u64>,
+    gauges: BTreeMap<&'static str, f64>,
+    histograms: BTreeMap<&'static str, SimTimeHistogram>,
 }
 
 impl MetricsRegistry {
@@ -142,29 +143,26 @@ impl MetricsRegistry {
     }
 
     /// Add `delta` to the named counter (created at zero).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
+        *self.counters.entry(name).or_insert(0) += delta;
     }
 
     /// Set the named gauge to `value` (last write wins).
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
+        self.gauges.insert(name, value);
     }
 
     /// Raise the named gauge to `value` if larger (high-water mark).
-    pub fn gauge_max(&mut self, name: &str, value: f64) {
-        let g = self.gauges.entry(name.to_string()).or_insert(f64::MIN);
+    pub fn gauge_max(&mut self, name: &'static str, value: f64) {
+        let g = self.gauges.entry(name).or_insert(f64::MIN);
         if value > *g {
             *g = value;
         }
     }
 
     /// Record a duration sample in the named histogram.
-    pub fn observe(&mut self, name: &str, d: SimDuration) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(d);
+    pub fn observe(&mut self, name: &'static str, d: SimDuration) {
+        self.histograms.entry(name).or_default().observe(d);
     }
 
     /// Fold a (per-shard) snapshot into this registry.
@@ -175,27 +173,23 @@ impl MetricsRegistry {
     /// the simulator sets is a high-water reading, and `max` is the only
     /// order-free fold for them), histograms merge **bucketwise**.
     pub fn merge_snapshot(&mut self, snap: &MetricsSnapshot) {
-        for (name, delta) in &snap.counters {
-            self.counter_add(name, *delta);
+        for (&name, &delta) in &snap.counters {
+            self.counter_add(name, delta);
         }
-        for (name, value) in &snap.gauges {
-            self.gauge_max(name, *value);
+        for (&name, &value) in &snap.gauges {
+            self.gauge_max(name, value);
         }
-        for (name, hist) in &snap.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(hist);
+        for (&name, hist) in &snap.histograms {
+            self.histograms.entry(name).or_default().merge(hist);
         }
     }
 
     /// Immutable, name-sorted snapshot for rendering/export.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
+            histograms: self.histograms.clone(),
         }
     }
 }
@@ -204,11 +198,11 @@ impl MetricsRegistry {
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     /// Monotone event counts.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<&'static str, u64>,
     /// Last-value / high-water readings.
-    pub gauges: BTreeMap<String, f64>,
+    pub gauges: BTreeMap<&'static str, f64>,
     /// Sim-duration distributions.
-    pub histograms: BTreeMap<String, SimTimeHistogram>,
+    pub histograms: BTreeMap<&'static str, SimTimeHistogram>,
 }
 
 impl MetricsSnapshot {
@@ -224,7 +218,6 @@ mod tests {
 
     #[test]
     fn counters_and_gauges() {
-        let _guard = crate::intern_lock();
         let mut m = MetricsRegistry::new();
         m.counter_add("b.count", 2);
         m.counter_add("a.count", 1);
@@ -235,7 +228,7 @@ mod tests {
         m.gauge_max("depth.max", 5.0);
         let snap = m.snapshot();
         // BTreeMap: names iterate sorted.
-        let names: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
+        let names: Vec<&str> = snap.counters.keys().copied().collect();
         assert_eq!(names, vec!["a.count", "b.count"]);
         assert_eq!(snap.counters["b.count"], 5);
         assert_eq!(snap.gauges["depth"], 4.0);
@@ -244,7 +237,6 @@ mod tests {
 
     #[test]
     fn histogram_bucketing() {
-        let _guard = crate::intern_lock();
         let mut h = SimTimeHistogram::default();
         h.observe(SimDuration::minutes(10)); // bucket 0 (<=15)
         h.observe(SimDuration::minutes(15)); // bucket 0 (inclusive bound)
@@ -259,7 +251,6 @@ mod tests {
 
     #[test]
     fn mean_hours() {
-        let _guard = crate::intern_lock();
         let mut h = SimTimeHistogram::default();
         assert_eq!(h.mean_hours(), 0.0);
         h.observe(SimDuration::hours(1));
@@ -269,7 +260,6 @@ mod tests {
 
     #[test]
     fn percentiles_on_known_uniform_distribution() {
-        let _guard = crate::intern_lock();
         // 100 samples of 1..=100 minutes. Bucket occupancy against the
         // bounds [15, 30, 60, 120, ...]: 15, 15, 30, 40, 0, ...
         let mut h = SimTimeHistogram::default();
@@ -289,7 +279,6 @@ mod tests {
 
     #[test]
     fn percentiles_single_sample_and_overflow() {
-        let _guard = crate::intern_lock();
         let mut h = SimTimeHistogram::default();
         assert_eq!(h.p50_minutes(), None);
         h.observe(SimDuration::minutes(10));
@@ -306,7 +295,6 @@ mod tests {
 
     #[test]
     fn percentiles_survive_merge() {
-        let _guard = crate::intern_lock();
         let mut a = SimTimeHistogram::default();
         let mut b = SimTimeHistogram::default();
         for m in 1..=50 {
@@ -327,7 +315,6 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic() {
-        let _guard = crate::intern_lock();
         let mut a = MetricsRegistry::new();
         let mut b = MetricsRegistry::new();
         // Different insertion orders, same content.

@@ -15,22 +15,16 @@ use std::sync::Arc;
 /// handle, in sequence order.
 pub trait TelemetrySink: Send + Sync {
     /// Record one event. Called synchronously from the emitting thread;
-    /// implementations must not reorder events.
-    fn record(&self, event: &TelemetryEvent);
+    /// implementations must not reorder events. The sink owns the event,
+    /// so a recording sink moves it into its buffer without a clone.
+    fn record(&self, event: TelemetryEvent);
 
-    /// Record one event, taking ownership. Recording sinks override
-    /// this to move the event into their buffer instead of cloning it —
-    /// the emit hot path always calls this form.
-    fn record_owned(&self, event: TelemetryEvent) {
-        self.record(&event);
-    }
-
-    /// Record a batch of events in order, taking ownership. Recording
-    /// sinks override this with a bulk append; the default forwards to
-    /// [`TelemetrySink::record_owned`] per event.
+    /// Record a batch of events in order. Recording sinks override this
+    /// with a bulk append; the default forwards to
+    /// [`TelemetrySink::record`] per event.
     fn record_batch(&self, events: Vec<TelemetryEvent>) {
         for event in events {
-            self.record_owned(event);
+            self.record(event);
         }
     }
 }
@@ -41,7 +35,7 @@ pub trait TelemetrySink: Send + Sync {
 pub struct NullSink;
 
 impl TelemetrySink for NullSink {
-    fn record(&self, _event: &TelemetryEvent) {}
+    fn record(&self, _event: TelemetryEvent) {}
 }
 
 /// Records every event in memory, in emission order.
@@ -92,11 +86,7 @@ impl MemorySink {
 }
 
 impl TelemetrySink for MemorySink {
-    fn record(&self, event: &TelemetryEvent) {
-        self.events.lock().push(event.clone());
-    }
-
-    fn record_owned(&self, event: TelemetryEvent) {
+    fn record(&self, event: TelemetryEvent) {
         self.events.lock().push(event);
     }
 
@@ -120,7 +110,7 @@ impl TelemetrySink for MemorySink {
 pub struct StderrNarrationSink;
 
 impl TelemetrySink for StderrNarrationSink {
-    fn record(&self, event: &TelemetryEvent) {
+    fn record(&self, event: TelemetryEvent) {
         if event.name == NARRATE {
             if let Some(msg) = event.attr("message").and_then(crate::AttrValue::as_str) {
                 eprintln!("{msg}");
@@ -135,22 +125,21 @@ mod tests {
     use crate::event::EventPhase;
     use opml_simkernel::SimTime;
 
-    fn ev(seq: u64, name: &str) -> TelemetryEvent {
+    fn ev(seq: u64, name: &'static str) -> TelemetryEvent {
         TelemetryEvent {
             seq,
             time: SimTime(seq),
             phase: EventPhase::Instant,
-            name: name.into(),
+            name,
             attrs: Vec::new(),
         }
     }
 
     #[test]
     fn memory_sink_preserves_order() {
-        let _guard = crate::intern_lock();
         let sink = MemorySink::new();
         for i in 0..5 {
-            sink.record(&ev(i, "x"));
+            sink.record(ev(i, "x"));
         }
         let got: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);

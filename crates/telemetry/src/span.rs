@@ -39,7 +39,6 @@ mod tests {
 
     #[test]
     fn span_emits_balanced_begin_end() {
-        let _guard = crate::intern_lock();
         let sink = MemorySink::new();
         let t = Telemetry::with_sink(sink.clone());
         let span = t.span(SimTime(10), "semester.plan", Vec::new);
@@ -56,7 +55,6 @@ mod tests {
 
     #[test]
     fn disabled_span_is_silent() {
-        let _guard = crate::intern_lock();
         let t = Telemetry::disabled();
         let span = t.span(SimTime(10), "noop", Vec::new);
         span.end(SimTime(20));

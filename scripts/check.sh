@@ -88,7 +88,7 @@ if [ "$spill_digest" != "$golden_spill_digest" ]; then
     exit 1
 fi
 
-echo "==> serve smoke run (tiny ramp, digest stable across reruns and threads)"
+echo "==> serve smoke run (tiny ramp vs golden digest, stable across reruns and threads)"
 serve_dir=$(mktemp -d)
 serve_flags="serve --seed 7 --tenants 3 --servers 8 --target-rps 2 \
     --increment-rps 2 --max-rps 6 --round-secs 15 --quiet"
@@ -100,6 +100,12 @@ serve_c=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
     $serve_flags --threads 8 --out "$serve_dir/c" | sed -n 's/^counts_digest=//p')
 if [ -z "$serve_a" ] || [ "$serve_a" != "$serve_b" ] || [ "$serve_a" != "$serve_c" ]; then
     echo "serve smoke FAILED: digests '$serve_a' / '$serve_b' / '$serve_c' diverge" >&2
+    exit 1
+fi
+golden_serve_file=tests/golden/serve_smoke_seed7.digest
+golden_serve_digest=$(cat "$golden_serve_file")
+if [ "$serve_a" != "$golden_serve_digest" ]; then
+    echo "serve smoke FAILED: counts digest $serve_a != golden $golden_serve_digest ($golden_serve_file)" >&2
     exit 1
 fi
 rm -rf "$serve_dir"
@@ -148,7 +154,7 @@ shard_allocs=$(sed -n 's/.*"phase":"shard\.sim","allocs":\([0-9]*\).*/\1/p' \
     "$alloc_dir/profile.json")
 alloc_digest=$(sed -n 's/.*"alloc_digest": "\([0-9a-f]*\)".*/\1/p' \
     "$alloc_dir/profile.json")
-alloc_budget=700000
+alloc_budget=560000
 if [ -z "$shard_allocs" ] || [ -z "$alloc_digest" ]; then
     echo "alloc smoke FAILED: shard.sim allocs or alloc_digest missing from profile.json" >&2
     exit 1

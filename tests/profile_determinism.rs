@@ -45,13 +45,13 @@ fn config(threads: usize) -> ProfileConfig {
 /// Per-phase allocation-count ceilings for `config()` (seed 42, 1,500
 /// students, default shard size), with ~25% headroom over the measured
 /// post-optimization counts. The pre-optimization profiler measured
-/// ~3x the `shard.sim` ceiling (per-event name `String`s plus sink
+/// over 3x the `shard.sim` ceiling (per-event name `String`s plus sink
 /// record clones) and ~250k in `merge.replay_restamp` (clone-and-
 /// restamp), so a regression to either pattern lands far outside the
 /// ceiling rather than flaking against it.
-const SHARD_SIM_ALLOC_CEILING: u64 = 520_000;
+const SHARD_SIM_ALLOC_CEILING: u64 = 420_000;
 const MERGE_REPLAY_ALLOC_CEILING: u64 = 50;
-const MERGE_METRICS_ALLOC_CEILING: u64 = 200;
+const MERGE_METRICS_ALLOC_CEILING: u64 = 4;
 const MERGE_LEDGER_ALLOC_CEILING: u64 = 20;
 
 fn phase_allocs(report: &ProfileReport, phase: &str) -> u64 {

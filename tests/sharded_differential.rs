@@ -11,7 +11,7 @@
 mod differential;
 
 use differential::{
-    arms, every_exec_matches_the_reference, forced_multi_shard, intern_lock, run, THREAD_COUNTS,
+    arms, every_exec_matches_the_reference, forced_multi_shard, run, THREAD_COUNTS,
 };
 use ml_ops_course::cohort::semester::SemesterConfig;
 use ml_ops_course::experiments::{capacity, fig1, fig2, fig3, headline, project_cost, table1};
@@ -22,7 +22,6 @@ const SUITE: &str = "sharded_differential";
 
 #[test]
 fn paper_course_parallel_matches_serial_at_every_thread_count() {
-    let _guard = intern_lock();
     // The paper course fits in a single shard (the legacy path): no
     // merge and no disk under any exec, and the trace and ledger must
     // still be invariant to the ambient pool size.
@@ -33,7 +32,6 @@ fn paper_course_parallel_matches_serial_at_every_thread_count() {
 
 #[test]
 fn forced_multi_shard_is_byte_identical_to_serial() {
-    let _guard = intern_lock();
     // The spill arms of this config are `spill_differential`'s.
     let reference =
         every_exec_matches_the_reference(&forced_multi_shard(), SUITE, "sharded", |arm| {
@@ -47,7 +45,6 @@ fn forced_multi_shard_is_byte_identical_to_serial() {
 
 #[test]
 fn streaming_digest_is_seed_sensitive() {
-    let _guard = intern_lock();
     // Guard against a digest that ignores the stream: two seeds must
     // disagree through the same spill pipeline.
     let config = forced_multi_shard();
@@ -60,7 +57,6 @@ fn streaming_digest_is_seed_sensitive() {
 
 #[test]
 fn experiments_results_digest_is_thread_invariant() {
-    let _guard = intern_lock();
     // Build the same JSON document `run-experiments` writes to
     // experiments_results.json (the per-context sections) at each
     // thread count, and require identical digests.

@@ -9,13 +9,12 @@
 
 mod differential;
 
-use differential::{every_exec_matches_the_reference, forced_multi_shard, intern_lock};
+use differential::{every_exec_matches_the_reference, forced_multi_shard};
 
 const SUITE: &str = "spill_differential";
 
 #[test]
 fn streaming_serial_matches_in_memory_serial() {
-    let _guard = intern_lock();
     every_exec_matches_the_reference(&forced_multi_shard(), SUITE, "serial", |arm| {
         arm.spills() && arm.threads.is_none()
     });
@@ -23,7 +22,6 @@ fn streaming_serial_matches_in_memory_serial() {
 
 #[test]
 fn streaming_matches_in_memory_at_every_thread_count() {
-    let _guard = intern_lock();
     every_exec_matches_the_reference(&forced_multi_shard(), SUITE, "pool", |arm| {
         arm.spills() && arm.threads.is_some()
     });

@@ -5,16 +5,23 @@
 //! regenerating the fixture with
 //! `run-experiments trace --seed 7 --enrollment 3 --labs-only`).
 //!
-//! Two fault-injected traces are pinned by digest instead: the FNV-1a
-//! of each JSONL export must equal the hex value committed beside it.
-//! They cover the executor's failure arms (crash, leak, breaker, quota
-//! retry) that the fault-free fixture never reaches.
+//! Three fault-injected runs are pinned by digest instead: the FNV-1a
+//! of each JSONL export, and of each metrics snapshot's JSON, must equal
+//! the hex value committed in `tests/golden/`. They cover the executor's
+//! failure arms (crash, leak, breaker, quota retry) that the fault-free
+//! fixture never reaches, and the sharded one covers the merge: shard
+//! traces replayed in shard order and shard metrics folded together.
+//! The `verify-determinism` digest is pinned the same way.
 
 use ml_ops_course::cohort::semester::{simulate_semester_with, SemesterConfig};
 use ml_ops_course::experiments::trace::{capture_trace, TraceConfig};
+use ml_ops_course::experiments::verify::verify_determinism;
 use ml_ops_course::faults::FaultProfile;
-use ml_ops_course::simkernel::fnv1a64;
-use ml_ops_course::telemetry::{export_jsonl, MemorySink, Telemetry};
+use ml_ops_course::profiler::Json;
+use ml_ops_course::simkernel::{fnv1a64, SimTime};
+use ml_ops_course::telemetry::{
+    export_chrome_trace, export_jsonl, EventPhase, MemorySink, Telemetry, TelemetryEvent,
+};
 
 const GOLDEN: &str = include_str!("golden/trace_tiny_seed7.jsonl");
 
@@ -69,9 +76,45 @@ fn golden_scenario_covers_the_event_vocabulary() {
     }
 }
 
-/// The FNV-1a of the JSONL trace of a 20%-chaos semester at seed 7,
-/// projects on.
-fn chaos_trace_digest(enrollment: u32, shard_students: u32) -> String {
+#[test]
+fn chrome_trace_is_well_formed_json() {
+    let trace_events = |what: &str, doc: &str| {
+        let json = Json::parse(doc).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let events = json
+            .get("traceEvents")
+            .and_then(Json::as_array)
+            .unwrap_or_else(|| panic!("{what}: no traceEvents array"))
+            .to_vec();
+        assert!(events.len() > 2, "{what}: only thread metadata exported");
+        events
+    };
+    trace_events("fixture run", &capture_trace(&tiny()).chrome);
+
+    let ev = |seq: u64, phase: EventPhase, name: &'static str| TelemetryEvent {
+        seq,
+        time: SimTime(10 * (seq + 1)),
+        phase,
+        name,
+        attrs: Vec::new(),
+    };
+    let quoted = trace_events(
+        "quoted span names",
+        &export_chrome_trace(&[
+            ev(0, EventPhase::Begin, "span \"quoted\""),
+            ev(1, EventPhase::Instant, "tick"),
+            ev(2, EventPhase::End, "span \"quoted\""),
+        ]),
+    );
+    // After the two thread-name records, the span's begin comes first.
+    assert_eq!(
+        quoted[2].get("name").and_then(Json::as_str),
+        Some("span \"quoted\"")
+    );
+}
+
+/// The FNV-1a digests, as hex, of the JSONL trace and of the metrics
+/// snapshot's JSON from a 20%-chaos semester at seed 7, projects on.
+fn chaos_digests(enrollment: u32, shard_students: u32) -> (String, String) {
     let sink = MemorySink::new();
     let telemetry = Telemetry::with_sink(sink.clone());
     let config = SemesterConfig {
@@ -81,24 +124,34 @@ fn chaos_trace_digest(enrollment: u32, shard_students: u32) -> String {
         ..SemesterConfig::paper_course()
     };
     simulate_semester_with(&config, 7, &telemetry);
-    format!("{:016x}", fnv1a64(export_jsonl(&sink.events()).as_bytes()))
+    let metrics = serde_json::to_string(&telemetry.metrics_snapshot()).expect("metrics serialize");
+    (
+        hex_digest(export_jsonl(&sink.events()).as_bytes()),
+        hex_digest(metrics.as_bytes()),
+    )
+}
+
+fn hex_digest(bytes: &[u8]) -> String {
+    format!("{:016x}", fnv1a64(bytes))
 }
 
 fn assert_matches_golden(got: &str, committed: &str, file: &str) {
-    assert_eq!(
-        got,
-        committed.trim(),
-        "chaos trace digest differs from {file}"
-    );
+    assert_eq!(got, committed.trim(), "digest differs from {file}");
 }
 
 #[test]
 fn small_chaos_trace_matches_golden_digest() {
     // Eight students on one campus: crashes, leaks and revocations.
+    let (trace, metrics) = chaos_digests(8, 191);
     assert_matches_golden(
-        &chaos_trace_digest(8, 191),
+        &trace,
         include_str!("golden/chaos_trace_8_seed7.digest"),
         "tests/golden/chaos_trace_8_seed7.digest",
+    );
+    assert_matches_golden(
+        &metrics,
+        include_str!("golden/chaos_metrics_8_seed7.digest"),
+        "tests/golden/chaos_metrics_8_seed7.digest",
     );
 }
 
@@ -106,9 +159,51 @@ fn small_chaos_trace_matches_golden_digest() {
 fn crowded_chaos_trace_matches_golden_digest() {
     // 400 students on one campus hit quota, so this trace also covers
     // the quota-retry arm and the breaker.
+    let (trace, metrics) = chaos_digests(400, 400);
     assert_matches_golden(
-        &chaos_trace_digest(400, 400),
+        &trace,
         include_str!("golden/chaos_trace_400_seed7.digest"),
         "tests/golden/chaos_trace_400_seed7.digest",
     );
+    assert_matches_golden(
+        &metrics,
+        include_str!("golden/chaos_metrics_400_seed7.digest"),
+        "tests/golden/chaos_metrics_400_seed7.digest",
+    );
+}
+
+#[test]
+fn sharded_chaos_trace_matches_golden_digest() {
+    // The same 400 students in three shards: each shard's trace is
+    // replayed in shard order and its metrics folded into the parent's.
+    let config = SemesterConfig {
+        enrollment: 400,
+        shard_students: 191,
+        ..SemesterConfig::paper_course()
+    };
+    assert_eq!(config.shards().len(), 3);
+    let (trace, metrics) = chaos_digests(400, 191);
+    assert_matches_golden(
+        &trace,
+        include_str!("golden/chaos_trace_400x191_seed7.digest"),
+        "tests/golden/chaos_trace_400x191_seed7.digest",
+    );
+    assert_matches_golden(
+        &metrics,
+        include_str!("golden/chaos_metrics_400x191_seed7.digest"),
+        "tests/golden/chaos_metrics_400x191_seed7.digest",
+    );
+}
+
+#[test]
+fn verify_determinism_matches_golden_digest() {
+    let outcome = verify_determinism(42, &[1]);
+    assert_eq!(outcome.digests.len(), 2, "two repetitions at one thread");
+    for run in &outcome.digests {
+        assert_matches_golden(
+            &format!("{:016x}", run.hash),
+            include_str!("golden/verify_determinism_seed42.digest"),
+            "tests/golden/verify_determinism_seed42.digest",
+        );
+    }
 }
