@@ -2,8 +2,9 @@
 //!
 //! Three variants of the same push/pop churn: no telemetry calls at all
 //! (baseline), instrumented with a *disabled* handle (what production
-//! runs pay when tracing is off), and instrumented with a `NullSink`
-//! (the cost of formatting attrs + sequencing, minus export).
+//! runs pay when tracing is off), and instrumented with a metrics-only
+//! handle (`Telemetry::metrics_only`: the cost of formatting attrs and
+//! sequencing, with every event dropped rather than kept).
 //!
 //! Besides the criterion samples, this bench enforces the observability
 //! contract from DESIGN.md §8: the disabled-handle variant must stay
@@ -12,7 +13,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opml_simkernel::{EventQueue, SimTime};
-use opml_telemetry::{NullSink, Telemetry};
+use opml_telemetry::Telemetry;
 
 /// Events pushed/popped per iteration.
 const EVENTS: u64 = 4_096;
@@ -100,7 +101,7 @@ fn median_paired_ratio(
 
 fn bench_telemetry(c: &mut Criterion) {
     let disabled = Telemetry::disabled();
-    let null = Telemetry::with_sink(NullSink);
+    let metrics_only = Telemetry::metrics_only();
 
     let mut group = c.benchmark_group("telemetry");
     group.sample_size(20);
@@ -108,8 +109,8 @@ fn bench_telemetry(c: &mut Criterion) {
     group.bench_function("queue_churn/disabled", |b| {
         b.iter(|| churn_instrumented(&disabled))
     });
-    group.bench_function("queue_churn/null_sink", |b| {
-        b.iter(|| churn_instrumented(&null))
+    group.bench_function("queue_churn/metrics_only", |b| {
+        b.iter(|| churn_instrumented(&metrics_only))
     });
     group.finish();
 

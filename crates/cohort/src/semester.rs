@@ -29,7 +29,7 @@ use opml_faults::{site_key, CircuitBreaker, FaultKind, FaultPlan, FaultProfile, 
 use opml_metering::attribution::student_name;
 use opml_simkernel::parallel::map_slice;
 use opml_simkernel::{split_seed, EventQueue, Rng, SimDuration, SimTime};
-use opml_telemetry::{AttrValue, MemorySink, MetricsSnapshot, Telemetry, TelemetryEvent};
+use opml_telemetry::{AttrValue, MetricsSnapshot, Telemetry, TelemetryEvent};
 use opml_testbed::error::CloudError;
 use opml_testbed::flavor::FlavorId;
 use opml_testbed::instance::InstanceId;
@@ -432,7 +432,7 @@ pub fn simulate_semester_exec(
 }
 
 /// Measured per-student telemetry event volume (2k-student profile run:
-/// ~221 events/student), rounded up. Sizes each shard's private sink.
+/// ~221 events/student), rounded up. Sizes each shard's event buffer.
 const EVENTS_PER_STUDENT: usize = 232;
 
 /// Measured per-student usage-record volume (~92 records/student),
@@ -588,11 +588,11 @@ pub(crate) fn drive<S: ShardStore>(
     Ok(outcome)
 }
 
-/// Execute one shard against a private telemetry buffer (or fully
-/// disabled telemetry when the parent handle is disabled), so shards
-/// never contend on the parent handle and their event streams can be
-/// replayed in shard order afterwards. The telemetry comes back as
-/// `None` when the parent handle is disabled.
+/// Execute one shard against its own recording telemetry handle (or
+/// fully disabled telemetry when the parent handle is disabled), so
+/// shards never contend on the parent handle and their event streams
+/// can be replayed in shard order afterwards. The telemetry comes back
+/// as `None` when the parent handle is disabled.
 fn run_shard_buffered(
     config: &SemesterConfig,
     seed: u64,
@@ -603,22 +603,19 @@ fn run_shard_buffered(
     // profiler): the shard body vs the merge stages is exactly the
     // split that explains sharded-vs-serial wall time.
     let _phase = opml_profiler::wall_phase(opml_profiler::phases::SHARD_SIM);
-    let sink = record
-        .then(|| MemorySink::with_capacity(shard.student_count() as usize * EVENTS_PER_STUDENT));
-    let telemetry = sink.as_ref().map_or_else(Telemetry::disabled, |sink| {
-        Telemetry::with_sink(sink.clone())
-    });
+    let telemetry = if record {
+        Telemetry::recording_with_capacity(shard.student_count() as usize * EVENTS_PER_STUDENT)
+    } else {
+        Telemetry::disabled()
+    };
     let mut outcome = run_shard(config, seed, shard, &telemetry, true);
     // Sort here, inside the (possibly parallel) shard map, so the merge
     // only interleaves presorted runs. The single-shard legacy path
     // never comes through here and keeps its close-order ledger.
     outcome.ledger.sort_canonical();
-    let aux = sink.map(|sink| {
-        let metrics = telemetry.metrics_snapshot();
-        // Drain rather than clone: the buffer moves wholesale into the
-        // merge's restamp pass.
-        (sink.take_events(), metrics)
-    });
+    // Drain rather than clone: the buffer moves wholesale into the
+    // merge's restamp pass.
+    let aux = record.then(|| (telemetry.take_events(), telemetry.metrics_snapshot()));
     (outcome, aux)
 }
 
@@ -1400,7 +1397,7 @@ mod tests {
 
     #[test]
     fn telemetry_trace_is_byte_identical_across_runs() {
-        use opml_telemetry::{export_jsonl, MemorySink, Telemetry};
+        use opml_telemetry::{export_jsonl, Telemetry};
         let config = SemesterConfig {
             enrollment: 3,
             weeks: 14,
@@ -1410,10 +1407,9 @@ mod tests {
             shard_students: 191,
         };
         let trace = |seed: u64| {
-            let sink = MemorySink::new();
-            let telemetry = Telemetry::with_sink(sink.clone());
+            let telemetry = Telemetry::recording();
             let outcome = simulate_semester_with(&config, seed, &telemetry);
-            (export_jsonl(&sink.events()), outcome, telemetry)
+            (export_jsonl(&telemetry.events()), outcome, telemetry)
         };
         let (a, outcome, telemetry) = trace(7);
         let (b, _, _) = trace(7);

@@ -5,13 +5,12 @@
 use opml_cohort::semester::{simulate_semester_with, SemesterConfig};
 use opml_faults::FaultProfile;
 use opml_simkernel::parallel::with_thread_count;
-use opml_telemetry::{export_jsonl, MemorySink, Telemetry};
+use opml_telemetry::{export_jsonl, Telemetry};
 
 /// Run one semester under `threads` rayon threads and export its trace.
 fn trace(faults: FaultProfile, threads: usize) -> String {
     with_thread_count(threads, || {
-        let sink = MemorySink::new();
-        let telemetry = Telemetry::with_sink(sink.clone());
+        let telemetry = Telemetry::recording();
         let config = SemesterConfig {
             enrollment: 8,
             weeks: 14,
@@ -21,7 +20,7 @@ fn trace(faults: FaultProfile, threads: usize) -> String {
             shard_students: 191,
         };
         simulate_semester_with(&config, 7, &telemetry);
-        export_jsonl(&sink.events())
+        export_jsonl(&telemetry.events())
     })
 }
 
@@ -32,8 +31,7 @@ fn sharded_chaos_trace_is_thread_count_invariant() {
     // under fault injection.
     let sharded = |threads: usize| {
         with_thread_count(threads, || {
-            let sink = MemorySink::new();
-            let telemetry = Telemetry::with_sink(sink.clone());
+            let telemetry = Telemetry::recording();
             let config = SemesterConfig {
                 enrollment: 8,
                 weeks: 14,
@@ -43,7 +41,7 @@ fn sharded_chaos_trace_is_thread_count_invariant() {
                 shard_students: 3,
             };
             simulate_semester_with(&config, 7, &telemetry);
-            export_jsonl(&sink.events())
+            export_jsonl(&telemetry.events())
         })
     };
     let serial = sharded(1);

@@ -36,9 +36,12 @@
 //! 1), and one `peak rss: <n> kB` line (the process `VmHWM`), printed
 //! by `main` after the subcommand.
 
-use opml_experiments::{chaos, paper_sections, profile, scale, serve, trace, verify};
+use opml_experiments::{
+    chaos, experiments_markdown, paper_sections, profile, scale, serve, tolerance_count, trace,
+    verify,
+};
 use opml_simkernel::SimTime;
-use opml_telemetry::{narrate, StderrNarrationSink, Telemetry};
+use opml_telemetry::{narrate, Telemetry};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -64,7 +67,7 @@ fn main() -> ExitCode {
     let narrator = if args.has("--quiet") {
         Telemetry::disabled()
     } else {
-        Telemetry::with_sink(StderrNarrationSink)
+        Telemetry::narrating()
     };
 
     let outcome = match args.0.get(1).map(String::as_str) {
@@ -365,9 +368,9 @@ fn run_full(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
         "simulating the 191-student semester (seed {seed})…"
     );
     let sim_telemetry = if want_metrics {
-        // Metrics live in the registry; no event sink is needed, so the
-        // per-event cost stays near zero.
-        Telemetry::with_sink(opml_telemetry::NullSink)
+        // Only the metrics are kept; events are dropped as they are
+        // stamped, so the per-event cost stays near zero.
+        Telemetry::metrics_only()
     } else {
         Telemetry::disabled()
     };
@@ -392,14 +395,10 @@ fn run_full(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
 
     // Comparison summary.
     println!("== Paper vs measured ==\n");
-    let mut all_pass = 0usize;
-    let mut all_rows = 0usize;
     for section in &sections {
-        let cmp = &section.comparisons;
-        println!("{}", cmp.to_markdown());
-        all_rows += cmp.rows.len();
-        all_pass += cmp.rows.iter().filter(|c| c.within_tolerance()).count();
+        println!("{}", section.comparisons.to_markdown());
     }
+    let (all_pass, all_rows) = tolerance_count(&sections);
     println!(
         "overall: {all_pass}/{all_rows} comparisons within tolerance ({:.0}%)",
         all_pass as f64 / all_rows.max(1) as f64 * 100.0
@@ -415,34 +414,10 @@ fn run_full(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
     };
 
     if let Some(path) = args.raw("--write-md") {
-        let mut md = String::from(
-            "<!-- generated by `cargo run -p opml-experiments --bin run-experiments -- --write-md` -->\n\n",
-        );
-        md.push_str(&format!(
-            "# EXPERIMENTS — paper vs. measured\n\n\
-             Every table and figure in the evaluation of *The Cost of Teaching\n\
-             Operational ML* (Fund et al., SC Workshops '25, §5), reproduced by\n\
-             `cargo run --release -p opml-experiments --bin run-experiments`\n\
-             (this file was generated at seed {seed}; rerun with `--seed N` for\n\
-             other cohort realizations, or `--write-md EXPERIMENTS.md` to\n\
-             regenerate it).\n\n\
-             The reproduction targets **shape**, not absolute replay: the\n\
-             paper's numbers are one realization of one real cohort; ours are\n\
-             one realization of a calibrated stochastic cohort. Each comparison\n\
-             row declares its tolerance; single-order statistics get wide ones,\n\
-             aggregate totals tight ones. At this seed, **{all_pass} of\n\
-             {all_rows} comparisons are within tolerance** (machine-readable\n\
-             record: `experiments_results.json`; the default-seed count is\n\
-             pinned by the tier-1 test `tests/paper_numbers.rs`).\n\n",
-        ));
-        for section in &sections {
-            md.push_str(&section.comparisons.to_markdown());
-        }
-        if let Some(summary) = &metrics_md {
-            md.push_str("## Telemetry metrics\n\n");
-            md.push_str(summary);
-        }
-        write_file(path, &md)?;
+        write_file(
+            path,
+            &experiments_markdown(seed, &sections, metrics_md.as_deref()),
+        )?;
         narrate!(
             narrator,
             SimTime::ZERO,

@@ -20,7 +20,7 @@ use opml_metering::rollup::AssignmentRollup;
 use opml_pricing::estimate::price_lab_assignments;
 use opml_report::latency::{latency_table, LatencyUnit};
 use opml_report::table::{fmt_num, fmt_usd, Table};
-use opml_telemetry::{export_jsonl, MemorySink, MetricsSnapshot, Telemetry};
+use opml_telemetry::{export_jsonl, MetricsSnapshot, Telemetry};
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -96,8 +96,7 @@ pub struct ChaosReport {
 }
 
 fn run_arm(seed: u64, enrollment: u32, rate: Option<f64>) -> ChaosArm {
-    let sink = MemorySink::new();
-    let telemetry = Telemetry::with_sink(sink.clone());
+    let telemetry = Telemetry::recording();
     let config = SemesterConfig {
         enrollment,
         weeks: 14,
@@ -110,7 +109,7 @@ fn run_arm(seed: u64, enrollment: u32, rate: Option<f64>) -> ChaosArm {
         shard_students: 191,
     };
     let outcome = simulate_semester_with(&config, seed, &telemetry);
-    let jsonl = export_jsonl(&sink.events());
+    let jsonl = export_jsonl(&telemetry.take_events());
     let ledger_json = serde_json::to_string(&outcome.ledger).expect("ledger serializes");
     let digest = site_key(&jsonl) ^ site_key(&ledger_json).rotate_left(1);
     let rollup = AssignmentRollup::from_ledger(&outcome.ledger, enrollment as usize);

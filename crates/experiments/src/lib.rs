@@ -3,8 +3,8 @@
 //! One module per evaluation artifact in the paper. Each experiment
 //! returns rendered text (the table/figure) plus a
 //! [`opml_report::ComparisonSet`] of paper-vs-measured quantities.
-//! [`paper_sections`] runs them in report order; the `run-experiments`
-//! binary assembles that list into EXPERIMENTS.md.
+//! [`paper_sections`] runs them in report order, and
+//! [`experiments_markdown`] assembles that list into EXPERIMENTS.md.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -45,5 +45,6 @@ pub mod trace;
 pub mod verify;
 
 pub use context::{
-    paper_sections, run_paper_course, run_paper_course_with, ExperimentContext, PaperSection,
+    experiments_markdown, paper_sections, run_paper_course, run_paper_course_with, tolerance_count,
+    ExperimentContext, PaperSection,
 };

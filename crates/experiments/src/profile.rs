@@ -33,7 +33,7 @@ use opml_profiler::{
 use opml_report::Table;
 use opml_simkernel::parallel::{effective_thread_count, with_thread_count};
 use opml_simkernel::{fnv1a64, SimTime};
-use opml_telemetry::{MemorySink, Telemetry, HARNESS_TRACK, TRACK_ATTR};
+use opml_telemetry::{Telemetry, HARNESS_TRACK, TRACK_ATTR};
 use serde_json::{json, Value};
 
 /// Schema tag written into `profile.json`.
@@ -108,8 +108,7 @@ pub fn run(config: &ProfileConfig) -> ProfileReport {
     }
     let sampler = RssSampler::start(Duration::from_millis(config.rss_sample_ms.max(1)));
 
-    let sink = MemorySink::new();
-    let telemetry = Telemetry::with_sink(sink.clone());
+    let telemetry = Telemetry::recording();
     let sem = SemesterConfig {
         enrollment: config.enrollment,
         run_projects: config.run_projects,
@@ -136,7 +135,7 @@ pub fn run(config: &ProfileConfig) -> ProfileReport {
     opml_profiler::disable_counting();
     opml_profiler::disable();
     let rss_samples = sampler.stop();
-    let events = sink.take_events();
+    let events = telemetry.take_events();
 
     let spans = profile_spans(&events);
     let shards = shard_breakdown(&events);

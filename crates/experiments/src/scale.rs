@@ -131,10 +131,10 @@ pub fn digest_outcome(outcome: &SemesterOutcome) -> u64 {
 
 /// Incremental outcome digest: records are folded one at a time, in
 /// merge order. The hashed bytes are exactly the compact JSON of the
-/// ledger (`{"records":[...]}`, each record as [`write_record_json`]
-/// renders it) followed by the scalar suffix, so the digest is defined
-/// by the serialized outcome without ever holding it: each record is
-/// written into one reused buffer and hashed.
+/// ledger (`{"records":[...]}`, each record as the private
+/// `write_record_json` renders it) followed by the scalar suffix, so
+/// the digest is defined by the serialized outcome without ever holding
+/// it: each record is written into one reused buffer and hashed.
 #[derive(Debug)]
 pub struct OutcomeDigest {
     hash: DetHasher,

@@ -1,12 +1,11 @@
 //! Trace capture for `run-experiments trace`: run a semester with
 //! telemetry recording, export the event stream as JSONL and Chrome
-//! trace-event JSON, and snapshot the metrics registry.
+//! trace-event JSON, and snapshot the metrics.
 
 use opml_cohort::semester::{simulate_semester_with, SemesterConfig, SemesterOutcome};
 use opml_simkernel::SimTime;
 use opml_telemetry::{
-    export_chrome_trace, export_jsonl, MemorySink, MetricsSnapshot, Telemetry, HARNESS_TRACK,
-    TRACK_ATTR,
+    export_chrome_trace, export_jsonl, MetricsSnapshot, Telemetry, HARNESS_TRACK, TRACK_ATTR,
 };
 
 /// What to trace.
@@ -45,12 +44,11 @@ pub struct TraceArtifacts {
     pub outcome: SemesterOutcome,
 }
 
-/// Run the configured semester with a recording sink and export both
+/// Run the configured semester with a recording handle and export both
 /// trace formats. Byte-deterministic: the same config produces identical
 /// `jsonl`/`chrome` strings on every run and thread count.
 pub fn capture_trace(config: &TraceConfig) -> TraceArtifacts {
-    let sink = MemorySink::new();
-    let telemetry = Telemetry::with_sink(sink.clone());
+    let telemetry = Telemetry::recording();
     let sem_config = SemesterConfig {
         enrollment: config.enrollment,
         run_projects: !config.labs_only,
@@ -67,7 +65,7 @@ pub fn capture_trace(config: &TraceConfig) -> TraceArtifacts {
     let outcome = simulate_semester_with(&sem_config, config.seed, &telemetry);
     let end = SimTime::at(sem_config.weeks + 1, 0, 0, 0);
     stage.end(end);
-    let events = sink.events();
+    let events = telemetry.take_events();
     TraceArtifacts {
         jsonl: export_jsonl(&events),
         chrome: export_chrome_trace(&events),

@@ -63,12 +63,11 @@ impl VerifyOutcome {
 /// every serialized artifact, including the telemetry trace bytes, so a
 /// nondeterministic event stream fails verification too.
 fn digest_one(seed: u64) -> u64 {
-    let sink = opml_telemetry::MemorySink::new();
-    let telemetry = opml_telemetry::Telemetry::with_sink(sink.clone());
+    let telemetry = opml_telemetry::Telemetry::recording();
     let ctx = crate::run_paper_course_with(seed, &telemetry);
     let (t1_text, t1_cmp) = table1::run(&ctx);
     let (f2_text, f2_cmp) = fig2::run(&ctx);
-    let mut blob = opml_telemetry::export_jsonl(&sink.events());
+    let mut blob = opml_telemetry::export_jsonl(&telemetry.take_events());
     blob.push_str(&t1_text);
     blob.push_str(&f2_text);
     blob.push_str(&serde_json::to_string(&t1_cmp).expect("serialize table1 comparisons"));

@@ -485,20 +485,18 @@ mod tests {
 
     #[test]
     fn traced_run_emits_waves_and_tasks_in_definition_order() {
-        use opml_telemetry::MemorySink;
         let mut wf = Workflow::new();
         for name in ["a", "b", "c"] {
             wf.add_task(name, &[], 0, |_| Ok(())).unwrap();
         }
         wf.add_task("join", &["a", "b", "c"], 0, |_| Ok(()))
             .unwrap();
-        let sink = MemorySink::new();
-        let telemetry = Telemetry::with_sink(sink.clone());
+        let telemetry = Telemetry::recording();
         let result = wf.run_traced(&Context::new(), SimTime(300), &telemetry);
         assert!(result.succeeded());
         // Task events come out in definition order within each wave, never
         // in thread completion order.
-        let task_names: Vec<String> = sink
+        let task_names: Vec<String> = telemetry
             .events()
             .iter()
             .filter(|e| e.name == "workflow.task")
@@ -510,7 +508,7 @@ mod tests {
             })
             .collect();
         assert_eq!(task_names, vec!["a", "b", "c", "join"]);
-        let waves = sink
+        let waves = telemetry
             .events()
             .iter()
             .filter(|e| e.name == "workflow.wave" && e.phase == opml_telemetry::EventPhase::Begin)

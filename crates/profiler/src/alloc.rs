@@ -53,11 +53,6 @@ pub fn disable_counting() {
     COUNTING.store(false, Ordering::Relaxed);
 }
 
-/// Is the counting flag set? (Says nothing about installation.)
-pub fn is_counting() -> bool {
-    COUNTING.load(Ordering::Relaxed)
-}
-
 /// Zero the global totals (per-phase alloc counters are zeroed by
 /// [`crate::reset`]).
 pub fn reset_totals() {

@@ -4,10 +4,11 @@
 //! is metered; this crate applies the same discipline to the simulator
 //! itself. It provides four small, composable pieces:
 //!
-//! * [`phase`] — a wall-clock phase profiler with fixed static slots.
-//!   The semester simulator brackets its shard bodies and merge stages
-//!   in [`wall_phase`] guards, so a profiled run can split host time
-//!   into `shard.sim` vs `merge.replay_restamp`/`merge.metrics`/
+//! * [`phase`] — a wall-clock phase profiler with one static slot per
+//!   entry of the fixed phase table [`phases::ALL`]. The semester
+//!   simulator brackets its shard bodies and merge stages in
+//!   [`wall_phase`] guards, so a profiled run can split host time into
+//!   `shard.sim` vs `merge.replay_restamp`/`merge.metrics`/
 //!   `merge.ledger` — the breakdown that explains why the sharded path
 //!   can run slower than serial on a small host.
 //! * [`alloc`] — an opt-in [`CountingAlloc`] global-allocator wrapper
@@ -39,13 +40,13 @@ pub mod rss;
 pub mod spanprof;
 
 pub use alloc::{
-    counting_allocator_installed, disable_counting, enable_counting, is_counting, reset_totals,
-    totals, AllocTotals, CountingAlloc,
+    counting_allocator_installed, disable_counting, enable_counting, reset_totals, totals,
+    AllocTotals, CountingAlloc,
 };
 pub use json::Json;
 pub use phase::{
     current_phase, disable, enable, is_enabled, phase_report, phases, reset, wall_phase,
-    PhaseGuard, PhaseStat, MAX_PHASES, UNATTRIBUTED, UNATTRIBUTED_NAME,
+    PhaseGuard, PhaseStat, UNATTRIBUTED, UNATTRIBUTED_NAME,
 };
 pub use rss::{current_rss_kb, peak_rss_kb, RssSample, RssSampler};
 

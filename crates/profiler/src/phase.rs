@@ -1,17 +1,19 @@
 //! Wall-clock phase profiler with fixed static slots.
 //!
 //! A *phase* is a named region of host execution (`shard.sim`,
-//! `merge.ledger`, ...) entered via [`wall_phase`]. Each phase owns a
-//! fixed slot of atomic counters: enter count, accumulated wall
-//! nanoseconds, and (when the counting allocator is installed)
-//! allocation counts/bytes attributed while the phase was the active
-//! leaf on the entering thread.
+//! `merge.ledger`, ...) entered via [`wall_phase`]. The phases are the
+//! fixed table [`phases::ALL`], and each owns a slot of atomic
+//! counters: enter count, accumulated wall nanoseconds, and (when the
+//! counting allocator is installed) allocation counts/bytes attributed
+//! while the phase was the active leaf on the entering thread.
 //!
 //! Design constraints, in priority order:
 //!
 //! 1. **Zero-cost when disabled.** [`wall_phase`] is a single relaxed
-//!    atomic load when profiling is off; no registration, no TLS touch,
+//!    atomic load when profiling is off; no table lookup, no TLS touch,
 //!    no clock read. The simulation hot paths call it unconditionally.
+//!    When enabled, finding a phase's slot is a scan of the seven-entry
+//!    table: no lock and no process-wide registration.
 //! 2. **No allocation on the record path.** The counting allocator
 //!    calls [`current_phase`] from inside `GlobalAlloc::alloc`;
 //!    everything it touches is a `const`-initialised thread-local
@@ -25,29 +27,24 @@
 //! thread count, because phases are entered on whichever thread runs
 //! the shard and the work per shard is identical.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
-/// Maximum number of distinct phase names. Registration past this
-/// falls back to the unattributed slot rather than failing.
-pub const MAX_PHASES: usize = 64;
-
-/// Slot 0 is reserved: work recorded while no phase is active.
+/// Slot 0 is reserved: work recorded while no phase is active, or in
+/// a phase not in [`phases::ALL`].
 pub const UNATTRIBUTED: u16 = 0;
 
 /// Name reported for slot 0.
 pub const UNATTRIBUTED_NAME: &str = "(unattributed)";
 
-/// Well-known phase names used by the semester simulator hooks.
+/// The phase table: every phase the semester simulator hooks enter.
 /// Centralised so the profile report and tests spell them identically.
 pub mod phases {
     /// Per-shard simulation body (`run_shard_buffered`).
     pub const SHARD_SIM: &str = "shard.sim";
-    /// Replaying shard event buffers into the parent sink (restamp).
+    /// Replaying shard event buffers into the parent handle (restamp).
     pub const MERGE_REPLAY: &str = "merge.replay_restamp";
-    /// Folding shard metrics snapshots into the parent registry.
+    /// Folding shard metrics snapshots into the parent handle's metrics.
     pub const MERGE_METRICS: &str = "merge.metrics";
     /// K-way merge of shard ledgers.
     pub const MERGE_LEDGER: &str = "merge.ledger";
@@ -63,6 +60,18 @@ pub mod phases {
     /// allocation digests — its existence is what makes the *user*
     /// phases digestable.
     pub const RUNTIME_POOL: &str = "runtime.pool";
+
+    /// Every phase, in name order. A phase's slot is its position here
+    /// plus one; slot 0 is [`super::UNATTRIBUTED`].
+    pub const ALL: [&str; 7] = [
+        MERGE_LEDGER,
+        MERGE_METRICS,
+        MERGE_REPLAY,
+        MERGE_SPILL,
+        MERGE_STREAM,
+        RUNTIME_POOL,
+        SHARD_SIM,
+    ];
 }
 
 /// One phase's counters. All relaxed atomics: totals are read only
@@ -99,13 +108,8 @@ impl Slot {
     }
 }
 
-static SLOTS: [Slot; MAX_PHASES] = [const { Slot::new() }; MAX_PHASES];
-
-/// Registered phase names; slot 0 is implicit. `NAME_COUNT` counts the
-/// *named* slots (so slot ids run 1..=NAME_COUNT). The mutex guards
-/// registration; reads for reporting take it too (reporting is cold).
-static NAMES: Mutex<[&'static str; MAX_PHASES]> = Mutex::new([""; MAX_PHASES]);
-static NAME_COUNT: AtomicUsize = AtomicUsize::new(0);
+/// The unattributed slot, then one slot per entry of [`phases::ALL`].
+static SLOTS: [Slot; phases::ALL.len() + 1] = [const { Slot::new() }; phases::ALL.len() + 1];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -133,9 +137,8 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Zero every slot's counters. Phase name registrations are kept (slot
-/// ids are stable for the process lifetime, which keeps attribution
-/// meaningful across repeated captures in one process).
+/// Zero every slot's counters, so [`phase_report`] lists only what runs
+/// afterwards.
 pub fn reset() {
     for slot in &SLOTS {
         slot.reset();
@@ -165,29 +168,13 @@ pub(crate) fn record_alloc_for(id: u16, bytes: usize, is_alloc: bool) {
     }
 }
 
-/// Find-or-register the slot id for `name`. Linear scan under a mutex:
-/// registration happens once per (phase, process) on cold paths, and
-/// MAX_PHASES is small. Returns [`UNATTRIBUTED`] when the table is
-/// full rather than failing.
-fn register_phase(name: &'static str) -> u16 {
-    let mut names = NAMES.lock();
-    let count = NAME_COUNT.load(Ordering::Relaxed);
-    for (i, existing) in names.iter().enumerate().take(count) {
-        if *existing == name {
-            // Slot ids are offset by 1: names[0] lives in SLOTS[1].
-            return (i as u16).saturating_add(1);
-        }
-    }
-    if count + 1 >= MAX_PHASES {
-        return UNATTRIBUTED;
-    }
-    if let Some(entry) = names.get_mut(count) {
-        *entry = name;
-        NAME_COUNT.store(count + 1, Ordering::Relaxed);
-        (count as u16).saturating_add(1)
-    } else {
-        UNATTRIBUTED
-    }
+/// The slot of phase `name`: its position in [`phases::ALL`] plus one,
+/// or [`UNATTRIBUTED`] for a name not in the table.
+fn slot_of(name: &str) -> u16 {
+    phases::ALL
+        .iter()
+        .position(|&phase| phase == name)
+        .map_or(UNATTRIBUTED, |i| i as u16 + 1)
 }
 
 /// RAII guard for a wall phase; restores the previous leaf phase and
@@ -199,7 +186,8 @@ pub struct PhaseGuard {
 }
 
 /// Enter a named wall phase on the calling thread. Returns an inert
-/// guard (one atomic load total) when profiling is disabled.
+/// guard (one atomic load total) when profiling is disabled. A name
+/// not in [`phases::ALL`] is counted in the unattributed slot.
 ///
 /// Attribution is *leaf-based*, not stack-based: while this guard is
 /// live, wall time and allocations on this thread are attributed to
@@ -216,7 +204,7 @@ pub fn wall_phase(name: &'static str) -> PhaseGuard {
             start: None,
         };
     }
-    let id = register_phase(name);
+    let id = slot_of(name);
     let prev = CURRENT
         .try_with(|c| {
             let p = c.get();
@@ -275,7 +263,7 @@ pub fn pool_phase_enter() -> usize {
     if !ENABLED.load(Ordering::Relaxed) {
         return POOL_TOKEN_INERT;
     }
-    let id = register_phase(phases::RUNTIME_POOL);
+    let id = slot_of(phases::RUNTIME_POOL);
     let prev = CURRENT
         .try_with(|c| {
             let p = c.get();
@@ -303,8 +291,7 @@ pub fn pool_phase_exit(token: usize) {
     // detlint::allow(DL001): host-side profiling measurement, never fed into simulation state
     let now = u64::try_from(pool_epoch().elapsed().as_nanos()).unwrap_or(u64::MAX) & POOL_NS_MASK;
     let elapsed = now.saturating_sub(token as u64 & POOL_NS_MASK);
-    let id = register_phase(phases::RUNTIME_POOL);
-    if let Some(slot) = SLOTS.get(id as usize) {
+    if let Some(slot) = SLOTS.get(slot_of(phases::RUNTIME_POOL) as usize) {
         slot.wall_ns.fetch_add(elapsed, Ordering::Relaxed);
     }
 }
@@ -328,25 +315,17 @@ impl PhaseStat {
     }
 }
 
-/// Snapshot every touched phase, sorted by name, with the unattributed
-/// slot (if it saw any activity) last. Cold path; takes the name lock.
+/// Snapshot every phase with any activity since [`reset`], in name
+/// order, with the unattributed slot (if it saw any activity) last.
+/// Cold path.
 pub fn phase_report() -> Vec<PhaseStat> {
-    let names = NAMES.lock();
-    let count = NAME_COUNT.load(Ordering::Relaxed);
-    let mut out = Vec::new();
-    for (i, name) in names.iter().enumerate().take(count) {
-        if let Some(slot) = SLOTS.get(i + 1) {
-            out.push(snapshot_slot(name, slot));
-        }
-    }
-    out.sort_by(|a, b| a.name.cmp(b.name));
-    if let Some(slot) = SLOTS.get(UNATTRIBUTED as usize) {
-        let stat = snapshot_slot(UNATTRIBUTED_NAME, slot);
-        if stat.enters != 0 || stat.wall_ns != 0 || stat.allocs != 0 || stat.deallocs != 0 {
-            out.push(stat);
-        }
-    }
-    out
+    let names = phases::ALL.into_iter().chain([UNATTRIBUTED_NAME]);
+    let slots = SLOTS.iter().skip(1).chain(SLOTS.first());
+    names
+        .zip(slots)
+        .map(|(name, slot)| snapshot_slot(name, slot))
+        .filter(|s| s.enters != 0 || s.wall_ns != 0 || s.allocs != 0 || s.deallocs != 0)
+        .collect()
 }
 
 fn snapshot_slot(name: &'static str, slot: &Slot) -> PhaseStat {
@@ -364,10 +343,20 @@ fn snapshot_slot(name: &'static str, slot: &Slot) -> PhaseStat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     // Phase tests share global state; run them under one lock so
     // `cargo test` thread interleaving cannot cross-contaminate slots.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn phase_table_is_in_name_order() {
+        assert!(phases::ALL.windows(2).all(|w| w[0] < w[1]));
+        for (i, &name) in phases::ALL.iter().enumerate() {
+            assert_eq!(slot_of(name) as usize, i + 1);
+        }
+        assert_eq!(slot_of("not.a.phase"), UNATTRIBUTED);
+    }
 
     #[test]
     fn disabled_wall_phase_records_nothing() {
@@ -375,9 +364,9 @@ mod tests {
         reset();
         disable();
         {
-            let _p = wall_phase("test.disabled");
+            let _p = wall_phase(phases::SHARD_SIM);
         }
-        assert!(phase_report().iter().all(|s| s.name != "test.disabled"));
+        assert!(phase_report().is_empty());
     }
 
     #[test]
@@ -387,11 +376,11 @@ mod tests {
         enable();
         assert_eq!(current_phase(), UNATTRIBUTED);
         {
-            let _outer = wall_phase("test.outer");
+            let _outer = wall_phase(phases::SHARD_SIM);
             let outer_id = current_phase();
             assert_ne!(outer_id, UNATTRIBUTED);
             {
-                let _inner = wall_phase("test.inner");
+                let _inner = wall_phase(phases::MERGE_LEDGER);
                 assert_ne!(current_phase(), outer_id);
             }
             assert_eq!(current_phase(), outer_id);
@@ -399,10 +388,12 @@ mod tests {
         assert_eq!(current_phase(), UNATTRIBUTED);
         disable();
         let report = phase_report();
-        let outer = report.iter().find(|s| s.name == "test.outer");
-        let inner = report.iter().find(|s| s.name == "test.inner");
-        assert_eq!(outer.map(|s| s.enters), Some(1));
-        assert_eq!(inner.map(|s| s.enters), Some(1));
+        let enters: Vec<(&str, u64)> = report.iter().map(|s| (s.name, s.enters)).collect();
+        // Only the phases that ran are listed, in name order.
+        assert_eq!(
+            enters,
+            vec![(phases::MERGE_LEDGER, 1), (phases::SHARD_SIM, 1)]
+        );
     }
 
     #[test]
@@ -411,11 +402,13 @@ mod tests {
         reset();
         enable();
         for _ in 0..3 {
-            let _p = wall_phase("test.reenter");
+            let _p = wall_phase(phases::MERGE_METRICS);
         }
         disable();
         let report = phase_report();
-        let stat = report.iter().find(|s| s.name == "test.reenter");
+        let stat = report.iter().find(|s| s.name == phases::MERGE_METRICS);
         assert_eq!(stat.map(|s| s.enters), Some(3));
+        reset();
+        assert!(phase_report().is_empty(), "reset clears the report");
     }
 }

@@ -6,7 +6,7 @@
 //! checks the satellite-task invariant: per-phase attribution balances
 //! to the global totals.
 
-use opml_profiler::{phase, CountingAlloc};
+use opml_profiler::{phase, phases, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -23,15 +23,15 @@ fn per_phase_attribution_balances_to_global_totals() {
     opml_profiler::enable();
     opml_profiler::enable_counting();
 
-    // Allocate in two named phases and outside any phase; sizes are
+    // Allocate in two phases and outside any phase; sizes are
     // arbitrary but distinctive.
     {
-        let _p = phase::wall_phase("test.alloc_a");
+        let _p = phase::wall_phase(phases::SHARD_SIM);
         let v: Vec<u8> = Vec::with_capacity(4096);
         std::hint::black_box(&v);
     }
     {
-        let _p = phase::wall_phase("test.alloc_b");
+        let _p = phase::wall_phase(phases::MERGE_LEDGER);
         let v: Vec<u64> = Vec::with_capacity(1000);
         std::hint::black_box(&v);
         let s = String::from("phase-b allocation payload");
@@ -49,11 +49,11 @@ fn per_phase_attribution_balances_to_global_totals() {
 
     let a = report
         .iter()
-        .find(|s| s.name == "test.alloc_a")
+        .find(|s| s.name == phases::SHARD_SIM)
         .expect("phase a reported");
     let b = report
         .iter()
-        .find(|s| s.name == "test.alloc_b")
+        .find(|s| s.name == phases::MERGE_LEDGER)
         .expect("phase b reported");
     assert!(a.allocs >= 1, "phase a saw no allocations");
     assert!(a.alloc_bytes >= 4096, "phase a bytes {}", a.alloc_bytes);

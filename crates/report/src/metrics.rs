@@ -46,7 +46,7 @@ pub fn metrics_summary(snapshot: &MetricsSnapshot) -> String {
 mod tests {
     use super::*;
     use opml_simkernel::SimDuration;
-    use opml_telemetry::{NullSink, Telemetry};
+    use opml_telemetry::Telemetry;
 
     #[test]
     fn empty_snapshot_renders_placeholder() {
@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn sections_render_sorted_and_stable() {
-        let t = Telemetry::with_sink(NullSink);
+        let t = Telemetry::metrics_only();
         t.counter_add("z.count", 2);
         t.counter_add("a.count", 40);
         t.gauge_set("depth", 3.0);
@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn histogram_row_renders_percentile_bounds() {
-        let t = Telemetry::with_sink(NullSink);
+        let t = Telemetry::metrics_only();
         // 100 uniform samples 1..=100 min: p50 bound 60 min = 1.00 h,
         // p90/p99 clamp to the 100-minute max = 1.67 h.
         for m in 1..=100 {

@@ -629,15 +629,13 @@ mod tests {
 
     #[test]
     fn telemetry_balances_starts_and_completions() {
-        use opml_telemetry::MemorySink;
-        let sink = MemorySink::new();
-        let telemetry = Telemetry::with_sink(sink.clone());
+        let telemetry = Telemetry::recording();
         let jobs: Vec<Job> = (0..10).map(|i| job(i, 0, 2, 2, i)).collect();
         let s = SchedSim::new(Cluster::homogeneous(1, 4), Policy::Fcfs, Placement::Packed)
             .with_telemetry(telemetry.clone())
             .run(&jobs);
         assert_eq!(s.outcomes().len(), 10);
-        let events = sink.events();
+        let events = telemetry.events();
         let starts = events.iter().filter(|e| e.name == "job.start").count();
         let completes = events.iter().filter(|e| e.name == "job.complete").count();
         assert_eq!(starts, 10);

@@ -7,10 +7,11 @@
 //! key/value pairs — insertion order is the serialization order.
 
 use opml_simkernel::SimTime;
+use serde_json::{write_escaped, write_f64};
 use std::fmt;
 
 /// Reserved event name for progress narration (see
-/// [`crate::sink::StderrNarrationSink`]).
+/// [`crate::Telemetry::narrating`]).
 pub const NARRATE: &str = "narrate";
 
 /// Attribute key marking an event as belonging to the harness (meta)
@@ -142,10 +143,10 @@ impl AttrValue {
         match self {
             AttrValue::U64(n) => out.push_str(&n.to_string()),
             AttrValue::I64(n) => out.push_str(&n.to_string()),
-            AttrValue::F64(x) => write_json_f64(out, *x),
+            AttrValue::F64(x) => write_f64(out, *x),
             AttrValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            AttrValue::Str(s) => write_json_str(out, s),
-            AttrValue::Static(s) => write_json_str(out, s),
+            AttrValue::Str(s) => write_escaped(out, s),
+            AttrValue::Static(s) => write_escaped(out, s),
         }
     }
 }
@@ -193,14 +194,14 @@ impl TelemetryEvent {
         out.push_str(",\"ph\":\"");
         out.push_str(self.phase.code());
         out.push_str("\",\"name\":");
-        write_json_str(&mut out, self.name);
+        write_escaped(&mut out, self.name);
         if !self.attrs.is_empty() {
             out.push_str(",\"attrs\":{");
             for (i, (k, v)) in self.attrs.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                write_json_str(&mut out, k);
+                write_escaped(&mut out, k);
                 out.push(':');
                 v.write_json_into(&mut out);
             }
@@ -221,37 +222,6 @@ impl fmt::Display for TelemetryEvent {
             self.phase.code(),
             self.name
         )
-    }
-}
-
-/// Append `s` as a JSON string literal (quoted, escaped).
-pub(crate) fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Append a finite float as JSON (non-finite becomes `null`, matching
-/// the vendored serde_json shim).
-pub(crate) fn write_json_f64(out: &mut String, x: f64) {
-    if !x.is_finite() {
-        out.push_str("null");
-    } else if x.fract() == 0.0 && x.abs() < 1e15 {
-        out.push_str(&format!("{x:.1}"));
-    } else {
-        out.push_str(&x.to_string());
     }
 }
 
@@ -296,11 +266,12 @@ mod tests {
 
     #[test]
     fn float_attr_is_integral_stable() {
-        let mut s = String::new();
-        write_json_f64(&mut s, 4.0);
-        assert_eq!(s, "4.0");
-        let mut s = String::new();
-        write_json_f64(&mut s, f64::NAN);
-        assert_eq!(s, "null");
+        let render = |x: f64| {
+            let mut s = String::new();
+            AttrValue::F64(x).write_json_into(&mut s);
+            s
+        };
+        assert_eq!(render(4.0), "4.0");
+        assert_eq!(render(f64::NAN), "null");
     }
 }

@@ -3,7 +3,9 @@
 //! Both exporters hand-roll their JSON with fixed field order so the
 //! output is byte-stable: the same event stream always produces the same
 //! bytes, which is what the golden-trace test and `verify-determinism`
-//! hash.
+//! hash. Strings and floats are written by the serde_json shim's
+//! `write_escaped` and `write_f64`, the same writers every other JSON
+//! output in the workspace uses.
 //!
 //! The Chrome exporter targets the [trace-event format] consumed by
 //! Perfetto and `chrome://tracing`: one simulated minute is rendered as
@@ -12,8 +14,8 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::event::{write_json_str, HARNESS_TRACK};
-use crate::event::{EventPhase, TelemetryEvent};
+use crate::event::{EventPhase, TelemetryEvent, HARNESS_TRACK};
+use serde_json::write_escaped;
 
 /// Process id used for every exported Chrome event (single simulated
 /// process).
@@ -65,7 +67,7 @@ fn thread_meta(tid: u64, name: &str) -> String {
     out.push_str(",\"tid\":");
     out.push_str(&tid.to_string());
     out.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":");
-    write_json_str(&mut out, name);
+    write_escaped(&mut out, name);
     out.push_str("}}");
     out
 }
@@ -77,7 +79,7 @@ fn write_chrome_event(out: &mut String, e: &TelemetryEvent) {
         SIM_TID
     };
     out.push_str("{\"name\":");
-    write_json_str(out, e.name);
+    write_escaped(out, e.name);
     out.push_str(",\"ph\":\"");
     out.push_str(e.phase.code());
     out.push_str("\",\"ts\":");
@@ -93,7 +95,7 @@ fn write_chrome_event(out: &mut String, e: &TelemetryEvent) {
     out.push_str(&e.seq.to_string());
     for (k, v) in &e.attrs {
         out.push(',');
-        write_json_str(out, k);
+        write_escaped(out, k);
         out.push(':');
         // Chrome/Perfetto args accept arbitrary JSON values; reuse the
         // JSONL rendering via a one-attr event would allocate, so the

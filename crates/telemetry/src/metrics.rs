@@ -3,8 +3,10 @@
 //! Every map is a `BTreeMap` keyed by the metric's `&'static str` name,
 //! so iteration (and therefore rendering and serialization) is stable
 //! by name regardless of registration order, and recording into an
-//! existing metric allocates nothing. Values are only ever derived from simulation state — never
-//! wall clock — so two identical runs produce identical snapshots.
+//! existing metric allocates nothing. One type, [`MetricsSnapshot`],
+//! is both what a handle records into and the copy it hands out.
+//! Values are only ever derived from simulation state — never wall
+//! clock — so two identical runs produce identical snapshots.
 
 use opml_simkernel::SimDuration;
 use serde::Serialize;
@@ -128,18 +130,23 @@ impl SimTimeHistogram {
     }
 }
 
-/// The mutable metrics store behind a [`crate::Telemetry`] handle.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, SimTimeHistogram>,
+/// The metrics an enabled [`crate::Telemetry`] handle keeps, and the
+/// copy [`crate::Telemetry::metrics_snapshot`] hands out: name-sorted
+/// and serializable.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct MetricsSnapshot {
+    /// Monotone event counts.
+    pub counters: BTreeMap<&'static str, u64>,
+    /// Last-value / high-water readings.
+    pub gauges: BTreeMap<&'static str, f64>,
+    /// Sim-duration distributions.
+    pub histograms: BTreeMap<&'static str, SimTimeHistogram>,
 }
 
-impl MetricsRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
+impl MetricsSnapshot {
+    /// True when nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Add `delta` to the named counter (created at zero).
@@ -165,50 +172,23 @@ impl MetricsRegistry {
         self.histograms.entry(name).or_default().observe(d);
     }
 
-    /// Fold a (per-shard) snapshot into this registry.
+    /// Fold another (per-shard) snapshot into this one.
     ///
     /// Merge laws, chosen so that folding shard snapshots in any order
-    /// or grouping yields the same registry: counters **add** (exact
+    /// or grouping yields the same metrics: counters **add** (exact
     /// `u64` sums), gauges take the **high-water maximum** (every gauge
     /// the simulator sets is a high-water reading, and `max` is the only
     /// order-free fold for them), histograms merge **bucketwise**.
-    pub fn merge_snapshot(&mut self, snap: &MetricsSnapshot) {
-        for (&name, &delta) in &snap.counters {
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        for (&name, &delta) in &other.counters {
             self.counter_add(name, delta);
         }
-        for (&name, &value) in &snap.gauges {
+        for (&name, &value) in &other.gauges {
             self.gauge_max(name, value);
         }
-        for (&name, hist) in &snap.histograms {
+        for (&name, hist) in &other.histograms {
             self.histograms.entry(name).or_default().merge(hist);
         }
-    }
-
-    /// Immutable, name-sorted snapshot for rendering/export.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
-    }
-}
-
-/// A point-in-time copy of the registry, name-sorted and serializable.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct MetricsSnapshot {
-    /// Monotone event counts.
-    pub counters: BTreeMap<&'static str, u64>,
-    /// Last-value / high-water readings.
-    pub gauges: BTreeMap<&'static str, f64>,
-    /// Sim-duration distributions.
-    pub histograms: BTreeMap<&'static str, SimTimeHistogram>,
-}
-
-impl MetricsSnapshot {
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 }
 
@@ -218,7 +198,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsSnapshot::default();
         m.counter_add("b.count", 2);
         m.counter_add("a.count", 1);
         m.counter_add("b.count", 3);
@@ -226,13 +206,12 @@ mod tests {
         m.gauge_max("depth.max", 2.0);
         m.gauge_max("depth.max", 7.0);
         m.gauge_max("depth.max", 5.0);
-        let snap = m.snapshot();
         // BTreeMap: names iterate sorted.
-        let names: Vec<&str> = snap.counters.keys().copied().collect();
+        let names: Vec<&str> = m.counters.keys().copied().collect();
         assert_eq!(names, vec!["a.count", "b.count"]);
-        assert_eq!(snap.counters["b.count"], 5);
-        assert_eq!(snap.gauges["depth"], 4.0);
-        assert_eq!(snap.gauges["depth.max"], 7.0);
+        assert_eq!(m.counters["b.count"], 5);
+        assert_eq!(m.gauges["depth"], 4.0);
+        assert_eq!(m.gauges["depth.max"], 7.0);
     }
 
     #[test]
@@ -315,13 +294,13 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
+        let mut a = MetricsSnapshot::default();
+        let mut b = MetricsSnapshot::default();
         // Different insertion orders, same content.
         a.counter_add("x", 1);
         a.counter_add("y", 2);
         b.counter_add("y", 2);
         b.counter_add("x", 1);
-        assert_eq!(a.snapshot(), b.snapshot());
+        assert_eq!(a, b);
     }
 }

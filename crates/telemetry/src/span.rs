@@ -34,16 +34,14 @@ impl SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
     use crate::Telemetry;
 
     #[test]
     fn span_emits_balanced_begin_end() {
-        let sink = MemorySink::new();
-        let t = Telemetry::with_sink(sink.clone());
+        let t = Telemetry::recording();
         let span = t.span(SimTime(10), "semester.plan", Vec::new);
         span.end(SimTime(50));
-        let events = sink.events();
+        let events = t.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].phase, EventPhase::Begin);
         assert_eq!(events[0].time, SimTime(10));
@@ -58,7 +56,7 @@ mod tests {
         let t = Telemetry::disabled();
         let span = t.span(SimTime(10), "noop", Vec::new);
         span.end(SimTime(20));
-        // Nothing to assert beyond "did not panic": there is no sink.
+        // Nothing to assert beyond "did not panic": nothing is kept.
         assert!(!t.is_enabled());
     }
 }

@@ -824,19 +824,22 @@ mod tests {
 
     #[test]
     fn telemetry_records_lifecycle_and_denials() {
-        use opml_telemetry::MemorySink;
-        let sink = MemorySink::new();
+        let telemetry = Telemetry::recording();
         let quota = Quota {
             instances: 1,
             ..Quota::unlimited()
         };
-        let mut cloud = Cloud::new(quota).with_telemetry(Telemetry::with_sink(sink.clone()));
+        let mut cloud = Cloud::new(quota).with_telemetry(telemetry.clone());
         let id = cloud.create_instance("a", FlavorId::M1Small).unwrap();
         assert!(cloud.create_instance("b", FlavorId::M1Small).is_err());
         cloud.advance(SimDuration::hours(2));
         cloud.delete_instance(id).unwrap();
 
-        let names: Vec<String> = sink.events().iter().map(|e| e.name.to_string()).collect();
+        let names: Vec<String> = telemetry
+            .events()
+            .iter()
+            .map(|e| e.name.to_string())
+            .collect();
         assert_eq!(
             names,
             vec!["instance.launch", "quota.deny", "instance.terminate"]

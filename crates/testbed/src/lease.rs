@@ -15,7 +15,7 @@
 //! # Sweep-line profile
 //!
 //! Admission control runs on an incrementally-maintained sweep-line
-//! profile per flavor ([`FlavorProfile`]): a `Vec` of interval
+//! profile per flavor (the private `FlavorProfile`): a `Vec` of interval
 //! boundaries sorted strictly by time, where each entry carries the
 //! occupancy *delta* at that boundary and the cached occupancy *level*
 //! on the segment up to the next boundary. Every lookup is one

@@ -30,6 +30,9 @@ cargo run --release -q -p opml-detlint --bin detlint -- --baseline detlint.basel
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, deny warnings: a broken intra-doc link fails)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -42,6 +45,7 @@ cargo run --release -q -p opml-experiments --bin run-experiments -- \
 cmp "$trace_dir/a/trace.jsonl" "$trace_dir/b/trace.jsonl"
 cmp "$trace_dir/a/trace_chrome.json" "$trace_dir/b/trace_chrome.json"
 cmp "$trace_dir/a/trace.jsonl" tests/golden/trace_tiny_seed7.jsonl
+cmp "$trace_dir/a/trace_chrome.json" tests/golden/trace_tiny_seed7_chrome.json
 rm -rf "$trace_dir"
 
 echo "==> chaos smoke run (zero-rate must match the fault-free baseline)"

@@ -14,8 +14,8 @@
 //!   policies, circuit breaker.
 //! * [`cohort`] — course structure, student behaviour model, semester driver.
 //! * [`metering`] — usage-ledger aggregation and attribution.
-//! * [`telemetry`] — deterministic sim-time tracing, metrics registry,
-//!   JSONL / Chrome trace-event export.
+//! * [`telemetry`] — deterministic sim-time tracing and metrics, kept by
+//!   the telemetry handle itself; JSONL / Chrome trace-event export.
 //! * [`report`] — tables, histograms, comparison records.
 //! * [`experiments`] — one entry point per paper table/figure.
 //! * [`serve`] — the campus cloud as a long-running multi-tenant service
@@ -61,13 +61,30 @@ pub use opml_simkernel as simkernel;
 pub use opml_telemetry as telemetry;
 pub use opml_testbed as testbed;
 
-/// The most common imports for driving a full simulation.
+/// The most common imports for driving a full simulation. To trace one,
+/// pass a `Telemetry::recording()` handle to `simulate_semester_with`
+/// and read the events back from the handle:
+///
+/// ```
+/// use ml_ops_course::prelude::*;
+///
+/// let config = SemesterConfig {
+///     enrollment: 3,
+///     run_projects: false,
+///     ..SemesterConfig::paper_course()
+/// };
+/// let telemetry = Telemetry::recording();
+/// simulate_semester_with(&config, 7, &telemetry);
+/// assert!(telemetry.events().iter().any(|e| e.name == "instance.launch"));
+/// ```
 pub mod prelude {
-    pub use opml_cohort::semester::{simulate_semester, SemesterConfig, SemesterOutcome};
+    pub use opml_cohort::semester::{
+        simulate_semester, simulate_semester_with, SemesterConfig, SemesterOutcome,
+    };
     pub use opml_faults::{FaultPlan, FaultProfile, RetryPolicy};
     pub use opml_metering::rollup::AssignmentRollup;
     pub use opml_pricing::estimate::price_lab_assignments;
     pub use opml_simkernel::{Rng, SimDuration, SimTime};
-    pub use opml_telemetry::{MemorySink, Telemetry};
+    pub use opml_telemetry::Telemetry;
     pub use opml_testbed::cloud::Cloud;
 }

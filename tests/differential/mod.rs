@@ -18,7 +18,7 @@ use ml_ops_course::cohort::semester::{
 use ml_ops_course::cohort::spill::{SpillConfig, SpillStats, StreamOutcome};
 use ml_ops_course::experiments::scale::OutcomeDigest;
 use ml_ops_course::simkernel::parallel::with_thread_count;
-use ml_ops_course::telemetry::{export_jsonl, MemorySink, Telemetry};
+use ml_ops_course::telemetry::{export_jsonl, Telemetry};
 use ml_ops_course::testbed::ledger::{Ledger, UsageRecord};
 use std::path::PathBuf;
 
@@ -112,13 +112,13 @@ impl RunBytes {
     }
 }
 
-/// Run one arm with recording telemetry; the sink both materializes the
-/// ledger and folds the streamed outcome digest. A spill arm also sums
-/// the encoded size of the delivered records and holds its shard runs
-/// to exactly that plus one header each: the trace stays in memory.
+/// Run one arm with recording telemetry; the ledger sink both
+/// materializes the ledger and folds the streamed outcome digest. A
+/// spill arm also sums the encoded size of the delivered records and
+/// holds its shard runs to exactly that plus one header each: the trace
+/// stays in memory.
 pub(crate) fn run(config: &SemesterConfig, seed: u64, arm: &Arm) -> (RunBytes, StreamOutcome) {
-    let sink = MemorySink::new();
-    let telemetry = Telemetry::with_sink(sink.clone());
+    let telemetry = Telemetry::recording();
     let mut ledger = Ledger::new();
     let mut digest = OutcomeDigest::new();
     let spills = arm.spills();
@@ -158,7 +158,7 @@ pub(crate) fn run(config: &SemesterConfig, seed: u64, arm: &Arm) -> (RunBytes, S
             arm.name
         );
     }
-    let events = sink.take_events();
+    let events = telemetry.take_events();
     let bytes = RunBytes {
         trace: export_jsonl(&events),
         ledger: serde_json::to_string(ledger.records()).expect("ledger serializes"),

@@ -10,10 +10,13 @@
 //!
 //! The tolerances let each number drift, so the same run's ledger is
 //! also pinned exactly: its outcome digest must equal the committed
-//! `tests/golden/paper_seed42.digest`.
+//! `tests/golden/paper_seed42.digest`. The page rendered from the same
+//! sections must equal the committed EXPERIMENTS.md byte for byte.
 
 use ml_ops_course::experiments::scale::digest_outcome;
-use ml_ops_course::experiments::{paper_sections, run_paper_course, ExperimentContext};
+use ml_ops_course::experiments::{
+    experiments_markdown, paper_sections, run_paper_course, ExperimentContext, PaperSection,
+};
 use std::sync::OnceLock;
 
 /// Total comparisons across all sections at the default seed (the "71
@@ -21,19 +24,24 @@ use std::sync::OnceLock;
 /// it just has to be deliberate enough to update this pin.
 const PINNED_TOTAL: usize = 71;
 
-/// The paper course at seed 42, run once for both tests.
+/// The paper course at seed 42, run once for every test.
 fn paper_course() -> &'static ExperimentContext {
     static CONTEXT: OnceLock<ExperimentContext> = OnceLock::new();
     CONTEXT.get_or_init(|| run_paper_course(42))
 }
 
+/// Its rendered sections, built once: the 5-seed sweep and the
+/// ablation inside them are the slowest part of this file.
+fn sections() -> &'static [PaperSection] {
+    static SECTIONS: OnceLock<Vec<PaperSection>> = OnceLock::new();
+    SECTIONS.get_or_init(|| paper_sections(paper_course()))
+}
+
 #[test]
 fn all_paper_comparisons_stay_within_declared_tolerance() {
-    let sections = paper_sections(paper_course());
-
     let mut total = 0usize;
     let mut failures: Vec<String> = Vec::new();
-    for section in &sections {
+    for section in sections() {
         for row in &section.comparisons.rows {
             total += 1;
             if !row.within_tolerance() {
@@ -70,4 +78,24 @@ fn paper_ledger_matches_golden_digest() {
         include_str!("golden/paper_seed42.digest").trim(),
         "paper course outcome digest differs from tests/golden/paper_seed42.digest"
     );
+}
+
+#[test]
+fn experiments_md_matches_the_committed_file() {
+    let committed = include_str!("../EXPERIMENTS.md");
+    let rendered = experiments_markdown(paper_course().seed, sections(), None);
+    if rendered != committed {
+        let line = rendered
+            .lines()
+            .zip(committed.lines())
+            .position(|(got, want)| got != want)
+            .map_or_else(
+                || rendered.lines().count().min(committed.lines().count()) + 1,
+                |i| i + 1,
+            );
+        panic!(
+            "the rendered page differs from EXPERIMENTS.md at line {line}; \
+             regenerate it with `run-experiments --write-md EXPERIMENTS.md`"
+        );
+    }
 }

@@ -1,9 +1,10 @@
-//! Golden-file contract for the telemetry trace: the JSONL export of a
-//! small fixed-seed scenario must be byte-identical to the committed
-//! fixture. Any change to event ordering, attribute sets, or JSON
-//! rendering shows up as a diff here and must be made deliberately (by
-//! regenerating the fixture with
-//! `run-experiments trace --seed 7 --enrollment 3 --labs-only`).
+//! Golden-file contract for the telemetry trace: the JSONL and Chrome
+//! exports of a small fixed-seed scenario must be byte-identical to the
+//! committed fixtures. Any change to event ordering, attribute sets, or
+//! JSON rendering shows up as a diff here and must be made deliberately
+//! (by regenerating both fixtures with
+//! `run-experiments trace --seed 7 --enrollment 3 --labs-only`, which
+//! writes them as `trace.jsonl` and `trace_chrome.json`).
 //!
 //! Three fault-injected runs are pinned by digest instead: the FNV-1a
 //! of each JSONL export, and of each metrics snapshot's JSON, must equal
@@ -11,7 +12,8 @@
 //! failure arms (crash, leak, breaker, quota retry) that the fault-free
 //! fixture never reaches, and the sharded one covers the merge: shard
 //! traces replayed in shard order and shard metrics folded together.
-//! The `verify-determinism` digest is pinned the same way.
+//! The sharded run's Chrome export and the `verify-determinism` digest
+//! are pinned the same way.
 
 use ml_ops_course::cohort::semester::{simulate_semester_with, SemesterConfig};
 use ml_ops_course::experiments::trace::{capture_trace, TraceConfig};
@@ -20,10 +22,11 @@ use ml_ops_course::faults::FaultProfile;
 use ml_ops_course::profiler::Json;
 use ml_ops_course::simkernel::{fnv1a64, SimTime};
 use ml_ops_course::telemetry::{
-    export_chrome_trace, export_jsonl, EventPhase, MemorySink, Telemetry, TelemetryEvent,
+    export_chrome_trace, export_jsonl, EventPhase, Telemetry, TelemetryEvent,
 };
 
 const GOLDEN: &str = include_str!("golden/trace_tiny_seed7.jsonl");
+const GOLDEN_CHROME: &str = include_str!("golden/trace_tiny_seed7_chrome.json");
 
 fn tiny() -> TraceConfig {
     TraceConfig {
@@ -50,6 +53,25 @@ fn jsonl_trace_matches_golden_file() {
             "trace length changed: got {} lines, golden has {}",
             artifacts.jsonl.lines().count(),
             GOLDEN.lines().count()
+        );
+    }
+}
+
+#[test]
+fn chrome_trace_matches_golden_file() {
+    let chrome = capture_trace(&tiny()).chrome;
+    if chrome != GOLDEN_CHROME {
+        // The export is one line; point at the first differing byte.
+        let at = chrome
+            .bytes()
+            .zip(GOLDEN_CHROME.bytes())
+            .position(|(got, want)| got != want)
+            .unwrap_or(chrome.len().min(GOLDEN_CHROME.len()));
+        panic!(
+            "Chrome export diverges from tests/golden/trace_tiny_seed7_chrome.json at byte {at} \
+             (got {} bytes, golden has {})",
+            chrome.len(),
+            GOLDEN_CHROME.len()
         );
     }
 }
@@ -112,11 +134,11 @@ fn chrome_trace_is_well_formed_json() {
     );
 }
 
-/// The FNV-1a digests, as hex, of the JSONL trace and of the metrics
-/// snapshot's JSON from a 20%-chaos semester at seed 7, projects on.
-fn chaos_digests(enrollment: u32, shard_students: u32) -> (String, String) {
-    let sink = MemorySink::new();
-    let telemetry = Telemetry::with_sink(sink.clone());
+/// The FNV-1a digests, as hex, of the JSONL trace, of the metrics
+/// snapshot's JSON and of the Chrome export from a 20%-chaos semester
+/// at seed 7, projects on.
+fn chaos_digests(enrollment: u32, shard_students: u32) -> (String, String, String) {
+    let telemetry = Telemetry::recording();
     let config = SemesterConfig {
         enrollment,
         shard_students,
@@ -125,9 +147,11 @@ fn chaos_digests(enrollment: u32, shard_students: u32) -> (String, String) {
     };
     simulate_semester_with(&config, 7, &telemetry);
     let metrics = serde_json::to_string(&telemetry.metrics_snapshot()).expect("metrics serialize");
+    let events = telemetry.take_events();
     (
-        hex_digest(export_jsonl(&sink.events()).as_bytes()),
+        hex_digest(export_jsonl(&events).as_bytes()),
         hex_digest(metrics.as_bytes()),
+        hex_digest(export_chrome_trace(&events).as_bytes()),
     )
 }
 
@@ -142,7 +166,7 @@ fn assert_matches_golden(got: &str, committed: &str, file: &str) {
 #[test]
 fn small_chaos_trace_matches_golden_digest() {
     // Eight students on one campus: crashes, leaks and revocations.
-    let (trace, metrics) = chaos_digests(8, 191);
+    let (trace, metrics, _) = chaos_digests(8, 191);
     assert_matches_golden(
         &trace,
         include_str!("golden/chaos_trace_8_seed7.digest"),
@@ -159,7 +183,7 @@ fn small_chaos_trace_matches_golden_digest() {
 fn crowded_chaos_trace_matches_golden_digest() {
     // 400 students on one campus hit quota, so this trace also covers
     // the quota-retry arm and the breaker.
-    let (trace, metrics) = chaos_digests(400, 400);
+    let (trace, metrics, _) = chaos_digests(400, 400);
     assert_matches_golden(
         &trace,
         include_str!("golden/chaos_trace_400_seed7.digest"),
@@ -176,13 +200,15 @@ fn crowded_chaos_trace_matches_golden_digest() {
 fn sharded_chaos_trace_matches_golden_digest() {
     // The same 400 students in three shards: each shard's trace is
     // replayed in shard order and its metrics folded into the parent's.
+    // The Chrome export re-sorts the merged stream by (time, seq), so
+    // its digest also pins the restamped sequence numbers.
     let config = SemesterConfig {
         enrollment: 400,
         shard_students: 191,
         ..SemesterConfig::paper_course()
     };
     assert_eq!(config.shards().len(), 3);
-    let (trace, metrics) = chaos_digests(400, 191);
+    let (trace, metrics, chrome) = chaos_digests(400, 191);
     assert_matches_golden(
         &trace,
         include_str!("golden/chaos_trace_400x191_seed7.digest"),
@@ -192,6 +218,11 @@ fn sharded_chaos_trace_matches_golden_digest() {
         &metrics,
         include_str!("golden/chaos_metrics_400x191_seed7.digest"),
         "tests/golden/chaos_metrics_400x191_seed7.digest",
+    );
+    assert_matches_golden(
+        &chrome,
+        include_str!("golden/chaos_chrome_400x191_seed7.digest"),
+        "tests/golden/chaos_chrome_400x191_seed7.digest",
     );
 }
 
