@@ -76,14 +76,19 @@ pub(crate) struct PlannedVolume {
     pub(crate) attempts: u32,
 }
 
-/// Semester configuration.
+/// Semester length in weeks: the paper's course runs 14.
+pub const SEMESTER_WEEKS: u64 = 14;
+
+/// When every semester closes its books: the start of the week after
+/// the last, so end-of-term teardowns are metered.
+pub const SEMESTER_END: SimTime = SimTime::at(SEMESTER_WEEKS + 1, 0, 0, 0);
+
+/// Semester configuration. Every semester runs [`SEMESTER_WEEKS`] weeks
+/// and closes its books at [`SEMESTER_END`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SemesterConfig {
     /// Enrolled students (paper: 191).
     pub enrollment: u32,
-    /// Semester length in weeks (paper: 14; we close the books at
-    /// `weeks + 1` to catch end-of-term teardowns).
-    pub weeks: u64,
     /// Whether to simulate the project phase.
     pub run_projects: bool,
     /// Ablation: if set, on-demand VM deployments are capped at this
@@ -114,7 +119,6 @@ impl SemesterConfig {
     pub fn paper_course() -> SemesterConfig {
         SemesterConfig {
             enrollment: 191,
-            weeks: 14,
             run_projects: true,
             vm_auto_terminate_after: None,
             faults: FaultProfile::none(),
@@ -637,7 +641,6 @@ fn run_shard(
     // ledger and the event queue from reallocating mid-simulation.
     // Hints, not bounds — a shard that outgrows them just grows.
     let students = shard.student_count() as usize;
-    let semester_end = SimTime::at(config.weeks + 1, 0, 0, 0);
     let mut campus = Campus {
         cloud: Cloud::paper_course()
             .with_telemetry(telemetry.clone())
@@ -645,14 +648,13 @@ fn run_shard(
         queue: EventQueue::with_capacity(students * QUEUE_EVENTS_PER_STUDENT),
         fe: FaultEngine::new(&config.faults, seed),
         telemetry,
-        semester_end,
         quota_denials: 0,
         slot_pushbacks: 0,
     };
     let plan_span = telemetry.span(SimTime::ZERO, "semester.plan", || {
         let mut attrs = vec![
             ("enrollment", shard.student_count().into()),
-            ("weeks", config.weeks.into()),
+            ("weeks", SEMESTER_WEEKS.into()),
             ("projects", config.run_projects.into()),
         ];
         if annotate {
@@ -671,7 +673,7 @@ fn run_shard(
     if config.run_projects && !shard.groups.is_empty() {
         let window_start = SimTime::at(8, 3, 12, 0);
         telemetry.instant(window_start, "project.window_open", || {
-            vec![("until_min", semester_end.0.into())]
+            vec![("until_min", SEMESTER_END.0.into())]
         });
         // The project seed and per-group streams are global (shard 0
         // reproduces the legacy plan bit-for-bit); only the group range
@@ -680,7 +682,7 @@ fn run_shard(
             &mut campus.cloud,
             &mut campus.queue,
             window_start,
-            semester_end,
+            SEMESTER_END,
             seed ^ 0x1234_5678,
             shard.groups.clone(),
         );
@@ -689,9 +691,9 @@ fn run_shard(
 
     let exec_span = telemetry.span(SimTime::ZERO, "semester.exec", Vec::new);
     campus.execute();
-    exec_span.end(semester_end);
+    exec_span.end(SEMESTER_END);
     let quota_denials = campus.quota_denials;
-    telemetry.instant(semester_end, "semester.finalize", || {
+    telemetry.instant(SEMESTER_END, "semester.finalize", || {
         vec![("quota_denials", quota_denials.into())]
     });
     let stats = campus.queue.stats();
@@ -719,7 +721,6 @@ struct Campus<'t> {
     queue: EventQueue<Ev>,
     fe: FaultEngine,
     telemetry: &'t Telemetry,
-    semester_end: SimTime,
     quota_denials: u64,
     slot_pushbacks: u64,
 }
@@ -860,7 +861,7 @@ impl Campus<'_> {
                 }
             }
         }
-        self.cloud.finalize(self.semester_end);
+        self.cloud.finalize(SEMESTER_END);
     }
 
     fn vm_up(&mut self, t: SimTime, mut vm: PlannedVm) {
@@ -868,7 +869,7 @@ impl Campus<'_> {
         // that can no longer finish before finalize is abandoned. First
         // attempts are untouched (legacy path).
         if (vm.attempts > 0 || vm.fault_attempts > 0 || self.fe.breaker.is_some())
-            && t + vm.wall > self.semester_end
+            && t + vm.wall > SEMESTER_END
         {
             self.abandon(t, &vm.name, "term_end".into(), false);
             return;
@@ -1061,7 +1062,7 @@ impl Campus<'_> {
                     .earliest_slot(fl, 1, remaining, t + SimDuration::hours(1))
                     // The rebooked window must still close its books
                     // before finalize.
-                    .filter(|&s| s + remaining <= self.semester_end)
+                    .filter(|&s| s + remaining <= SEMESTER_END)
                     .and_then(|s| {
                         self.cloud
                             .reserve(fl, 1, s, s + remaining, &name)
@@ -1291,7 +1292,6 @@ mod tests {
     fn small_semester_runs_clean() {
         let config = SemesterConfig {
             enrollment: 12,
-            weeks: 14,
             run_projects: false,
             vm_auto_terminate_after: None,
             faults: FaultProfile::none(),
@@ -1326,7 +1326,6 @@ mod tests {
     fn leased_usage_is_auto_terminated() {
         let config = SemesterConfig {
             enrollment: 8,
-            weeks: 14,
             run_projects: false,
             vm_auto_terminate_after: None,
             faults: FaultProfile::none(),
@@ -1348,7 +1347,6 @@ mod tests {
     fn vm_reservation_ablation_caps_usage() {
         let base = SemesterConfig {
             enrollment: 24,
-            weeks: 14,
             run_projects: false,
             vm_auto_terminate_after: None,
             faults: FaultProfile::none(),
@@ -1381,7 +1379,6 @@ mod tests {
     fn deterministic_by_seed() {
         let config = SemesterConfig {
             enrollment: 10,
-            weeks: 14,
             run_projects: true,
             vm_auto_terminate_after: None,
             faults: FaultProfile::none(),
@@ -1400,7 +1397,6 @@ mod tests {
         use opml_telemetry::{export_jsonl, Telemetry};
         let config = SemesterConfig {
             enrollment: 3,
-            weeks: 14,
             run_projects: false,
             vm_auto_terminate_after: None,
             faults: FaultProfile::none(),
@@ -1436,7 +1432,6 @@ mod tests {
     fn projects_add_usage_after_week_eight() {
         let config = SemesterConfig {
             enrollment: 16,
-            weeks: 14,
             run_projects: true,
             vm_auto_terminate_after: None,
             faults: FaultProfile::none(),

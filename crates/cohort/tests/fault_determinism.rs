@@ -13,7 +13,6 @@ fn trace(faults: FaultProfile, threads: usize) -> String {
         let telemetry = Telemetry::recording();
         let config = SemesterConfig {
             enrollment: 8,
-            weeks: 14,
             run_projects: true,
             vm_auto_terminate_after: None,
             faults,
@@ -34,7 +33,6 @@ fn sharded_chaos_trace_is_thread_count_invariant() {
             let telemetry = Telemetry::recording();
             let config = SemesterConfig {
                 enrollment: 8,
-                weeks: 14,
                 run_projects: true,
                 vm_auto_terminate_after: None,
                 faults: FaultProfile::chaos(0.2),

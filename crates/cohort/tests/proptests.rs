@@ -17,7 +17,6 @@ proptest! {
     fn semester_invariants(enrollment in 4u32..24, seed in any::<u64>()) {
         let config = SemesterConfig {
             enrollment,
-            weeks: 14,
             run_projects: false,
             vm_auto_terminate_after: None,
             faults: FaultProfile::none(),
@@ -48,7 +47,6 @@ proptest! {
     fn cap_bounds_every_vm_record(cap_hours in 4u64..48, seed in any::<u64>()) {
         let config = SemesterConfig {
             enrollment: 10,
-            weeks: 14,
             run_projects: false,
             vm_auto_terminate_after: Some(SimDuration::hours(cap_hours)),
             faults: FaultProfile::none(),
@@ -100,7 +98,6 @@ proptest! {
         faults.leak_prob = leak;
         let config = SemesterConfig {
             enrollment: 5,
-            weeks: 14,
             run_projects: projects,
             vm_auto_terminate_after: None,
             faults,
@@ -134,7 +131,6 @@ proptest! {
     fn rollup_invariant_to_thread_count(enrollment in 4u32..12, seed in any::<u64>()) {
         let config = SemesterConfig {
             enrollment,
-            weeks: 14,
             run_projects: false,
             vm_auto_terminate_after: None,
             faults: FaultProfile::none(),

@@ -34,7 +34,6 @@ pub fn run(seed: u64, enrollment: u32) -> (String, ComparisonSet, Vec<PolicyArm>
     for cap in caps {
         let config = SemesterConfig {
             enrollment,
-            weeks: 14,
             run_projects: false,
             vm_auto_terminate_after: cap.map(SimDuration::hours),
             faults: opml_faults::FaultProfile::none(),

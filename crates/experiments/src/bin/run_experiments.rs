@@ -31,10 +31,11 @@
 //!
 //! Every subcommand runs through one harness path: one flag parser
 //! ([`Args`]: a malformed value prints ``run-experiments: <flag> takes
-//! <what>, got `<raw>` `` and exits 2), one writer ([`OutDir`] creates
-//! `--out` before the run starts; an I/O error names its path and exits
-//! 1), and one `peak rss: <n> kB` line (the process `VmHWM`), printed
-//! by `main` after the subcommand.
+//! <what>, got `<raw>` `` and exits 2; so do an unknown subcommand and a
+//! flag the subcommand does not read, before any work), one writer
+//! ([`OutDir`] creates `--out` before the run starts; an I/O error
+//! names its path and exits 1), and one `peak rss: <n> kB` line (the
+//! process `VmHWM`), printed by `main` after the subcommand.
 
 use opml_experiments::{
     chaos, experiments_markdown, paper_sections, profile, scale, serve, tolerance_count, trace,
@@ -56,8 +57,85 @@ static COUNTING_ALLOC: opml_profiler::CountingAlloc = opml_profiler::CountingAll
 /// process exits 1 after printing it.
 type Outcome = Result<(), String>;
 
+/// A subcommand: its name, the flags it reads besides `--seed` and
+/// `--quiet`, and its runner.
+struct Subcommand {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Args, u64, &Telemetry) -> Outcome,
+}
+
+/// The paper run, taken when the first argument is not a subcommand.
+const PAPER_RUN: Subcommand = Subcommand {
+    name: "the paper run",
+    flags: &["--metrics", "--write-md"],
+    run: run_full,
+};
+
+const SUBCOMMANDS: [Subcommand; 6] = [
+    Subcommand {
+        name: "verify-determinism",
+        flags: &["--threads"],
+        run: run_verify,
+    },
+    Subcommand {
+        name: "trace",
+        flags: &["--enrollment", "--labs-only", "--metrics", "--out"],
+        run: run_trace,
+    },
+    Subcommand {
+        name: "chaos",
+        flags: &["--enrollment", "--rates", "--rate", "--threads"],
+        run: run_chaos,
+    },
+    Subcommand {
+        name: "scale",
+        flags: &[
+            "--enrollment",
+            "--shard-students",
+            "--threads",
+            "--spill-dir",
+            "--mem-budget-mb",
+        ],
+        run: run_scale,
+    },
+    Subcommand {
+        name: "serve",
+        flags: &[
+            "--tenants",
+            "--servers",
+            "--queue-bound",
+            "--target-rps",
+            "--increment-rps",
+            "--max-rps",
+            "--round-secs",
+            "--deadline-s",
+            "--fault-rate",
+            "--threads",
+            "--out",
+        ],
+        run: run_serve,
+    },
+    Subcommand {
+        name: "profile",
+        flags: &[
+            "--enrollment",
+            "--shard-students",
+            "--threads",
+            "--projects",
+            "--rss-sample-ms",
+            "--out",
+        ],
+        run: run_profile,
+    },
+];
+
+/// Flags that take no value; every other flag takes the argument after it.
+const SWITCHES: [&str; 4] = ["--quiet", "--labs-only", "--metrics", "--projects"];
+
 fn main() -> ExitCode {
     let args = Args(std::env::args().collect());
+    let subcommand = args.subcommand();
     let seed = args
         .value("--seed", NON_NEGATIVE, non_negative)
         .unwrap_or(42);
@@ -70,15 +148,7 @@ fn main() -> ExitCode {
         Telemetry::narrating()
     };
 
-    let outcome = match args.0.get(1).map(String::as_str) {
-        Some("verify-determinism") => run_verify(&args, seed, &narrator),
-        Some("trace") => run_trace(&args, seed, &narrator),
-        Some("chaos") => run_chaos(&args, seed, &narrator),
-        Some("scale") => run_scale(&args, seed, &narrator),
-        Some("serve") => run_serve(&args, seed, &narrator),
-        Some("profile") => run_profile(&args, seed, &narrator),
-        _ => run_full(&args, seed, &narrator),
-    };
+    let outcome = (subcommand.run)(&args, seed, &narrator);
     let peak =
         opml_profiler::peak_rss_kb().map_or_else(|| "n/a".to_string(), |kb| format!("{kb} kB"));
     println!("peak rss: {peak}");
@@ -114,6 +184,33 @@ fn rate(raw: &str) -> Option<f64> {
 struct Args(Vec<String>);
 
 impl Args {
+    /// The subcommand the command line names, once every later argument
+    /// is a flag it reads or the value of such a flag. Anything else
+    /// exits 2 before any work starts.
+    fn subcommand(&self) -> &'static Subcommand {
+        let words = self.0.get(1..).unwrap_or_default();
+        let (subcommand, flags) = match words.split_first() {
+            Some((word, rest)) if !word.starts_with("--") => {
+                let subcommand = SUBCOMMANDS
+                    .iter()
+                    .find(|s| s.name == word)
+                    .unwrap_or_else(|| usage(&format!("unknown subcommand {word}")));
+                (subcommand, rest)
+            }
+            _ => (&PAPER_RUN, words),
+        };
+        let mut flags = flags.iter().map(String::as_str);
+        while let Some(flag) = flags.next() {
+            if !(["--seed", "--quiet"].contains(&flag) || subcommand.flags.contains(&flag)) {
+                usage(&format!("{} does not take {flag}", subcommand.name));
+            }
+            if !SWITCHES.contains(&flag) {
+                flags.next();
+            }
+        }
+        subcommand
+    }
+
     fn has(&self, flag: &str) -> bool {
         self.0.iter().any(|a| a == flag)
     }
@@ -144,7 +241,12 @@ impl Args {
 }
 
 fn bad_value(flag: &str, what: &str, raw: &str) -> ! {
-    eprintln!("run-experiments: {flag} takes {what}, got `{raw}`");
+    usage(&format!("{flag} takes {what}, got `{raw}`"))
+}
+
+/// A command-line error: print it and exit 2.
+fn usage(message: &str) -> ! {
+    eprintln!("run-experiments: {message}");
     std::process::exit(2);
 }
 

@@ -99,7 +99,6 @@ fn run_arm(seed: u64, enrollment: u32, rate: Option<f64>) -> ChaosArm {
     let telemetry = Telemetry::recording();
     let config = SemesterConfig {
         enrollment,
-        weeks: 14,
         run_projects: false,
         vm_auto_terminate_after: None,
         faults: match rate {

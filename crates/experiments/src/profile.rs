@@ -25,7 +25,9 @@
 
 use std::time::Duration;
 
-use opml_cohort::semester::{simulate_semester_with, SemesterConfig, SemesterOutcome};
+use opml_cohort::semester::{
+    simulate_semester_with, SemesterConfig, SemesterOutcome, SEMESTER_END,
+};
 use opml_profiler::{
     profile_spans, shard_breakdown, timed, PhaseStat, RssSample, RssSampler, ShardBreakdown,
     SpanProfile,
@@ -130,7 +132,7 @@ pub fn run(config: &ProfileConfig) -> ProfileReport {
             )
         })
     });
-    stage.end(SimTime::at(sem.weeks + 1, 0, 0, 0));
+    stage.end(SEMESTER_END);
 
     opml_profiler::disable_counting();
     opml_profiler::disable();

@@ -2,7 +2,9 @@
 //! telemetry recording, export the event stream as JSONL and Chrome
 //! trace-event JSON, and snapshot the metrics.
 
-use opml_cohort::semester::{simulate_semester_with, SemesterConfig, SemesterOutcome};
+use opml_cohort::semester::{
+    simulate_semester_with, SemesterConfig, SemesterOutcome, SEMESTER_END,
+};
 use opml_simkernel::SimTime;
 use opml_telemetry::{
     export_chrome_trace, export_jsonl, MetricsSnapshot, Telemetry, HARNESS_TRACK, TRACK_ATTR,
@@ -63,8 +65,7 @@ pub fn capture_trace(config: &TraceConfig) -> TraceArtifacts {
         ]
     });
     let outcome = simulate_semester_with(&sem_config, config.seed, &telemetry);
-    let end = SimTime::at(sem_config.weeks + 1, 0, 0, 0);
-    stage.end(end);
+    stage.end(SEMESTER_END);
     let events = telemetry.take_events();
     TraceArtifacts {
         jsonl: export_jsonl(&events),

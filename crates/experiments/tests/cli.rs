@@ -5,6 +5,8 @@
 //!   the path, before the run starts, instead of panicking after it.
 //! - Each malformed flag value exits 2 with the shared message
 //!   ``run-experiments: <flag> takes <what>, got `<raw>` ``.
+//! - An unknown subcommand, or a flag the subcommand does not read,
+//!   exits 2 before any work starts.
 //! - Every subcommand prints exactly one `peak rss:` line.
 
 use std::path::{Path, PathBuf};
@@ -140,6 +142,45 @@ fn malformed_values_exit_2_with_the_shared_message() {
             format!("run-experiments: {flag} takes {what}, got `{raw}`"),
             "{args:?}"
         );
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir).expect("read scratch dir").collect();
+    assert!(
+        leftovers.is_empty(),
+        "a rejected command line wrote files: {leftovers:?}"
+    );
+}
+
+#[test]
+fn unknown_flags_and_subcommands_exit_2_before_any_work() {
+    // (arguments, the rejection after `run-experiments: `)
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["trace", "--enrolment", "3", "--labs-only"],
+            "trace does not take --enrolment",
+        ),
+        (&["scale", "--help"], "scale does not take --help"),
+        (&["verify"], "unknown subcommand verify"),
+        (&["serve", "--labs-only"], "serve does not take --labs-only"),
+        (
+            &["--enrollment", "3"],
+            "the paper run does not take --enrollment",
+        ),
+        // The value after a value-taking flag is skipped, whatever it is.
+        (
+            &["chaos", "--rate", "--bogus", "--enrollment", "4", "extra"],
+            "chaos does not take extra",
+        ),
+    ];
+    let dir = scratch("unknown");
+    for (args, rejection) in cases {
+        let o = run(&dir, args);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {}", text(&o.stderr));
+        assert_eq!(
+            text(&o.stderr).trim_end(),
+            format!("run-experiments: {rejection}"),
+            "{args:?}"
+        );
+        assert_eq!(text(&o.stdout), "", "{args:?} started work");
     }
     let leftovers: Vec<_> = std::fs::read_dir(&dir).expect("read scratch dir").collect();
     assert!(

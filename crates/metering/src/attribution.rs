@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 /// Who owns a resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Owner {
     /// A student, by index.
     Student(u32),

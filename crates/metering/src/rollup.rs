@@ -4,7 +4,7 @@ use crate::attribution::{parse_name, Owner};
 use opml_testbed::flavor::FlavorId;
 use opml_testbed::ledger::{Ledger, UsageKind};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Usage of one `(assignment, flavor)` cell — one row of Table 1.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -55,9 +55,9 @@ impl AssignmentRollup {
             instance_hours: f64,
             fip_hours: f64,
             auto_hours: f64,
-            owners: std::collections::HashSet<Owner>,
+            owners: BTreeSet<Owner>,
         }
-        let mut cells: HashMap<(String, FlavorId), Cell> = HashMap::new();
+        let mut cells: BTreeMap<(String, FlavorId), Cell> = BTreeMap::new();
         for r in ledger.records() {
             match r.kind {
                 UsageKind::Instance {
@@ -93,7 +93,7 @@ impl AssignmentRollup {
                 _ => {}
             }
         }
-        let mut rows: Vec<AssignmentUsage> = cells
+        let rows = cells
             .into_iter()
             .map(|((tag, flavor), c)| AssignmentUsage {
                 tag,
@@ -104,7 +104,6 @@ impl AssignmentRollup {
                 owners: c.owners.len(),
             })
             .collect();
-        rows.sort_by(|a, b| a.tag.cmp(&b.tag).then(a.flavor.cmp(&b.flavor)));
         AssignmentRollup { rows, enrollment }
     }
 
@@ -160,8 +159,8 @@ impl PerStudentUsage {
                 deployment_flavor.entry(r.name.as_str()).or_insert(flavor);
             }
         }
-        type Cells = HashMap<(String, FlavorId), (f64, f64)>;
-        let mut students: HashMap<u32, Cells> = HashMap::new();
+        type Cells = BTreeMap<(String, FlavorId), (f64, f64)>;
+        let mut students: BTreeMap<u32, Cells> = BTreeMap::new();
         for r in ledger.records() {
             let a = parse_name(&r.name);
             let Owner::Student(id) = a.owner else {
@@ -196,10 +195,10 @@ impl PerStudentUsage {
                 _ => {}
             }
         }
-        let students: BTreeMap<u32, Vec<StudentLabUsage>> = students
+        let students = students
             .into_iter()
             .map(|(id, cells)| {
-                let mut rows: Vec<StudentLabUsage> = cells
+                let rows = cells
                     .into_iter()
                     .map(|((tag, flavor), (ih, fh))| StudentLabUsage {
                         tag,
@@ -208,7 +207,6 @@ impl PerStudentUsage {
                         fip_hours: fh,
                     })
                     .collect();
-                rows.sort_by(|a, b| a.tag.cmp(&b.tag).then(a.flavor.cmp(&b.flavor)));
                 (id, rows)
             })
             .collect();

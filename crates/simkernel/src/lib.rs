@@ -22,11 +22,8 @@
 //!   used by the drift-detection substrate.
 //! * [`event`] — a generic time-ordered event queue with stable FIFO
 //!   tie-breaking.
-//! * [`dethash`] — a fixed-seed FNV-1a `BuildHasher` (`DetHashMap`,
-//!   `DetHashSet`) so map growth under churn is identical across runs;
-//!   the default `RandomState` makes *allocation counts* seed-dependent
-//!   even when outputs are fully deterministic. Its one-shot
-//!   [`fnv1a64`] is the workspace's digest function.
+//! * [`dethash`] — the fixed-seed FNV-1a [`DetHasher`] and its one-shot
+//!   [`fnv1a64`]: the workspace's digest function.
 //! * [`parallel`] — order-stable parallel fan-out over independent entities
 //!   or replications (rayon), merging by index rather than reduction order.
 //! * [`binio`] — little-endian binary wire primitives for the
@@ -47,9 +44,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dethash::{
-    det_hash_map, det_hash_set, fnv1a64, BuildDetHasher, DetHashMap, DetHashSet, DetHasher,
-};
+pub use dethash::{fnv1a64, DetHasher};
 pub use event::{EventQueue, QueueStats};
 pub use rng::{split_seed, Rng};
 pub use stats::{Histogram, OnlineStats, Summary};

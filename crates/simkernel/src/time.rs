@@ -33,7 +33,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Construct from whole weeks/days/hours/minutes into the semester.
-    pub fn at(week: u64, day: u64, hour: u64, minute: u64) -> Self {
+    pub const fn at(week: u64, day: u64, hour: u64, minute: u64) -> Self {
         SimTime(week * MINUTES_PER_WEEK + day * MINUTES_PER_DAY + hour * MINUTES_PER_HOUR + minute)
     }
 

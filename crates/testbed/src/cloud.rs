@@ -11,6 +11,12 @@
 //!   passes the lease end.
 //! * Floating IPs, private networks, volumes, and buckets are tracked and
 //!   metered the same way.
+//!
+//! Each kind of resource lives in a `Vec` in creation order, with ids
+//! issued per kind from 0 so that an id is its index: the layout the
+//! [`ReservationCalendar`] uses for leases. Nothing is ever removed, so
+//! [`Cloud::finalize`] closes the books in creation order by walking the
+//! tables, and no operation hashes.
 
 use crate::error::CloudError;
 use crate::flavor::{FlavorId, SiteKind};
@@ -20,9 +26,9 @@ use crate::ledger::{Ledger, UsageKind, UsageRecord};
 use crate::network::{FloatingIp, FloatingIpId, NetworkId, PrivateNetwork};
 use crate::quota::{Quota, QuotaUsage};
 use crate::storage::{Bucket, Volume, VolumeId, VolumeState};
-use opml_simkernel::{det_hash_map, DetHashMap};
 use opml_simkernel::{EventQueue, SimDuration, SimTime};
 use opml_telemetry::Telemetry;
+use std::collections::BTreeMap;
 
 /// The simulated research cloud.
 #[derive(Debug)]
@@ -31,16 +37,26 @@ pub struct Cloud {
     quota: Quota,
     usage: QuotaUsage,
     calendar: ReservationCalendar,
-    instances: DetHashMap<InstanceId, Instance>,
-    fips: DetHashMap<FloatingIpId, FloatingIp>,
-    networks: DetHashMap<NetworkId, PrivateNetwork>,
-    volumes: DetHashMap<VolumeId, Volume>,
-    buckets: DetHashMap<String, Bucket>,
-    lease_instances: DetHashMap<LeaseId, Vec<InstanceId>>,
+    instances: Vec<Instance>,
+    fips: Vec<FloatingIp>,
+    networks: Vec<PrivateNetwork>,
+    volumes: Vec<Volume>,
+    /// Buckets by name, so they close in name order.
+    buckets: BTreeMap<String, Bucket>,
+    /// Instances provisioned under each lease, indexed by lease id.
+    lease_instances: Vec<Vec<InstanceId>>,
     lease_ends: EventQueue<LeaseId>,
     ledger: Ledger,
-    next_id: u64,
     telemetry: Telemetry,
+}
+
+/// The entry `id` indexes in a per-kind table.
+fn entry<T>(table: &[T], id: u64) -> Option<&T> {
+    usize::try_from(id).ok().and_then(|i| table.get(i))
+}
+
+fn entry_mut<T>(table: &mut [T], id: u64) -> Option<&mut T> {
+    usize::try_from(id).ok().and_then(|i| table.get_mut(i))
 }
 
 impl Cloud {
@@ -52,15 +68,14 @@ impl Cloud {
             quota,
             usage: QuotaUsage::default(),
             calendar: ReservationCalendar::new(),
-            instances: det_hash_map(),
-            fips: det_hash_map(),
-            networks: det_hash_map(),
-            volumes: det_hash_map(),
-            buckets: det_hash_map(),
-            lease_instances: det_hash_map(),
+            instances: Vec::new(),
+            fips: Vec::new(),
+            networks: Vec::new(),
+            volumes: Vec::new(),
+            buckets: BTreeMap::new(),
+            lease_instances: Vec::new(),
             lease_ends: EventQueue::new(),
             ledger: Ledger::new(),
-            next_id: 0,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -99,12 +114,6 @@ impl Cloud {
         cloud
     }
 
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -126,14 +135,11 @@ impl Cloud {
             }
             // detlint::allow(DL008): guarded by the peek in the loop condition
             let (end_time, lease_id) = self.lease_ends.pop().expect("peeked");
-            // `None` is legitimate here — the lease was admitted but never
-            // provisioned against, or was revoked early (revoke_lease
-            // already drained its instances). Anything else is a bug.
-            let ids = self.lease_instances.remove(&lease_id).unwrap_or_default();
-            for id in ids {
-                if self.instances.get(&id).is_some_and(Instance::is_active) {
-                    self.close_instance(id, end_time, InstanceState::AutoTerminated);
-                }
+            // Empty when the lease was admitted but never provisioned
+            // against, or was revoked early (revoke_lease already drained
+            // its instances).
+            for id in self.take_lease_instances(lease_id) {
+                self.close_instance(id, end_time, InstanceState::AutoTerminated);
             }
         }
         self.now = t;
@@ -163,21 +169,7 @@ impl Cloud {
             self.quota_deny("instance", name);
             return Err(e);
         }
-        let id = InstanceId(self.fresh_id());
-        self.instances.insert(
-            id,
-            Instance {
-                id,
-                name: name.to_string(),
-                flavor,
-                created: self.now,
-                deleted: None,
-                state: InstanceState::Active,
-                lease: None,
-            },
-        );
-        self.note_launch(name, flavor, false);
-        Ok(id)
+        Ok(self.launch(name, flavor, None))
     }
 
     /// Read-only headroom probe: would one more instance of `flavor`
@@ -205,34 +197,33 @@ impl Cloud {
         if !lease.covers(self.now) {
             return Err(CloudError::OutsideLease);
         }
-        let flavor = lease.flavor;
-        let id = InstanceId(self.fresh_id());
-        self.instances.insert(
-            id,
-            Instance {
-                id,
-                name: name.to_string(),
-                flavor,
-                created: self.now,
-                deleted: None,
-                state: InstanceState::Active,
-                lease: Some(lease_id),
-            },
-        );
-        self.lease_instances.entry(lease_id).or_default().push(id);
-        self.note_launch(name, flavor, true);
+        let id = self.launch(name, lease.flavor, Some(lease_id));
+        if let Some(ids) = entry_mut(&mut self.lease_instances, lease_id.0) {
+            ids.push(id);
+        }
         Ok(id)
     }
 
-    fn note_launch(&self, name: &str, flavor: FlavorId, leased: bool) {
+    /// Append a running instance to the table and emit `instance.launch`.
+    fn launch(&mut self, name: &str, flavor: FlavorId, lease: Option<LeaseId>) -> InstanceId {
+        let id = InstanceId(self.instances.len() as u64);
+        self.instances.push(Instance {
+            name: name.to_string(),
+            flavor,
+            created: self.now,
+            deleted: None,
+            state: InstanceState::Active,
+            lease,
+        });
         self.telemetry.instant(self.now, "instance.launch", || {
             vec![
                 ("name", name.to_string().into()),
                 ("flavor", flavor.name().into()),
-                ("leased", leased.into()),
+                ("leased", lease.is_some().into()),
             ]
         });
         self.telemetry.counter_add("cloud.instances_launched", 1);
+        id
     }
 
     fn quota_deny(&self, resource: &'static str, name: &str) {
@@ -245,24 +236,29 @@ impl Cloud {
         self.telemetry.counter_add("cloud.quota_denials", 1);
     }
 
-    /// Delete an instance now.
-    pub fn delete_instance(&mut self, id: InstanceId) -> Result<(), CloudError> {
-        match self.instances.get(&id) {
+    /// The instance `id` if it is still running, else the typed refusal.
+    fn running(&self, id: InstanceId) -> Result<&Instance, CloudError> {
+        match self.instance(id) {
             None => Err(CloudError::NoSuchInstance),
             Some(inst) if !inst.is_active() => Err(CloudError::AlreadyDeleted),
-            Some(_) => {
-                self.close_instance(id, self.now, InstanceState::Deleted);
-                Ok(())
-            }
+            Some(inst) => Ok(inst),
         }
     }
 
-    fn close_instance(&mut self, id: InstanceId, at: SimTime, state: InstanceState) {
-        let inst = self
-            .instances
-            .get_mut(&id)
-            // detlint::allow(DL008): callers pass ids taken from self.instances
-            .expect("close_instance: unknown id");
+    /// Delete an instance now.
+    pub fn delete_instance(&mut self, id: InstanceId) -> Result<(), CloudError> {
+        self.running(id)?;
+        self.close_instance(id, self.now, InstanceState::Deleted);
+        Ok(())
+    }
+
+    /// Close `id` at `at` if it is still running: release its quota,
+    /// meter it, and emit `instance.terminate`. Returns whether it was
+    /// running.
+    fn close_instance(&mut self, id: InstanceId, at: SimTime, state: InstanceState) -> bool {
+        let Some(inst) = entry_mut(&mut self.instances, id.0).filter(|i| i.is_active()) else {
+            return false;
+        };
         inst.deleted = Some(at);
         inst.state = state;
         let spec = inst.flavor.spec();
@@ -297,36 +293,32 @@ impl Cloud {
         if auto {
             self.telemetry.counter_add("cloud.auto_terminations", 1);
         }
+        true
     }
 
     /// Kill a running instance mid-flight (hardware failure or injected
     /// fault). The instance stops metering now; whatever workload it ran
     /// is the caller's problem to relaunch.
     pub fn crash_instance(&mut self, id: InstanceId) -> Result<(), CloudError> {
-        match self.instances.get(&id) {
-            None => Err(CloudError::NoSuchInstance),
-            Some(inst) if !inst.is_active() => Err(CloudError::AlreadyDeleted),
-            Some(inst) => {
-                let name = inst.name.clone();
-                let flavor = inst.flavor;
-                self.telemetry.instant(self.now, "instance.crash", || {
-                    vec![("name", name.into()), ("flavor", flavor.name().into())]
-                });
-                self.telemetry.counter_add("cloud.crashes", 1);
-                self.close_instance(id, self.now, InstanceState::Crashed);
-                Ok(())
-            }
-        }
+        let inst = self.running(id)?;
+        let name = inst.name.clone();
+        let flavor = inst.flavor;
+        self.telemetry.instant(self.now, "instance.crash", || {
+            vec![("name", name.into()), ("flavor", flavor.name().into())]
+        });
+        self.telemetry.counter_add("cloud.crashes", 1);
+        self.close_instance(id, self.now, InstanceState::Crashed);
+        Ok(())
     }
 
     /// Look up an instance.
     pub fn instance(&self, id: InstanceId) -> Option<&Instance> {
-        self.instances.get(&id)
+        entry(&self.instances, id.0)
     }
 
     /// Number of currently active instances.
     pub fn active_instances(&self) -> usize {
-        self.instances.values().filter(|i| i.is_active()).count()
+        self.instances.iter().filter(|i| i.is_active()).count()
     }
 
     // ------------------------------------------------------------- leases
@@ -345,6 +337,9 @@ impl Cloud {
         // VMs created under the lease auto-terminate.
         match self.calendar.reserve(flavor, count, start, end) {
             Ok(lease) => {
+                // The calendar issues lease ids densely from 0, and every
+                // lease is admitted here, so the id indexes this list.
+                self.lease_instances.push(Vec::new());
                 self.lease_ends.push(lease.end, lease.id);
                 self.telemetry.instant(self.now, "lease.accept", || {
                     vec![
@@ -373,21 +368,25 @@ impl Cloud {
         }
     }
 
+    /// Empty a lease's instance list, returning what it held.
+    fn take_lease_instances(&mut self, lease_id: LeaseId) -> Vec<InstanceId> {
+        entry_mut(&mut self.lease_instances, lease_id.0)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
     /// Revoke an admitted lease now: its window is truncated in the
     /// calendar (freeing the nodes for rebooking) and any instances
     /// running under it are auto-terminated immediately. Returns the ids
     /// of the instances that were terminated.
     pub fn revoke_lease(&mut self, lease_id: LeaseId) -> Result<Vec<InstanceId>, CloudError> {
         self.calendar.revoke(lease_id, self.now)?;
-        // `None` just means nothing was provisioned against the lease yet.
-        let ids = self.lease_instances.remove(&lease_id).unwrap_or_default();
-        let mut terminated = Vec::new();
-        for id in ids {
-            if self.instances.get(&id).is_some_and(Instance::is_active) {
-                self.close_instance(id, self.now, InstanceState::AutoTerminated);
-                terminated.push(id);
-            }
-        }
+        let now = self.now;
+        let terminated: Vec<InstanceId> = self
+            .take_lease_instances(lease_id)
+            .into_iter()
+            .filter(|&id| self.close_instance(id, now, InstanceState::AutoTerminated))
+            .collect();
         self.telemetry.instant(self.now, "lease.revoke", || {
             vec![
                 ("lease", lease_id.0.into()),
@@ -423,22 +422,18 @@ impl Cloud {
             self.quota_deny("floating_ip", name);
             return Err(e);
         }
-        let id = FloatingIpId(self.fresh_id());
-        self.fips.insert(
-            id,
-            FloatingIp {
-                id,
-                name: name.to_string(),
-                allocated: self.now,
-                released: None,
-            },
-        );
+        let id = FloatingIpId(self.fips.len() as u64);
+        self.fips.push(FloatingIp {
+            name: name.to_string(),
+            allocated: self.now,
+            released: None,
+        });
         Ok(id)
     }
 
     /// Release a floating IP now.
     pub fn release_fip(&mut self, id: FloatingIpId) -> Result<(), CloudError> {
-        let fip = self.fips.get_mut(&id).ok_or(CloudError::NoSuchFip)?;
+        let fip = entry_mut(&mut self.fips, id.0).ok_or(CloudError::NoSuchFip)?;
         if fip.released.is_some() {
             return Err(CloudError::AlreadyDeleted);
         }
@@ -464,25 +459,18 @@ impl Cloud {
             self.quota_deny("router", name);
             return Err(e);
         }
-        let id = NetworkId(self.fresh_id());
-        self.networks.insert(
-            id,
-            PrivateNetwork {
-                id,
-                name: name.to_string(),
-                created: self.now,
-                deleted: None,
-            },
-        );
+        let id = NetworkId(self.networks.len() as u64);
+        self.networks.push(PrivateNetwork {
+            name: name.to_string(),
+            created: self.now,
+            deleted: None,
+        });
         Ok(id)
     }
 
     /// Delete a private network + its router.
     pub fn delete_network(&mut self, id: NetworkId) -> Result<(), CloudError> {
-        let net = self
-            .networks
-            .get_mut(&id)
-            .ok_or(CloudError::NoSuchNetwork)?;
+        let net = entry_mut(&mut self.networks, id.0).ok_or(CloudError::NoSuchNetwork)?;
         if net.deleted.is_some() {
             return Err(CloudError::AlreadyDeleted);
         }
@@ -500,29 +488,24 @@ impl Cloud {
             self.quota_deny("volume", name);
             return Err(e);
         }
-        let id = VolumeId(self.fresh_id());
-        self.volumes.insert(
-            id,
-            Volume {
-                id,
-                name: name.to_string(),
-                size_gb,
-                created: self.now,
-                deleted: None,
-                state: VolumeState::Available,
-                attached_to: None,
-                formatted: false,
-            },
-        );
+        let id = VolumeId(self.volumes.len() as u64);
+        self.volumes.push(Volume {
+            name: name.to_string(),
+            size_gb,
+            created: self.now,
+            deleted: None,
+            state: VolumeState::Available,
+            attached_to: None,
+        });
         Ok(id)
     }
 
     /// Attach a volume to an instance.
     pub fn attach_volume(&mut self, vol: VolumeId, inst: InstanceId) -> Result<(), CloudError> {
-        if !self.instances.get(&inst).is_some_and(Instance::is_active) {
+        if !self.instance(inst).is_some_and(Instance::is_active) {
             return Err(CloudError::NoSuchInstance);
         }
-        let v = self.volumes.get_mut(&vol).ok_or(CloudError::NoSuchVolume)?;
+        let v = entry_mut(&mut self.volumes, vol.0).ok_or(CloudError::NoSuchVolume)?;
         if v.state == VolumeState::Deleted {
             return Err(CloudError::NoSuchVolume);
         }
@@ -536,7 +519,7 @@ impl Cloud {
 
     /// Detach a volume (data persists — that is the point of Unit 8).
     pub fn detach_volume(&mut self, vol: VolumeId) -> Result<(), CloudError> {
-        let v = self.volumes.get_mut(&vol).ok_or(CloudError::NoSuchVolume)?;
+        let v = entry_mut(&mut self.volumes, vol.0).ok_or(CloudError::NoSuchVolume)?;
         if v.state != VolumeState::InUse {
             return Err(CloudError::VolumeNotAttached);
         }
@@ -545,19 +528,9 @@ impl Cloud {
         Ok(())
     }
 
-    /// Format a volume (must be attached).
-    pub fn format_volume(&mut self, vol: VolumeId) -> Result<(), CloudError> {
-        let v = self.volumes.get_mut(&vol).ok_or(CloudError::NoSuchVolume)?;
-        if v.state != VolumeState::InUse {
-            return Err(CloudError::VolumeInUse);
-        }
-        v.formatted = true;
-        Ok(())
-    }
-
     /// Delete a volume; refused while attached.
     pub fn delete_volume(&mut self, vol: VolumeId) -> Result<(), CloudError> {
-        let v = self.volumes.get_mut(&vol).ok_or(CloudError::NoSuchVolume)?;
+        let v = entry_mut(&mut self.volumes, vol.0).ok_or(CloudError::NoSuchVolume)?;
         if v.state == VolumeState::InUse {
             return Err(CloudError::VolumeInUse);
         }
@@ -579,14 +552,11 @@ impl Cloud {
     /// Create (or get) an object-store bucket.
     pub fn bucket(&mut self, name: &str) -> &mut Bucket {
         let now = self.now;
-        self.buckets
-            .entry(name.to_string())
-            .or_insert_with(|| Bucket {
-                name: name.to_string(),
-                stored_gb: 0.0,
-                created: now,
-                object_count: 0,
-            })
+        self.buckets.entry(name.to_string()).or_insert(Bucket {
+            stored_gb: 0.0,
+            created: now,
+            object_count: 0,
+        })
     }
 
     // ----------------------------------------------------------- closing
@@ -594,56 +564,30 @@ impl Cloud {
     /// Close the books: advance to `end`, auto-terminate expired leases,
     /// close every still-open instance/FIP/volume record at `end`, and emit
     /// one object-storage record per bucket.
+    ///
+    /// Records close in table order — instances, floating IPs and volumes
+    /// each in creation order, then buckets by name — and closing an
+    /// already-closed resource is a refused no-op.
     pub fn finalize(&mut self, end: SimTime) {
         self.advance_to(end);
-        // Close in id order: closing appends ledger records, so the order
-        // must not follow hash-map iteration (DL002).
-        let mut open: Vec<InstanceId> = self
-            .instances
-            .values()
-            .filter(|i| i.is_active())
-            .map(|i| i.id)
-            .collect();
-        open.sort_unstable();
-        for id in open {
-            self.close_instance(id, end, InstanceState::Deleted);
+        for i in 0..self.instances.len() as u64 {
+            self.close_instance(InstanceId(i), end, InstanceState::Deleted);
         }
-        let mut open_fips: Vec<FloatingIpId> = self
-            .fips
-            .values()
-            .filter(|f| f.is_held())
-            .map(|f| f.id)
-            .collect();
-        open_fips.sort_unstable();
-        for id in open_fips {
-            // detlint::allow(DL008): `id` came from self.fips and is held, so release succeeds
-            self.release_fip(id).expect("open fip must release");
+        for i in 0..self.fips.len() as u64 {
+            let _ = self.release_fip(FloatingIpId(i));
         }
-        let mut open_vols: Vec<VolumeId> = self
-            .volumes
-            .values()
-            .filter(|v| v.state != VolumeState::Deleted)
-            .map(|v| v.id)
-            .collect();
-        open_vols.sort_unstable();
-        for id in open_vols {
-            let _ = self.detach_volume(id);
-            // detlint::allow(DL008): `id` came from self.volumes and was just detached
-            self.delete_volume(id).expect("open volume must delete");
+        for i in 0..self.volumes.len() as u64 {
+            let _ = self.detach_volume(VolumeId(i));
+            let _ = self.delete_volume(VolumeId(i));
         }
-        let mut bucket_names: Vec<String> = self.buckets.keys().cloned().collect();
-        bucket_names.sort_unstable();
-        for name in bucket_names {
-            // detlint::allow(DL008): `name` came from self.buckets.keys()
-            let b = &self.buckets[&name];
+        for (name, b) in std::mem::take(&mut self.buckets) {
             self.ledger.push(UsageRecord {
-                name: b.name.clone(),
+                name,
                 kind: UsageKind::ObjectStorage { gb: b.stored_gb },
                 start: b.created,
                 end,
             });
         }
-        self.buckets.clear();
     }
 
     /// The usage ledger.
@@ -779,7 +723,6 @@ mod tests {
             .unwrap();
         let vol = cloud.create_volume("lab8-dan-vol", 2).unwrap();
         cloud.attach_volume(vol, inst).unwrap();
-        cloud.format_volume(vol).unwrap();
         // Deleting while attached is refused.
         assert_eq!(
             cloud.delete_volume(vol).unwrap_err(),
@@ -820,6 +763,31 @@ mod tests {
         assert_eq!(l.instance_hours(None), 10.0);
         assert_eq!(l.fip_hours(), 10.0);
         assert_eq!(l.peak_block_gb(), 10);
+    }
+
+    #[test]
+    fn finalize_closes_each_table_in_creation_order() {
+        let mut cloud = Cloud::new(Quota::unlimited());
+        // Interleaved kinds, with names that sort against creation order.
+        cloud.create_volume("v-b", 1).unwrap();
+        cloud.create_instance("i-b", FlavorId::M1Small).unwrap();
+        cloud.allocate_fip("f-b").unwrap();
+        cloud.bucket("k-b").put(1, 0.5);
+        cloud.create_instance("i-a", FlavorId::M1Small).unwrap();
+        cloud.create_volume("v-a", 1).unwrap();
+        cloud.bucket("k-a").put(1, 0.5);
+        cloud.allocate_fip("f-a").unwrap();
+        cloud.finalize(t(10));
+        let closed: Vec<&str> = cloud
+            .ledger()
+            .records()
+            .iter()
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(
+            closed,
+            ["i-b", "i-a", "f-b", "f-a", "v-b", "v-a", "k-a", "k-b"]
+        );
     }
 
     #[test]

@@ -258,11 +258,6 @@ impl FlavorId {
     pub const fn has_gpu(self) -> bool {
         self.spec().gpu_count > 0
     }
-
-    /// Parse a Table 1 flavor name back to its id.
-    pub fn from_name(name: &str) -> Option<FlavorId> {
-        FlavorId::ALL.into_iter().find(|f| f.name() == name)
-    }
 }
 
 impl fmt::Display for FlavorId {
@@ -274,14 +269,6 @@ impl fmt::Display for FlavorId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_roundtrip() {
-        for f in FlavorId::ALL {
-            assert_eq!(FlavorId::from_name(f.name()), Some(f), "roundtrip {f}");
-        }
-        assert_eq!(FlavorId::from_name("nope"), None);
-    }
 
     #[test]
     fn names_unique() {
@@ -324,6 +311,7 @@ mod tests {
 
     #[test]
     fn table1_flavor_names_present() {
+        let names: Vec<&str> = FlavorId::ALL.iter().map(|f| f.name()).collect();
         for name in [
             "m1.small",
             "m1.medium",
@@ -337,7 +325,7 @@ mod tests {
             "gpu_p100",
             "m1.large",
         ] {
-            assert!(FlavorId::from_name(name).is_some(), "missing {name}");
+            assert!(names.contains(&name), "missing {name}");
         }
     }
 }

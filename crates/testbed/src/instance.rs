@@ -30,8 +30,6 @@ pub enum InstanceState {
 /// and `opml-metering` relies on it the same way.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Instance {
-    /// Identifier.
-    pub id: InstanceId,
     /// Instance name (attribution key).
     pub name: String,
     /// Flavor / node type.
@@ -50,37 +48,5 @@ impl Instance {
     /// Whether the instance is still running.
     pub fn is_active(&self) -> bool {
         self.state == InstanceState::Active
-    }
-
-    /// Runtime as of `now` (or total runtime if deleted).
-    pub fn runtime_hours(&self, now: SimTime) -> f64 {
-        let end = self.deleted.unwrap_or(now);
-        end.since(self.created).as_hours_f64()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use opml_simkernel::SimDuration;
-
-    #[test]
-    fn runtime_accrues_until_deleted() {
-        let mut inst = Instance {
-            id: InstanceId(1),
-            name: "lab1-student007".into(),
-            flavor: FlavorId::M1Small,
-            created: SimTime::at(0, 0, 10, 0),
-            deleted: None,
-            state: InstanceState::Active,
-            lease: None,
-        };
-        let now = inst.created + SimDuration::hours(3);
-        assert_eq!(inst.runtime_hours(now), 3.0);
-        inst.deleted = Some(inst.created + SimDuration::hours(2));
-        inst.state = InstanceState::Deleted;
-        // Once deleted, `now` no longer matters.
-        assert_eq!(inst.runtime_hours(now + SimDuration::hours(100)), 2.0);
-        assert!(!inst.is_active());
     }
 }

@@ -468,7 +468,8 @@ impl ReservationCalendar {
     }
 }
 
-/// The pre-sweep-line calendar, verbatim: `peak_reserved` re-scans every
+/// The pre-sweep-line calendar, with ordered maps in place of its hash
+/// maps and otherwise verbatim: `peak_reserved` re-scans every
 /// lease ever admitted (`O(L²)` per query) and `earliest_slot` tries
 /// every lease end against full rescans (`O(L³)`).
 ///
@@ -483,13 +484,13 @@ pub mod naive {
     use crate::error::CloudError;
     use crate::flavor::FlavorId;
     use opml_simkernel::SimTime;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// Naive reference calendar (see module docs).
     #[derive(Debug, Default)]
     pub struct NaiveCalendar {
-        capacity: HashMap<FlavorId, u32>,
-        leases: HashMap<FlavorId, Vec<Lease>>,
+        capacity: BTreeMap<FlavorId, u32>,
+        leases: BTreeMap<FlavorId, Vec<Lease>>,
         revoked: Vec<LeaseId>,
         next_id: u64,
     }
@@ -602,7 +603,6 @@ pub mod naive {
             if self.is_revoked(id) {
                 return Err(CloudError::LeaseRevoked);
             }
-            // detlint::allow(DL002): unique lease id, at most one match
             let lease = self
                 .leases
                 .values_mut()
@@ -624,7 +624,6 @@ pub mod naive {
 
         /// Look up an admitted lease by linear scan.
         pub fn get(&self, id: LeaseId) -> Option<&Lease> {
-            // detlint::allow(DL002): unique lease id, at most one match
             self.leases.values().flatten().find(|l| l.id == id)
         }
 

@@ -9,7 +9,6 @@
 use crate::flavor::FlavorId;
 use opml_simkernel::{binio, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::io;
 
@@ -263,20 +262,6 @@ impl Ledger {
                 _ => None,
             })
             .sum()
-    }
-
-    /// Instance-hours grouped by flavor, in [`FlavorId::ALL`] order.
-    pub fn hours_by_flavor(&self) -> Vec<(FlavorId, f64)> {
-        let mut map: BTreeMap<FlavorId, f64> = BTreeMap::new();
-        for r in &self.records {
-            if let UsageKind::Instance { flavor, .. } = r.kind {
-                *map.entry(flavor).or_insert(0.0) += r.hours();
-            }
-        }
-        FlavorId::ALL
-            .into_iter()
-            .filter_map(|f| map.get(&f).map(|&h| (f, h)))
-            .collect()
     }
 
     /// Peak simultaneous active instances (sweep-line over records).
@@ -555,17 +540,6 @@ mod tests {
             end: t(20),
         });
         assert_eq!(l.peak_block_gb(), 150);
-    }
-
-    #[test]
-    fn hours_by_flavor_stable_order() {
-        let mut l = Ledger::new();
-        l.push(inst("x", FlavorId::GpuV100, 0, 1));
-        l.push(inst("y", FlavorId::M1Small, 0, 1));
-        let by = l.hours_by_flavor();
-        // FlavorId::ALL order: m1.small comes before gpu_v100.
-        assert_eq!(by[0].0, FlavorId::M1Small);
-        assert_eq!(by[1].0, FlavorId::GpuV100);
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct NetworkId(pub u64);
 /// A floating IP held by a deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FloatingIp {
-    /// Identifier.
-    pub id: FloatingIpId,
     /// Attribution key (deployment name).
     pub name: String,
     /// Allocation time.
@@ -30,60 +28,14 @@ pub struct FloatingIp {
     pub released: Option<SimTime>,
 }
 
-impl FloatingIp {
-    /// Hold time in hours as of `now` (or total if released).
-    pub fn hold_hours(&self, now: SimTime) -> f64 {
-        self.released
-            .unwrap_or(now)
-            .since(self.allocated)
-            .as_hours_f64()
-    }
-
-    /// Whether the IP is still held.
-    pub fn is_held(&self) -> bool {
-        self.released.is_none()
-    }
-}
-
 /// A private network with its router (modelled together: every lab that
 /// created a network also created a router to the external network).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PrivateNetwork {
-    /// Identifier.
-    pub id: NetworkId,
     /// Attribution key (deployment name).
     pub name: String,
     /// Creation time.
     pub created: SimTime,
     /// Deletion time, once deleted.
     pub deleted: Option<SimTime>,
-}
-
-impl PrivateNetwork {
-    /// Whether the network still exists.
-    pub fn is_active(&self) -> bool {
-        self.deleted.is_none()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use opml_simkernel::SimDuration;
-
-    #[test]
-    fn fip_hold_hours() {
-        let mut fip = FloatingIp {
-            id: FloatingIpId(0),
-            name: "lab2-alice".into(),
-            allocated: SimTime::at(1, 0, 0, 0),
-            released: None,
-        };
-        assert!(fip.is_held());
-        let now = fip.allocated + SimDuration::hours(5);
-        assert_eq!(fip.hold_hours(now), 5.0);
-        fip.released = Some(fip.allocated + SimDuration::hours(2));
-        assert_eq!(fip.hold_hours(now), 2.0);
-        assert!(!fip.is_held());
-    }
 }

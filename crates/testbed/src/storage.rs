@@ -26,8 +26,6 @@ pub enum VolumeState {
 /// A block-storage volume.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Volume {
-    /// Identifier.
-    pub id: VolumeId,
     /// Attribution key.
     pub name: String,
     /// Size in GB.
@@ -40,25 +38,12 @@ pub struct Volume {
     pub state: VolumeState,
     /// Attached instance, if any.
     pub attached_to: Option<InstanceId>,
-    /// Whether the volume has been formatted with a filesystem.
-    pub formatted: bool,
 }
 
-impl Volume {
-    /// GB-hours accrued as of `now` (volumes bill on existence, not
-    /// attachment — exactly why "persist data across ephemeral compute"
-    /// works).
-    pub fn gb_hours(&self, now: SimTime) -> f64 {
-        let end = self.deleted.unwrap_or(now);
-        self.size_gb as f64 * end.since(self.created).as_hours_f64()
-    }
-}
-
-/// An object-store bucket.
+/// An object-store bucket. The cloud keys buckets by name, which is
+/// also the attribution key of their usage record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Bucket {
-    /// Bucket name (attribution key).
-    pub name: String,
     /// Stored bytes, in GB (fractional — the Unit 8 dataset is 1.2 GB).
     pub stored_gb: f64,
     /// Creation time.
@@ -73,38 +58,15 @@ impl Bucket {
         self.object_count += objects;
         self.stored_gb += gb;
     }
-
-    /// GB-hours accrued as of `now` (flat model: current size × lifetime;
-    /// adequate because the evaluation only reports final stored GB).
-    pub fn gb_hours(&self, now: SimTime) -> f64 {
-        self.stored_gb * now.since(self.created).as_hours_f64()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opml_simkernel::SimDuration;
-
-    #[test]
-    fn volume_gb_hours() {
-        let v = Volume {
-            id: VolumeId(0),
-            name: "lab8-bob".into(),
-            size_gb: 2,
-            created: SimTime::ZERO,
-            deleted: Some(SimTime::ZERO + SimDuration::hours(10)),
-            state: VolumeState::Deleted,
-            attached_to: None,
-            formatted: true,
-        };
-        assert_eq!(v.gb_hours(SimTime::ZERO + SimDuration::hours(99)), 20.0);
-    }
 
     #[test]
     fn bucket_accumulates() {
         let mut b = Bucket {
-            name: "food11".into(),
             stored_gb: 0.0,
             created: SimTime::ZERO,
             object_count: 0,
@@ -113,6 +75,5 @@ mod tests {
         b.put(50, 0.5);
         assert_eq!(b.object_count, 150);
         assert!((b.stored_gb - 1.2).abs() < 1e-12);
-        assert!((b.gb_hours(SimTime::ZERO + SimDuration::hours(2)) - 2.4).abs() < 1e-9);
     }
 }

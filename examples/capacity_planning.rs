@@ -30,7 +30,6 @@ fn main() {
     for enrollment in [48u32, 96, 191, 280] {
         let config = SemesterConfig {
             enrollment,
-            weeks: 14,
             run_projects: false,
             vm_auto_terminate_after: None,
             faults: ml_ops_course::faults::FaultProfile::none(),

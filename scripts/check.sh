@@ -149,7 +149,7 @@ echo "==> alloc-ceiling smoke (2k cohort, counting allocator compiled in)"
 # Pins the hot-path allocation pass: shard.sim must stay far below the
 # pre-optimization ~1.95M allocation count (budget has ~25% headroom
 # over the measured post-pass count), and the digested alloc subtree
-# must be present and pinned by alloc_digest.
+# must be present and match the committed alloc_digest.
 alloc_dir=$(mktemp -d)
 cargo run --release -q -p opml-experiments --features alloc-profile \
     --bin run-experiments -- \
@@ -165,6 +165,16 @@ if [ -z "$shard_allocs" ] || [ -z "$alloc_digest" ]; then
 fi
 if [ "$shard_allocs" -gt "$alloc_budget" ]; then
     echo "alloc smoke FAILED: shard.sim allocated $shard_allocs times, budget is $alloc_budget" >&2
+    exit 1
+fi
+# The allocation pattern is the toolchain's as much as the code's, so
+# the golden records the rustc it was measured with beside it.
+golden_alloc_file=tests/golden/alloc_2k_seed42.digest
+golden_alloc_digest=$(cat "$golden_alloc_file")
+if [ "$alloc_digest" != "$golden_alloc_digest" ]; then
+    echo "alloc smoke FAILED: alloc_digest $alloc_digest != golden $golden_alloc_digest ($golden_alloc_file)" >&2
+    echo "  golden measured with: $(cat tests/golden/alloc_2k_seed42.rustc)" >&2
+    echo "  this run built with:  $(rustc -V)" >&2
     exit 1
 fi
 rm -rf "$alloc_dir"

@@ -11,7 +11,6 @@ use ml_ops_course::simkernel::stats::Summary;
 fn small_course(enrollment: u32, projects: bool, seed: u64) -> SemesterOutcome {
     let config = SemesterConfig {
         enrollment,
-        weeks: 14,
         run_projects: projects,
         vm_auto_terminate_after: None,
         faults: ml_ops_course::faults::FaultProfile::none(),
