@@ -2,7 +2,8 @@
 //! runs and a hierarchical k-way merge with O(shard) peak memory.
 //!
 //! With in-memory storage the driver holds every shard's ledger until
-//! the global merge, so peak RSS is O(cohort) — ~30 GB at 1M students.
+//! the global merge, so peak RSS is O(cohort) — ~1.8 GB at 1M students,
+//! where 31.8M records of 56 bytes wait at their exact length.
 //! With [`Storage::Spill`](crate::semester::Storage::Spill) the
 //! *simulation* is identical but each shard's ledger goes to an on-disk
 //! **run** the moment the shard finishes, releasing its buffer, and the

@@ -31,8 +31,9 @@
 //!
 //! Every subcommand runs through one harness path: one flag parser
 //! ([`Args`]: a malformed value prints ``run-experiments: <flag> takes
-//! <what>, got `<raw>` `` and exits 2; so do an unknown subcommand and a
-//! flag the subcommand does not read, before any work), one writer
+//! <what>, got `<raw>` `` and exits 2; so do an unknown subcommand, a
+//! flag the subcommand does not read and a value-taking flag with no
+//! value, before any work), one writer
 //! ([`OutDir`] creates `--out` before the run starts; an I/O error
 //! names its path and exits 1), and one `peak rss: <n> kB` line (the
 //! process `VmHWM`), printed by `main` after the subcommand.
@@ -185,8 +186,9 @@ struct Args(Vec<String>);
 
 impl Args {
     /// The subcommand the command line names, once every later argument
-    /// is a flag it reads or the value of such a flag. Anything else
-    /// exits 2 before any work starts.
+    /// is a flag it reads or the value of such a flag. Anything else,
+    /// and a value-taking flag with no argument after it, exits 2
+    /// before any work starts.
     fn subcommand(&self) -> &'static Subcommand {
         let words = self.0.get(1..).unwrap_or_default();
         let (subcommand, flags) = match words.split_first() {
@@ -204,8 +206,8 @@ impl Args {
             if !(["--seed", "--quiet"].contains(&flag) || subcommand.flags.contains(&flag)) {
                 usage(&format!("{} does not take {flag}", subcommand.name));
             }
-            if !SWITCHES.contains(&flag) {
-                flags.next();
+            if !SWITCHES.contains(&flag) && flags.next().is_none() {
+                usage(&format!("{flag} takes a value, got nothing"));
             }
         }
         subcommand

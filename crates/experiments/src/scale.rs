@@ -227,13 +227,12 @@ fn sweep_config(config: &ScaleConfig) -> SemesterConfig {
 }
 
 /// Estimated in-memory peak RSS for a cohort of `enrollment` students,
-/// in MB, rounded up. Calibrated from observed `VmHWM` peaks of the
-/// in-memory path (`scale`: ~5.1 KiB/student at 100k and
-/// ~6.0 at 200k on one thread, ~7.2 at 1M on two, while the merged
-/// ledger was still materialized; ~5.5 at 100k and 1M on two since the
-/// arms stream it into the digest), rounded up to 8 KiB/student;
-/// deliberately coarse — it only decides *whether* to spill under
-/// `--mem-budget-mb`.
+/// in MB, rounded up: 8 KiB/student, deliberately coarse — it only
+/// decides *whether* to spill under `--mem-budget-mb`, and check.sh's
+/// forced-spill smoke relies on its 16 MB at 2k students. The observed
+/// `VmHWM` peak of `scale`'s in-memory arms, which stream the merge into
+/// the digest, is ~1.8 KiB/student (181 MB at 100k and 1.77 GB at 1M on
+/// two threads), so the estimate overstates it about 4.5 times.
 pub fn estimated_peak_mb(enrollment: u32) -> u64 {
     (u64::from(enrollment) * 8).div_ceil(1024)
 }
@@ -494,6 +493,10 @@ mod tests {
         }
         for name in [
             "",
+            // The longest name kept in place (22 bytes), the shortest
+            // kept on the heap (23), and a heap-side non-ASCII name.
+            "lab4-single-s999999999",
+            "lab4-single-s9999999999",
             "quote\"d",
             "back\\slash",
             "new\nline",

@@ -5,8 +5,8 @@
 //!   the path, before the run starts, instead of panicking after it.
 //! - Each malformed flag value exits 2 with the shared message
 //!   ``run-experiments: <flag> takes <what>, got `<raw>` ``.
-//! - An unknown subcommand, or a flag the subcommand does not read,
-//!   exits 2 before any work starts.
+//! - An unknown subcommand, a flag the subcommand does not read, or a
+//!   value-taking flag with no value exits 2 before any work starts.
 //! - Every subcommand prints exactly one `peak rss:` line.
 
 use std::path::{Path, PathBuf};
@@ -52,15 +52,19 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Run the binary quietly in `cwd`, so default output paths
+/// Run the binary in `cwd` with exactly `args`, so default output paths
 /// (`trace_out/`, `experiments_results.json`, ...) land there.
-fn run(cwd: &Path, args: &[&str]) -> Output {
+fn run_verbatim(cwd: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_run-experiments"))
         .args(args)
-        .arg("--quiet")
         .current_dir(cwd)
         .output()
         .expect("spawn run-experiments")
+}
+
+/// Run the binary quietly in `cwd`.
+fn run(cwd: &Path, args: &[&str]) -> Output {
+    run_verbatim(cwd, &[args, &["--quiet"]].concat())
 }
 
 fn text(bytes: &[u8]) -> String {
@@ -170,10 +174,17 @@ fn unknown_flags_and_subcommands_exit_2_before_any_work() {
             &["chaos", "--rate", "--bogus", "--enrollment", "4", "extra"],
             "chaos does not take extra",
         ),
+        // A value-taking flag given last has no value.
+        (&["trace", "--out"], "--out takes a value, got nothing"),
+        (
+            &["scale", "--quiet", "--threads"],
+            "--threads takes a value, got nothing",
+        ),
     ];
     let dir = scratch("unknown");
     for (args, rejection) in cases {
-        let o = run(&dir, args);
+        // As written: an appended `--quiet` would be the missing value.
+        let o = run_verbatim(&dir, args);
         assert_eq!(o.status.code(), Some(2), "{args:?}: {}", text(&o.stderr));
         assert_eq!(
             text(&o.stderr).trim_end(),

@@ -41,15 +41,7 @@ impl AssignmentRollup {
     /// — mirroring how the paper's authors joined the two data sources.
     pub fn from_ledger(ledger: &Ledger, enrollment: usize) -> AssignmentRollup {
         assert!(enrollment > 0);
-        // Deployment name → flavor (from instance records). Ordered map:
-        // the prefix-fallback below takes the *first* matching entry, so
-        // iteration order must be deterministic (DL002).
-        let mut deployment_flavor: BTreeMap<&str, FlavorId> = BTreeMap::new();
-        for r in ledger.records() {
-            if let UsageKind::Instance { flavor, .. } = r.kind {
-                deployment_flavor.entry(r.name.as_str()).or_insert(flavor);
-            }
-        }
+        let fip_flavor = fip_flavors(ledger);
         #[derive(Default)]
         struct Cell {
             instance_hours: f64,
@@ -73,17 +65,7 @@ impl AssignmentRollup {
                     cell.owners.insert(a.owner);
                 }
                 UsageKind::FloatingIp => {
-                    // Resolve flavor via the longest matching deployment
-                    // prefix; fall back over instance names that extend
-                    // the FIP name.
-                    let flavor = deployment_flavor.get(r.name.as_str()).copied().or_else(|| {
-                        deployment_flavor
-                            .iter()
-                            .filter(|(name, _)| name.starts_with(r.name.as_str()))
-                            .map(|(_, &f)| f)
-                            .next()
-                    });
-                    if let Some(flavor) = flavor {
+                    if let Some(flavor) = fip_flavor(&r.name) {
                         let a = parse_name(&r.name);
                         let cell = cells.entry((a.tag, flavor)).or_default();
                         cell.fip_hours += r.hours();
@@ -127,6 +109,30 @@ impl AssignmentRollup {
     }
 }
 
+/// A floating IP's flavor, resolved from the ledger's instance records:
+/// the flavor of the first deployment, in name order, whose name is the
+/// FIP's name or starts with it (a deployment's nodes are `"<fip-name>"`
+/// or `"<fip-name>-…"`).
+///
+/// The names that start with a given name are one contiguous range of
+/// the ordered map, beginning at the first name not below it, so each
+/// lookup is one `range` step rather than a scan of every deployment.
+fn fip_flavors(ledger: &Ledger) -> impl Fn(&str) -> Option<FlavorId> + '_ {
+    let mut deployments: BTreeMap<&str, FlavorId> = BTreeMap::new();
+    for r in ledger.records() {
+        if let UsageKind::Instance { flavor, .. } = r.kind {
+            deployments.entry(r.name.as_str()).or_insert(flavor);
+        }
+    }
+    move |fip| {
+        deployments
+            .range(fip..)
+            .next()
+            .filter(|(name, _)| name.starts_with(fip))
+            .map(|(_, &flavor)| flavor)
+    }
+}
+
 /// One student's usage of one `(tag, flavor)` cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StudentLabUsage {
@@ -152,13 +158,7 @@ pub struct PerStudentUsage {
 impl PerStudentUsage {
     /// Build from a ledger (only `Owner::Student` records).
     pub fn from_ledger(ledger: &Ledger) -> PerStudentUsage {
-        // Ordered for a deterministic prefix-fallback pick (DL002).
-        let mut deployment_flavor: BTreeMap<&str, FlavorId> = BTreeMap::new();
-        for r in ledger.records() {
-            if let UsageKind::Instance { flavor, .. } = r.kind {
-                deployment_flavor.entry(r.name.as_str()).or_insert(flavor);
-            }
-        }
+        let fip_flavor = fip_flavors(ledger);
         type Cells = BTreeMap<(String, FlavorId), (f64, f64)>;
         let mut students: BTreeMap<u32, Cells> = BTreeMap::new();
         for r in ledger.records() {
@@ -176,14 +176,7 @@ impl PerStudentUsage {
                     e.0 += r.hours();
                 }
                 UsageKind::FloatingIp => {
-                    let flavor = deployment_flavor.get(r.name.as_str()).copied().or_else(|| {
-                        deployment_flavor
-                            .iter()
-                            .filter(|(name, _)| name.starts_with(r.name.as_str()))
-                            .map(|(_, &f)| f)
-                            .next()
-                    });
-                    if let Some(flavor) = flavor {
+                    if let Some(flavor) = fip_flavor(&r.name) {
                         let e = students
                             .entry(id)
                             .or_default()
@@ -242,7 +235,7 @@ mod tests {
         // Student 1: lab2 with 3 m1.medium for 10h + one FIP for 10h.
         for n in 0..3 {
             l.push(UsageRecord {
-                name: format!("lab2-s001-node{n}"),
+                name: format!("lab2-s001-node{n}").into(),
                 kind: UsageKind::Instance {
                     flavor: FlavorId::M1Medium,
                     auto_terminated: false,
@@ -319,6 +312,34 @@ mod tests {
         let rollup = AssignmentRollup::from_ledger(&ledger_fixture(), 2);
         let lab2 = rollup.rows.iter().find(|r| r.tag == "lab2").unwrap();
         assert!(lab2.fip_hours > 0.0);
+
+        // Another student's deployment whose name extends this FIP's
+        // name sorts after the FIP's own nodes (`-` before `0`), so the
+        // FIP keeps its own flavor.
+        let mut ledger = ledger_fixture();
+        ledger.push(UsageRecord {
+            name: "lab2-s0010-node0".into(),
+            kind: UsageKind::Instance {
+                flavor: FlavorId::M1Large,
+                auto_terminated: false,
+            },
+            start: t(0),
+            end: t(5),
+        });
+        let rollup = AssignmentRollup::from_ledger(&ledger, 2);
+        let fip_hours = |flavor| {
+            rollup
+                .rows
+                .iter()
+                .find(|r| r.tag == "lab2" && r.flavor == flavor)
+                .map(|r| r.fip_hours)
+        };
+        assert_eq!(fip_hours(FlavorId::M1Medium), Some(10.0));
+        assert_eq!(fip_hours(FlavorId::M1Large), Some(0.0));
+        let per = PerStudentUsage::from_ledger(&ledger);
+        let s1 = &per.students[&1];
+        assert_eq!(s1.len(), 1);
+        assert_eq!((s1[0].flavor, s1[0].fip_hours), (FlavorId::M1Medium, 10.0));
     }
 
     #[test]

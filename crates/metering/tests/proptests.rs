@@ -46,7 +46,7 @@ proptest! {
         let mut ledger = Ledger::new();
         for (student, flavor_idx, start, len) in records {
             ledger.push(UsageRecord {
-                name: student_name("lab2", student),
+                name: student_name("lab2", student).into(),
                 kind: UsageKind::Instance {
                     flavor: flavors[flavor_idx],
                     auto_terminated: false,
@@ -72,7 +72,7 @@ proptest! {
         let mut expected: std::collections::HashMap<u32, f64> = Default::default();
         for (student, len) in records {
             ledger.push(UsageRecord {
-                name: student_name("lab7", student),
+                name: student_name("lab7", student).into(),
                 kind: UsageKind::Instance {
                     flavor: FlavorId::M1Medium,
                     auto_terminated: false,

@@ -44,7 +44,7 @@ fn record(student: u32, kind_sel: usize, start: u64, len: u64) -> UsageRecord {
         },
     };
     UsageRecord {
-        name: student_name(tags[kind_sel % tags.len()], student),
+        name: student_name(tags[kind_sel % tags.len()], student).into(),
         kind,
         start: SimTime(start * 60),
         end: SimTime((start + len) * 60),

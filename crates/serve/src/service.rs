@@ -160,8 +160,9 @@ struct Service {
     instances: Vec<Vec<InstanceId>>,
     /// Per-tenant pools of admitted lease ids (revoke targets).
     leases: Vec<Vec<LeaseId>>,
-    /// Next-free tick per simulated server.
-    servers: Vec<u64>,
+    /// `(next-free tick, index)` of every simulated server, min first:
+    /// the top is the lowest-numbered server with the earliest tick.
+    servers: BinaryHeap<Reverse<(u64, usize)>>,
     queue: AdmissionQueue,
     kind_counts: [OpCounts; 5],
     kind_retries: [u64; 5],
@@ -199,7 +200,7 @@ impl Service {
             ],
             instances: vec![Vec::new(); t],
             leases: vec![Vec::new(); t],
-            servers: vec![0; cfg.servers as usize],
+            servers: (0..cfg.servers as usize).map(|i| Reverse((0, i))).collect(),
             queue: AdmissionQueue::new(cfg.queue_bound),
             kind_counts: [OpCounts::default(); 5],
             kind_retries: [0; 5],
@@ -248,17 +249,6 @@ impl Service {
         }
     }
 
-    /// Lowest-numbered server with the earliest next-free tick.
-    fn earliest_server(&self) -> (usize, u64) {
-        let mut best = (0usize, u64::MAX);
-        for (i, &free) in self.servers.iter().enumerate() {
-            if free < best.1 {
-                best = (i, free);
-            }
-        }
-        best
-    }
-
     /// One full round: feed `ops` through admission, dispatch, retry,
     /// and drain the queue to empty before returning.
     fn run_round(&mut self, ops: &[OpSpec]) -> RoundAccum {
@@ -277,8 +267,9 @@ impl Service {
             // next arrival; ties go to the arrival so admission (and
             // shedding) sees the fullest queue.
             let mut dispatched = false;
-            if let Some(head) = self.queue.front().copied() {
-                let (si, free) = self.earliest_server();
+            if let (Some(head), Some(&Reverse((free, si)))) =
+                (self.queue.front().copied(), self.servers.peek())
+            {
                 let start = free.max(head.arrival);
                 if next_arrival.is_none_or(|na| start < na) {
                     if self.queue.pop_front().is_some() {
@@ -321,7 +312,8 @@ impl Service {
         }
     }
 
-    /// A server picks up the queue head at `start`.
+    /// Server `si`, the top of `servers`, picks up the queue head at
+    /// `start`.
     fn dispatch(
         &mut self,
         head: QueuedOp,
@@ -362,8 +354,8 @@ impl Service {
             }
         }
         let completion = start + op.service_ticks;
-        if let Some(free) = self.servers.get_mut(si) {
-            *free = completion;
+        if let Some(mut top) = self.servers.peek_mut() {
+            *top = Reverse((completion, si));
         }
         self.cloud.advance_to(now);
         let result = self.execute(&op, head.attempt, acc);

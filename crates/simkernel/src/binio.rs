@@ -81,12 +81,13 @@ pub fn read_f64(r: &mut impl Read) -> io::Result<f64> {
     Ok(f64::from_bits(read_u64(r)?))
 }
 
-/// Read a length-prefixed UTF-8 string written by [`put_str`].
+/// Read the length prefix of a string written by [`put_str`].
 ///
-/// `max_len` bounds the allocation: a corrupt length prefix larger than
-/// the caller's plausibility bound is `InvalidData`, not an attempted
-/// multi-gigabyte allocation.
-pub fn read_string(r: &mut impl Read, max_len: u32) -> io::Result<String> {
+/// `max_len` bounds what the caller will allocate: a corrupt prefix
+/// larger than the caller's plausibility bound is `InvalidData` before
+/// any byte of the string is read, not an attempted multi-gigabyte
+/// allocation.
+pub fn read_str_len(r: &mut impl Read, max_len: u32) -> io::Result<usize> {
     let len = read_u32(r)?;
     if len > max_len {
         return Err(io::Error::new(
@@ -94,9 +95,15 @@ pub fn read_string(r: &mut impl Read, max_len: u32) -> io::Result<String> {
             format!("string length {len} exceeds bound {max_len}"),
         ));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
+    Ok(len as usize)
+}
+
+/// Fill `buf` with a string's bytes, whose length [`read_str_len`]
+/// read, and return them as a `str`; bytes that are not UTF-8 are
+/// `InvalidData`.
+pub fn read_utf8<'a>(r: &mut impl Read, buf: &'a mut [u8]) -> io::Result<&'a str> {
+    r.read_exact(buf)?;
+    std::str::from_utf8(buf)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("invalid UTF-8: {e}")))
 }
 
@@ -122,6 +129,12 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    /// A string as a reader sees it: the guarded length, then the bytes.
+    fn read_string(r: &mut &[u8], max_len: u32) -> io::Result<String> {
+        let len = read_str_len(r, max_len)?;
+        read_utf8(r, &mut vec![0; len]).map(str::to_owned)
+    }
+
     #[test]
     fn string_round_trip_and_guards() {
         let mut buf = Vec::new();
@@ -134,7 +147,7 @@ mod tests {
         // Length beyond the bound is InvalidData, not an allocation.
         let mut huge = Vec::new();
         put_u32(&mut huge, u32::MAX);
-        let err = read_string(&mut huge.as_slice(), 1024).unwrap_err();
+        let err = read_str_len(&mut huge.as_slice(), 1024).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Truncated payload is UnexpectedEof.
@@ -143,5 +156,12 @@ mod tests {
         cut.truncate(cut.len() - 2);
         let err = read_string(&mut cut.as_slice(), 1024).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // Bytes that are not UTF-8 are InvalidData.
+        let mut bad = Vec::new();
+        put_u32(&mut bad, 2);
+        bad.extend_from_slice(&[0xc3, 0x28]);
+        let err = read_string(&mut bad.as_slice(), 1024).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -267,7 +267,7 @@ impl Cloud {
                 .release_instance(spec.vcpus as u64, spec.ram_gb as u64);
         }
         self.ledger.push(UsageRecord {
-            name: inst.name.clone(),
+            name: inst.name.as_str().into(),
             kind: UsageKind::Instance {
                 flavor: inst.flavor,
                 auto_terminated: state == InstanceState::AutoTerminated,
@@ -440,7 +440,7 @@ impl Cloud {
         fip.released = Some(self.now);
         self.usage.release_fip();
         self.ledger.push(UsageRecord {
-            name: fip.name.clone(),
+            name: fip.name.as_str().into(),
             kind: UsageKind::FloatingIp,
             start: fip.allocated,
             end: self.now,
@@ -541,7 +541,7 @@ impl Cloud {
         v.deleted = Some(self.now);
         self.usage.release_volume(v.size_gb);
         self.ledger.push(UsageRecord {
-            name: v.name.clone(),
+            name: v.name.as_str().into(),
             kind: UsageKind::Volume { size_gb: v.size_gb },
             start: v.created,
             end: self.now,
@@ -582,7 +582,7 @@ impl Cloud {
         }
         for (name, b) in std::mem::take(&mut self.buckets) {
             self.ledger.push(UsageRecord {
-                name,
+                name: name.into(),
                 kind: UsageKind::ObjectStorage { gb: b.stored_gb },
                 start: b.created,
                 end,

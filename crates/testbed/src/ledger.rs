@@ -10,7 +10,7 @@ use crate::flavor::FlavorId;
 use opml_simkernel::{binio, SimTime};
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
-use std::io;
+use std::{fmt, io};
 
 /// What kind of resource a record meters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,11 +55,155 @@ impl UsageKind {
     }
 }
 
+/// Longest name a [`RecordName`] keeps in place. Every lab record name
+/// up to 10M students fits: the longest, such as `lab4-single-s9999999`
+/// and `lab8-s9999999-bucket`, are 20 bytes.
+const INLINE_NAME_LEN: usize = 22;
+
+/// A usage record's attribution name: up to 22 bytes of UTF-8 in place,
+/// a longer name in a `Box<str>`.
+///
+/// It is 24 bytes, as a `String` is, but a short name owns no
+/// allocation, so a ledger of short names is one buffer. It orders,
+/// compares, prints, serializes and encodes exactly as the `str` it
+/// holds.
+#[derive(Clone)]
+pub struct RecordName(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
+    /// `bytes[..len]` is the name, valid UTF-8.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_NAME_LEN],
+    },
+    /// A name longer than [`INLINE_NAME_LEN`] bytes.
+    Heap(Box<str>),
+}
+
+impl RecordName {
+    /// The name's UTF-8 bytes.
+    fn bytes(&self) -> &[u8] {
+        match &self.0 {
+            NameRepr::Inline { len, bytes } => bytes.get(..usize::from(*len)).unwrap_or_default(),
+            NameRepr::Heap(name) => name.as_bytes(),
+        }
+    }
+
+    /// The name. An in-place name is checked as UTF-8 on each call; the
+    /// check cannot fail, because every constructor starts from a `str`
+    /// or checks the bytes it reads.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            NameRepr::Inline { .. } => std::str::from_utf8(self.bytes()).unwrap_or_default(),
+            NameRepr::Heap(name) => name,
+        }
+    }
+
+    /// Read a name written by `binio::put_str`. A length over
+    /// [`MAX_NAME_LEN`] is `InvalidData` before any byte of the name is
+    /// read, and so are bytes that are not UTF-8. Allocates only for a
+    /// name longer than 22 bytes.
+    fn decode_from(r: &mut impl io::Read) -> io::Result<RecordName> {
+        let len = binio::read_str_len(r, MAX_NAME_LEN)?;
+        let mut bytes = [0u8; INLINE_NAME_LEN];
+        match bytes.get_mut(..len) {
+            Some(slot) => {
+                binio::read_utf8(r, slot)?;
+                Ok(RecordName(NameRepr::Inline {
+                    len: len as u8,
+                    bytes,
+                }))
+            }
+            None => Ok(RecordName(NameRepr::Heap(
+                binio::read_utf8(r, &mut vec![0; len])?.into(),
+            ))),
+        }
+    }
+}
+
+/// Copies the name; it allocates only past 22 bytes.
+impl From<&str> for RecordName {
+    fn from(name: &str) -> RecordName {
+        let mut bytes = [0u8; INLINE_NAME_LEN];
+        match bytes.get_mut(..name.len()) {
+            Some(slot) => {
+                slot.copy_from_slice(name.as_bytes());
+                RecordName(NameRepr::Inline {
+                    len: name.len() as u8,
+                    bytes,
+                })
+            }
+            None => RecordName(NameRepr::Heap(name.into())),
+        }
+    }
+}
+
+/// Keeps a name longer than 22 bytes in the string's own buffer.
+impl From<String> for RecordName {
+    fn from(name: String) -> RecordName {
+        if name.len() <= INLINE_NAME_LEN {
+            RecordName::from(name.as_str())
+        } else {
+            RecordName(NameRepr::Heap(name.into_boxed_str()))
+        }
+    }
+}
+
+impl std::ops::Deref for RecordName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for RecordName {
+    fn eq(&self, other: &RecordName) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for RecordName {}
+
+impl PartialOrd for RecordName {
+    fn partial_cmp(&self, other: &RecordName) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Byte order, which is `str`'s order.
+impl Ord for RecordName {
+    fn cmp(&self, other: &RecordName) -> std::cmp::Ordering {
+        self.bytes().cmp(other.bytes())
+    }
+}
+
+impl fmt::Debug for RecordName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for RecordName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl Serialize for RecordName {
+    fn to_node(&self) -> serde::Node {
+        self.as_str().to_node()
+    }
+}
+
+impl Deserialize for RecordName {}
+
 /// One closed usage interval.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UsageRecord {
-    /// Attribution name (e.g. `lab2-student042`).
-    pub name: String,
+    /// Attribution name (e.g. `lab2-s042`).
+    pub name: RecordName,
     /// Resource kind.
     pub kind: UsageKind,
     /// Interval start.
@@ -91,7 +235,7 @@ impl UsageRecord {
     /// reproduces the record exactly — the spilled merge stream must
     /// serialize byte-identically to the in-memory one.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        binio::put_str(out, &self.name);
+        binio::put_str(out, self.name.as_str());
         match self.kind {
             UsageKind::Instance {
                 flavor,
@@ -119,7 +263,7 @@ impl UsageRecord {
     /// Corrupt tags or out-of-range flavors are `InvalidData`;
     /// truncation is `UnexpectedEof`. Never panics.
     pub fn decode_from(r: &mut impl io::Read) -> io::Result<UsageRecord> {
-        let name = binio::read_string(r, MAX_NAME_LEN)?;
+        let name = RecordName::decode_from(r)?;
         let kind = match binio::read_u8(r)? {
             KIND_INSTANCE => {
                 let raw = binio::read_u8(r)?;
@@ -205,6 +349,11 @@ impl Ledger {
     /// Reserve room for exactly `additional` more records.
     pub fn reserve(&mut self, additional: usize) {
         self.records.reserve_exact(additional);
+    }
+
+    /// Release the capacity beyond the records held.
+    pub fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
     }
 
     /// Sort records into the canonical order: `(name, start, end, kind)`
@@ -313,8 +462,8 @@ impl IntoIterator for Ledger {
 }
 
 /// The canonical total-order key: `(name, start, end, kind)`.
-fn record_key(r: &UsageRecord) -> (&str, SimTime, SimTime, (u8, u64, u64)) {
-    (r.name.as_str(), r.start, r.end, r.kind.sort_key())
+fn record_key(r: &UsageRecord) -> (&RecordName, SimTime, SimTime, (u8, u64, u64)) {
+    (&r.name, r.start, r.end, r.kind.sort_key())
 }
 
 /// A pull source of canonically-sorted usage records: an in-memory
@@ -671,6 +820,16 @@ mod tests {
         for f in FlavorId::ALL {
             records.push(inst("sweep", f, 1, 2));
         }
+        // Names at the in-place limit (22 bytes) and past it (23), an
+        // in-place non-ASCII name and a long one on the heap side.
+        for name in [
+            "lab4-single-s999999999",
+            "lab4-single-s9999999999",
+            "学生-s042",
+            "étudiant ✓ 学生-s042-node0-étudiant",
+        ] {
+            records.push(inst(name, FlavorId::M1Small, 3, 4));
+        }
         records
     }
 
@@ -692,6 +851,88 @@ mod tests {
         }
         assert!(reader.is_empty());
         assert!(UsageRecord::decode_from(&mut reader).is_err(), "EOF errors");
+    }
+
+    #[test]
+    fn names_switch_to_the_heap_past_22_bytes() {
+        for (name, inline) in [
+            ("", true),
+            ("lab4-single-s999999999", true),
+            ("lab4-single-s9999999999", false),
+            ("学生-s042", true),
+            ("étudiant ✓ 学生-s042-node0-étudiant", false),
+        ] {
+            let got = RecordName::from(name);
+            assert_eq!(got.as_str(), name);
+            assert_eq!(got, RecordName::from(name.to_string()));
+            assert_eq!(matches!(got.0, NameRepr::Inline { .. }), inline, "{name:?}");
+            assert_eq!(format!("{got:?}"), format!("{name:?}"));
+            assert_eq!(got.to_string(), name);
+        }
+    }
+
+    #[test]
+    fn a_record_is_56_bytes_with_a_24_byte_name() {
+        assert_eq!(std::mem::size_of::<RecordName>(), 24);
+        assert_eq!(std::mem::size_of::<UsageRecord>(), 56);
+    }
+
+    #[test]
+    fn decoding_a_bad_name_is_invalid_data() {
+        // An in-place name whose bytes are not UTF-8.
+        let mut bad = Vec::new();
+        binio::put_u32(&mut bad, 2);
+        bad.extend_from_slice(&[0xc3, 0x28]);
+        inst("x", FlavorId::M1Small, 0, 1).encode_into(&mut bad);
+        let err = UsageRecord::decode_from(&mut bad.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().starts_with("invalid UTF-8"), "{err}");
+
+        // A length over the bound is refused before any byte of the
+        // name is read: nothing follows it, yet the error is not EOF.
+        let mut long = Vec::new();
+        binio::put_u32(&mut long, MAX_NAME_LEN + 1);
+        let err = UsageRecord::decode_from(&mut long.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn names_sort_as_their_strings_do() {
+        let names = [
+            "lab2-s001",
+            "lab2-s0010-node0",
+            "lab2-s001-node1",
+            "lab2-s001-node0",
+            "lab2-s00",
+            "lab2-",
+            "lab2-s001-node0-with-a-long-suffix",
+            "lab2-s001-node0-with-a-long-suffiy",
+            "lab2-é",
+            "lab2-e",
+            "lab2-ê-s001",
+            "lab2-é-s001-node0-étudiant",
+            "lab2-\u{7f}",
+            "lab2-\u{80}",
+            "学生",
+            "学",
+            "",
+        ];
+        let mut strings: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        strings.sort();
+        let mut records: Vec<UsageRecord> = names
+            .iter()
+            .map(|n| inst(n, FlavorId::M1Small, 0, 1))
+            .collect();
+        records.sort_by(|a, b| a.name.cmp(&b.name));
+        let sorted: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(sorted, strings);
+        for a in &names {
+            for b in &names {
+                let (ra, rb) = (RecordName::from(*a), RecordName::from(*b));
+                assert_eq!(ra.cmp(&rb), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(ra == rb, a == b, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub use error::CloudError;
 pub use flavor::{FlavorId, FlavorSpec, GpuModel};
 pub use instance::{Instance, InstanceId, InstanceState};
 pub use lease::{Lease, LeaseId};
-pub use ledger::{Ledger, UsageKind, UsageRecord};
+pub use ledger::{Ledger, RecordName, UsageKind, UsageRecord};
 pub use quota::Quota;

@@ -49,7 +49,7 @@ fn config(threads: usize) -> ProfileConfig {
 /// record clones) and ~250k in `merge.replay_restamp` (clone-and-
 /// restamp), so a regression to either pattern lands far outside the
 /// ceiling rather than flaking against it.
-const SHARD_SIM_ALLOC_CEILING: u64 = 420_000;
+const SHARD_SIM_ALLOC_CEILING: u64 = 360_000;
 const MERGE_REPLAY_ALLOC_CEILING: u64 = 50;
 const MERGE_METRICS_ALLOC_CEILING: u64 = 4;
 const MERGE_LEDGER_ALLOC_CEILING: u64 = 20;
