@@ -35,8 +35,11 @@
 //! flag the subcommand does not read and a value-taking flag with no
 //! value, before any work), one writer
 //! ([`OutDir`] creates `--out` before the run starts; an I/O error
-//! names its path and exits 1), and one `peak rss: <n> kB` line (the
-//! process `VmHWM`), printed by `main` after the subcommand.
+//! names its path and exits 1), one stdout handle ([`Stdout`]: once
+//! the reader is gone the rest of the output is dropped and the run
+//! carries on, and any other write error exits 1 naming it), and one
+//! `peak rss: <n> kB` line (the process `VmHWM`), printed by `main`
+//! after the subcommand.
 
 use opml_experiments::{
     chaos, experiments_markdown, paper_sections, profile, scale, serve, tolerance_count, trace,
@@ -44,6 +47,8 @@ use opml_experiments::{
 };
 use opml_simkernel::SimTime;
 use opml_telemetry::{narrate, Telemetry};
+use std::fmt::Display;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -63,7 +68,7 @@ type Outcome = Result<(), String>;
 struct Subcommand {
     name: &'static str,
     flags: &'static [&'static str],
-    run: fn(&Args, u64, &Telemetry) -> Outcome,
+    run: fn(&Args, u64, &Telemetry, &mut Stdout) -> Outcome,
 }
 
 /// The paper run, taken when the first argument is not a subcommand.
@@ -149,11 +154,12 @@ fn main() -> ExitCode {
         Telemetry::narrating()
     };
 
-    let outcome = (subcommand.run)(&args, seed, &narrator);
+    let mut stdout = Stdout::new();
+    let outcome = (subcommand.run)(&args, seed, &narrator, &mut stdout);
     let peak =
         opml_profiler::peak_rss_kb().map_or_else(|| "n/a".to_string(), |kb| format!("{kb} kB"));
-    println!("peak rss: {peak}");
-    match outcome {
+    let printed = stdout.line(format_args!("peak rss: {peak}"));
+    match outcome.and(printed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");
@@ -252,6 +258,38 @@ fn usage(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The process's stdout, through one locked handle. When the reader is
+/// gone (`BrokenPipe`), printing stops and the run carries on, so a
+/// closed pipe neither panics nor changes the exit status; any other
+/// write error fails the run, naming the error.
+struct Stdout {
+    handle: io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Stdout {
+    fn new() -> Stdout {
+        Stdout {
+            handle: io::stdout().lock(),
+            closed: false,
+        }
+    }
+
+    /// Print `text` and a newline.
+    fn line(&mut self, text: impl Display) -> Outcome {
+        if self.closed {
+            return Ok(());
+        }
+        match writeln!(self.handle, "{text}") {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            result => result.map_err(|e| format!("run-experiments: cannot write to stdout: {e}")),
+        }
+    }
+}
+
 /// Write `contents` to `path`; an error names the path.
 fn write_file(path: &str, contents: &str) -> Outcome {
     std::fs::write(path, contents).map_err(|e| format!("run-experiments: cannot write {path}: {e}"))
@@ -270,15 +308,14 @@ impl OutDir {
     }
 
     /// Write `name` under the directory and report it on stdout.
-    fn write(&self, name: &str, contents: &str) -> Outcome {
+    fn write(&self, stdout: &mut Stdout, name: &str, contents: &str) -> Outcome {
         let path = format!("{}/{name}", self.0);
         write_file(&path, contents)?;
-        println!("wrote {path}");
-        Ok(())
+        stdout.line(format_args!("wrote {path}"))
     }
 }
 
-fn run_verify(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+fn run_verify(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
     let threads = args
         .list("--threads", POSITIVE_LIST, positive)
         .unwrap_or_default();
@@ -288,7 +325,7 @@ fn run_verify(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
         "verifying replay equivalence (seed {seed})…"
     );
     let outcome = verify::verify_determinism(seed, &threads);
-    println!("{}", outcome.to_table());
+    stdout.line(outcome.to_table())?;
     if !outcome.is_equivalent() {
         return Err(
             "verify-determinism: FAILED — results differ across runs/thread counts".to_string(),
@@ -302,7 +339,7 @@ fn run_verify(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
     Ok(())
 }
 
-fn run_trace(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+fn run_trace(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
     let config = trace::TraceConfig {
         seed,
         enrollment: args.positive("--enrollment", 191),
@@ -317,22 +354,22 @@ fn run_trace(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
         if config.labs_only { "off" } else { "on" }
     );
     let artifacts = trace::capture_trace(&config);
-    println!(
+    stdout.line(format_args!(
         "captured {} events ({} ledger records, {} quota denials)",
         artifacts.events,
         artifacts.outcome.ledger.records().len(),
         artifacts.outcome.quota_denials
-    );
-    out.write("trace.jsonl", &artifacts.jsonl)?;
-    out.write("trace_chrome.json", &artifacts.chrome)?;
+    ))?;
+    out.write(stdout, "trace.jsonl", &artifacts.jsonl)?;
+    out.write(stdout, "trace_chrome.json", &artifacts.chrome)?;
     if args.has("--metrics") {
-        println!("\n== Telemetry metrics ==\n");
-        println!("{}", opml_report::metrics_summary(&artifacts.metrics));
+        stdout.line("\n== Telemetry metrics ==\n")?;
+        stdout.line(opml_report::metrics_summary(&artifacts.metrics))?;
     }
     Ok(())
 }
 
-fn run_chaos(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+fn run_chaos(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
     let defaults = chaos::ChaosConfig::default();
     let config = chaos::ChaosConfig {
         seed,
@@ -351,7 +388,10 @@ fn run_chaos(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
         config.rates
     );
     let report = chaos::run(&config);
-    println!("== Chaos: cost of injected faults ==\n{}", report.text);
+    stdout.line(format_args!(
+        "== Chaos: cost of injected faults ==\n{}",
+        report.text
+    ))?;
     if !report.zero_rate_matches_baseline {
         return Err(
             "chaos: FAILED — zero-rate plan diverged from the fault-free baseline".to_string(),
@@ -360,7 +400,7 @@ fn run_chaos(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
     Ok(())
 }
 
-fn run_scale(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+fn run_scale(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
     let defaults = scale::ScaleConfig::default();
     let config = scale::ScaleConfig {
         seed,
@@ -381,15 +421,18 @@ fn run_scale(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
         config.threads
     );
     let report = scale::run(&config).map_err(|e| format!("scale: FAILED — {e}"))?;
-    println!("== Scale: sharded cohort sweep ==\n{}", report.text);
+    stdout.line(format_args!(
+        "== Scale: sharded cohort sweep ==\n{}",
+        report.text
+    ))?;
     if report.spilled {
-        println!("spill: out-of-core path engaged");
+        stdout.line("spill: out-of-core path engaged")?;
     }
     if let (Some(budget), Some(exceeded)) = (report.mem_budget_mb, report.budget_exceeded) {
-        println!(
+        stdout.line(format_args!(
             "mem budget: {budget} MB — {}",
             if exceeded { "EXCEEDED" } else { "respected" }
-        );
+        ))?;
     }
     if !report.equivalent {
         return Err(
@@ -399,7 +442,7 @@ fn run_scale(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
     Ok(())
 }
 
-fn run_serve(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+fn run_serve(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
     let defaults = serve::ServeRunConfig::default();
     let d = &defaults.config;
     let config = opml_serve::ServeConfig {
@@ -432,13 +475,18 @@ fn run_serve(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
         config.fault_rate_ppm
     );
     let run = serve::run(&serve::ServeRunConfig { config, threads });
-    println!("== Serve: campus cloud under ramping load ==\n{}", run.text);
-    out.write("serve.json", &run.json)?;
-    println!("counts_digest={:016x}", run.report.counts_digest);
-    Ok(())
+    stdout.line(format_args!(
+        "== Serve: campus cloud under ramping load ==\n{}",
+        run.text
+    ))?;
+    out.write(stdout, "serve.json", &run.json)?;
+    stdout.line(format_args!(
+        "counts_digest={:016x}",
+        run.report.counts_digest
+    ))
 }
 
-fn run_profile(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+fn run_profile(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
     let defaults = profile::ProfileConfig::default();
     let config = profile::ProfileConfig {
         seed,
@@ -457,14 +505,13 @@ fn run_profile(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
         config.threads
     );
     let report = profile::run(&config);
-    println!("{}", report.text);
-    out.write("profile.json", &report.json)?;
-    out.write("profile.folded", &report.folded)?;
-    println!("counts_digest={:016x}", report.counts_digest);
-    Ok(())
+    stdout.line(&report.text)?;
+    out.write(stdout, "profile.json", &report.json)?;
+    out.write(stdout, "profile.folded", &report.folded)?;
+    stdout.line(format_args!("counts_digest={:016x}", report.counts_digest))
 }
 
-fn run_full(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
+fn run_full(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
     let want_metrics = args.has("--metrics");
     narrate!(
         narrator,
@@ -494,24 +541,24 @@ fn run_full(args: &Args, seed: u64, narrator: &Telemetry) -> Outcome {
     );
     let sections = paper_sections(&ctx);
     for section in &sections {
-        println!("== {} ==\n{}", section.title, section.text);
+        stdout.line(format_args!("== {} ==\n{}", section.title, section.text))?;
     }
 
     // Comparison summary.
-    println!("== Paper vs measured ==\n");
+    stdout.line("== Paper vs measured ==\n")?;
     for section in &sections {
-        println!("{}", section.comparisons.to_markdown());
+        stdout.line(section.comparisons.to_markdown())?;
     }
     let (all_pass, all_rows) = tolerance_count(&sections);
-    println!(
+    stdout.line(format_args!(
         "overall: {all_pass}/{all_rows} comparisons within tolerance ({:.0}%)",
         all_pass as f64 / all_rows.max(1) as f64 * 100.0
-    );
+    ))?;
 
     let metrics_md = if want_metrics {
         let summary = opml_report::metrics_summary(&sim_telemetry.metrics_snapshot());
-        println!("== Telemetry metrics ==\n");
-        println!("{summary}");
+        stdout.line("== Telemetry metrics ==\n")?;
+        stdout.line(&summary)?;
         Some(summary)
     } else {
         None

@@ -40,10 +40,10 @@ use opml_faults::FaultStats;
 use opml_profiler::{peak_rss_kb, timed};
 use opml_report::table::{fmt_num, Table};
 use opml_simkernel::parallel::with_thread_count;
-use opml_simkernel::DetHasher;
+use opml_simkernel::{DetHasher, FnvConst};
 use opml_telemetry::Telemetry;
+use opml_testbed::flavor::FlavorId;
 use opml_testbed::ledger::{UsageKind, UsageRecord};
-use std::fmt::Write;
 use std::hash::Hasher;
 use std::path::PathBuf;
 
@@ -131,15 +131,69 @@ pub fn digest_outcome(outcome: &SemesterOutcome) -> u64 {
 
 /// Incremental outcome digest: records are folded one at a time, in
 /// merge order. The hashed bytes are exactly the compact JSON of the
-/// ledger (`{"records":[...]}`, each record as the private
-/// `write_record_json` renders it) followed by the scalar suffix, so
-/// the digest is defined by the serialized outcome without ever holding
-/// it: each record is written into one reused buffer and hashed.
+/// ledger (`{"records":[...]}`, each record as `serde_json::to_string`
+/// renders it) followed by the scalar suffix, so the digest is defined
+/// by the serialized outcome without ever holding it. No record is
+/// formatted: each push hashes only the bytes that vary (the name, the
+/// decimal `start` and `end`, a volume's or bucket's size) and folds
+/// every constant run of JSON between them in O(1) ([`FnvConst`]).
 #[derive(Debug)]
 pub struct OutcomeDigest {
     hash: DetHasher,
     first: bool,
-    buf: String,
+    json: Box<RecordJson>,
+    /// An escaped name or a formatted float.
+    scratch: String,
+}
+
+/// The constant runs of a record's compact JSON, between the bytes that
+/// vary. A record's closing `}` is folded with the next record's
+/// opening, or with the envelope's close in [`OutcomeDigest::finish`].
+#[derive(Debug)]
+struct RecordJson {
+    /// `{"name":"`, opening the first record.
+    open_first: FnvConst,
+    /// `},{"name":"`, closing a record and opening the next.
+    open_next: FnvConst,
+    /// From the name's closing quote to `"start":`, for an instance of
+    /// each flavor (in [`FlavorId::ALL`] order), not auto-terminated
+    /// then auto-terminated.
+    instance: Vec<[FnvConst; 2]>,
+    /// From the name's closing quote to `"start":`, for a floating IP.
+    floating_ip: FnvConst,
+    /// From the name's closing quote to a volume's size.
+    volume: FnvConst,
+    /// From the name's closing quote to a bucket's size.
+    object_storage: FnvConst,
+    /// From a volume's or bucket's size to `"start":`.
+    size_to_start: FnvConst,
+    /// `,"end":`.
+    end: FnvConst,
+}
+
+impl RecordJson {
+    fn new() -> RecordJson {
+        let c = |s: &str| FnvConst::new(s.as_bytes());
+        let instance = |flavor: FlavorId, auto_terminated: bool| {
+            c(&format!(
+                "\",\"kind\":{{\"Instance\":{{\"flavor\":\"{flavor:?}\",\
+                 \"auto_terminated\":{auto_terminated}}}}},\"start\":"
+            ))
+        };
+        RecordJson {
+            open_first: c("{\"name\":\""),
+            open_next: c("},{\"name\":\""),
+            instance: FlavorId::ALL
+                .into_iter()
+                .map(|flavor| [instance(flavor, false), instance(flavor, true)])
+                .collect(),
+            floating_ip: c("\",\"kind\":\"FloatingIp\",\"start\":"),
+            volume: c("\",\"kind\":{\"Volume\":{\"size_gb\":"),
+            object_storage: c("\",\"kind\":{\"ObjectStorage\":{\"gb\":"),
+            size_to_start: c("}},\"start\":"),
+            end: c(",\"end\":"),
+        }
+    }
 }
 
 impl OutcomeDigest {
@@ -150,25 +204,64 @@ impl OutcomeDigest {
         OutcomeDigest {
             hash,
             first: true,
-            buf: String::new(),
+            json: Box::new(RecordJson::new()),
+            scratch: String::new(),
         }
     }
 
     /// Fold the next merged record.
     pub fn push(&mut self, record: &UsageRecord) {
-        self.buf.clear();
-        if self.first {
-            self.first = false;
+        let (hash, json) = (&mut self.hash, &*self.json);
+        hash.write_const(if self.first {
+            &json.open_first
         } else {
-            self.buf.push(',');
+            &json.open_next
+        });
+        self.first = false;
+        let name = record.name.as_bytes();
+        if name.iter().copied().any(serde_json::escapes) {
+            self.scratch.clear();
+            serde_json::write_escaped(&mut self.scratch, &record.name);
+            let unquoted = self
+                .scratch
+                .strip_prefix('"')
+                .and_then(|s| s.strip_suffix('"'));
+            hash.write(unquoted.unwrap_or_default().as_bytes());
+        } else {
+            hash.write(name);
         }
-        write_record_json(&mut self.buf, record);
-        self.hash.write(self.buf.as_bytes());
+        match record.kind {
+            UsageKind::Instance {
+                flavor,
+                auto_terminated,
+            } => {
+                if let Some([manual, auto]) = json.instance.get(flavor as usize) {
+                    hash.write_const(if auto_terminated { auto } else { manual });
+                }
+            }
+            UsageKind::FloatingIp => hash.write_const(&json.floating_ip),
+            UsageKind::Volume { size_gb } => {
+                hash.write_const(&json.volume);
+                write_decimal(hash, size_gb);
+                hash.write_const(&json.size_to_start);
+            }
+            UsageKind::ObjectStorage { gb } => {
+                hash.write_const(&json.object_storage);
+                self.scratch.clear();
+                serde_json::write_f64(&mut self.scratch, gb);
+                hash.write(self.scratch.as_bytes());
+                hash.write_const(&json.size_to_start);
+            }
+        }
+        write_decimal(hash, record.start.0);
+        hash.write_const(&json.end);
+        write_decimal(hash, record.end.0);
     }
 
     /// Close the envelope, fold the scalar counters, return the digest.
     pub fn finish(mut self, quota_denials: u64, slot_pushbacks: u64, faults: &FaultStats) -> u64 {
-        self.hash.write(b"]}");
+        self.hash
+            .write(if self.first { b"]}".as_slice() } else { b"}]}" });
         self.hash
             .write(format!("|qd={quota_denials}|pb={slot_pushbacks}|faults={faults:?}").as_bytes());
         self.hash.finish()
@@ -181,38 +274,20 @@ impl Default for OutcomeDigest {
     }
 }
 
-/// Append `r`'s compact JSON exactly as `serde_json::to_string(r)`
-/// renders it — fields in declaration order, `UsageKind` externally
-/// tagged, unit variants as their name (a `FlavorId`'s derived `Debug`)
-/// — without building the intermediate `serde::Node` tree. String and
-/// float rules come from the shim itself;
-/// `record_json_matches_the_serializer` pins the rest.
-fn write_record_json(out: &mut String, r: &UsageRecord) {
-    out.push_str("{\"name\":");
-    serde_json::write_escaped(out, &r.name);
-    out.push_str(",\"kind\":");
-    // Writing into a `String` cannot fail.
-    let _ = match r.kind {
-        UsageKind::Instance {
-            flavor,
-            auto_terminated,
-        } => write!(
-            out,
-            "{{\"Instance\":{{\"flavor\":\"{flavor:?}\",\"auto_terminated\":{auto_terminated}}}}}"
-        ),
-        UsageKind::FloatingIp => {
-            out.push_str("\"FloatingIp\"");
-            Ok(())
+/// Hash `n`'s decimal digits, as JSON writes a `u64`.
+#[inline]
+fn write_decimal(hash: &mut DetHasher, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut len = 0;
+    for digit in digits.iter_mut().rev() {
+        *digit = b'0' + (n % 10) as u8;
+        n /= 10;
+        len += 1;
+        if n == 0 {
+            break;
         }
-        UsageKind::Volume { size_gb } => write!(out, "{{\"Volume\":{{\"size_gb\":{size_gb}}}}}"),
-        UsageKind::ObjectStorage { gb } => {
-            out.push_str("{\"ObjectStorage\":{\"gb\":");
-            serde_json::write_f64(out, gb);
-            out.push_str("}}");
-            Ok(())
-        }
-    };
-    let _ = write!(out, ",\"start\":{},\"end\":{}}}", r.start.0, r.end.0);
+    }
+    hash.write(digits.get(digits.len() - len..).unwrap_or_default());
 }
 
 /// Labs-only config for the sweep (projects plan against per-shard
@@ -366,7 +441,6 @@ pub fn run(config: &ScaleConfig) -> Result<ScaleReport, SpillError> {
 mod tests {
     use super::*;
     use opml_simkernel::{fnv1a64, SimTime};
-    use opml_testbed::flavor::FlavorId;
     use opml_testbed::ledger::Ledger;
 
     #[test]
@@ -510,20 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn record_json_matches_the_serializer() {
-        let mut out = String::new();
-        for r in contract_records() {
-            out.clear();
-            write_record_json(&mut out, &r);
-            assert_eq!(
-                out,
-                serde_json::to_string(&r).expect("record serializes"),
-                "hand-written record JSON diverged from serde_json for {r:?}"
-            );
-        }
-    }
-
-    #[test]
     fn streaming_digest_matches_materialized_digest() {
         // The digest's definition: FNV-1a over the whole serialized
         // ledger plus the scalar suffix. Both `OutcomeDigest` and
@@ -535,6 +595,23 @@ mod tests {
                 outcome.quota_denials, outcome.slot_pushbacks, outcome.faults
             ));
             fnv1a64(blob.as_bytes())
+        }
+        // Each record alone first, so a failure names the record.
+        for r in contract_records() {
+            let mut alone = OutcomeDigest::new();
+            alone.push(&r);
+            let json = serde_json::to_string(&r).expect("record serializes");
+            assert_eq!(
+                alone.finish(0, 0, &FaultStats::default()),
+                fnv1a64(
+                    format!(
+                        "{{\"records\":[{json}]}}|qd=0|pb=0|faults={:?}",
+                        FaultStats::default()
+                    )
+                    .as_bytes()
+                ),
+                "the digest of {r:?} is not FNV-1a of its JSON {json}"
+            );
         }
         let mut ledger = Ledger::new();
         let mut streaming = OutcomeDigest::new();

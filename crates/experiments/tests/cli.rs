@@ -8,9 +8,12 @@
 //! - An unknown subcommand, a flag the subcommand does not read, or a
 //!   value-taking flag with no value exits 2 before any work starts.
 //! - Every subcommand prints exactly one `peak rss:` line.
+//! - A stdout whose reader is gone stops the printing, not the run: the
+//!   program finishes its work and exits 0 without a panic. Any other
+//!   stdout error exits 1 naming it.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const TRACE: &[&str] = &["trace", "--seed", "7", "--enrollment", "3", "--labs-only"];
 const SERVE: &[&str] = &[
@@ -237,4 +240,59 @@ fn every_subcommand_prints_one_peak_rss_line() {
             lines[0]
         );
     }
+}
+
+/// Run the binary quietly in `cwd` with its stdout sent to `stdout`.
+fn run_into(cwd: &Path, args: &[&str], stdout: Stdio) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_run-experiments"))
+        .args([args, &["--quiet"]].concat())
+        .current_dir(cwd)
+        .stdout(stdout)
+        .output()
+        .expect("spawn run-experiments")
+}
+
+#[test]
+fn a_closed_stdout_stops_the_printing_not_the_run() {
+    let dir = scratch("closed_stdout");
+    let out = dir.join("trace");
+    let out = out.to_str().expect("scratch path is UTF-8");
+    // A pipe whose only reader, `true`, has exited before the program
+    // starts: its first line meets a broken pipe.
+    let mut reader = Command::new("true")
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("spawn true");
+    let pipe = reader.stdin.take().expect("the reader's stdin is piped");
+    reader.wait().expect("wait for true");
+    let o = run_into(&dir, &[TRACE, &["--out", out]].concat(), Stdio::from(pipe));
+    let stderr = text(&o.stderr);
+    assert_ne!(o.status.code(), Some(101), "{stderr}");
+    assert_eq!(o.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for name in ["trace.jsonl", "trace_chrome.json"] {
+        assert!(
+            Path::new(out).join(name).is_file(),
+            "the run stopped at the closed pipe before writing {name}"
+        );
+    }
+}
+
+#[test]
+fn a_failed_stdout_write_exits_1_naming_the_error() {
+    // Every write to /dev/full fails with "no space left on device".
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let dir = scratch("full_stdout");
+    let out = dir.join("trace");
+    let out = out.to_str().expect("scratch path is UTF-8");
+    let o = run_into(&dir, &[TRACE, &["--out", out]].concat(), Stdio::from(full));
+    let stderr = text(&o.stderr);
+    assert_eq!(o.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("run-experiments: cannot write to stdout: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -22,8 +22,9 @@
 //!   used by the drift-detection substrate.
 //! * [`event`] — a generic time-ordered event queue with stable FIFO
 //!   tie-breaking.
-//! * [`dethash`] — the fixed-seed FNV-1a [`DetHasher`] and its one-shot
-//!   [`fnv1a64`]: the workspace's digest function.
+//! * [`dethash`] — the fixed-seed FNV-1a [`DetHasher`], its one-shot
+//!   [`fnv1a64`] and the O(1) constant fold [`FnvConst`]: the workspace's
+//!   digest function.
 //! * [`parallel`] — order-stable parallel fan-out over independent entities
 //!   or replications (rayon), merging by index rather than reduction order.
 //! * [`binio`] — little-endian binary wire primitives for the
@@ -44,7 +45,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dethash::{fnv1a64, DetHasher};
+pub use dethash::{fnv1a64, DetHasher, FnvConst};
 pub use event::{EventQueue, QueueStats};
 pub use rng::{split_seed, Rng};
 pub use stats::{Histogram, OnlineStats, Summary};

@@ -1,11 +1,13 @@
 //! Property-based tests for the simulation kernel.
 
+use opml_simkernel::dethash::{DetHasher, FnvConst};
 use opml_simkernel::event::EventQueue;
 use opml_simkernel::parallel::indexed_map;
 use opml_simkernel::rng::{split_seed, Rng};
 use opml_simkernel::stats::{fraction_above, percentile_sorted, Histogram, OnlineStats, Summary};
 use opml_simkernel::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::hash::Hasher;
 
 proptest! {
     /// Events pop in nondecreasing time order regardless of push order.
@@ -144,6 +146,35 @@ proptest! {
         let dur = SimDuration(d);
         prop_assert_eq!((base + dur) - base, dur);
         prop_assert_eq!((base + dur).since(base), dur);
+    }
+
+    /// Folding a prepared constant leaves the state that writing its
+    /// bytes one at a time leaves, from any state.
+    #[test]
+    fn a_folded_constant_equals_its_written_bytes(
+        state in any::<u64>(),
+        bytes in prop::collection::vec(any::<u8>(), 0..301),
+    ) {
+        let mut written = DetHasher::with_state(state);
+        written.write(&bytes);
+        let mut folded = DetHasher::with_state(state);
+        folded.write_const(&FnvConst::new(&bytes));
+        prop_assert_eq!(folded.finish(), written.finish());
+    }
+
+    /// Folding two constants in turn equals folding their concatenation.
+    #[test]
+    fn two_folds_equal_the_fold_of_the_concatenation(
+        state in any::<u64>(),
+        a in prop::collection::vec(any::<u8>(), 0..151),
+        b in prop::collection::vec(any::<u8>(), 0..151),
+    ) {
+        let mut twice = DetHasher::with_state(state);
+        twice.write_const(&FnvConst::new(&a));
+        twice.write_const(&FnvConst::new(&b));
+        let mut once = DetHasher::with_state(state);
+        once.write_const(&FnvConst::new(&[a, b].concat()));
+        prop_assert_eq!(twice.finish(), once.finish());
     }
 }
 

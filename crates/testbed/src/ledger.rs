@@ -66,13 +66,14 @@ const INLINE_NAME_LEN: usize = 22;
 /// It is 24 bytes, as a `String` is, but a short name owns no
 /// allocation, so a ledger of short names is one buffer. It orders,
 /// compares, prints, serializes and encodes exactly as the `str` it
-/// holds.
+/// holds; two in-place names compare as three machine words.
 #[derive(Clone)]
 pub struct RecordName(NameRepr);
 
 #[derive(Clone)]
 enum NameRepr {
-    /// `bytes[..len]` is the name, valid UTF-8.
+    /// `bytes[..len]` is the name, valid UTF-8; every byte past `len`
+    /// is zero.
     Inline {
         len: u8,
         bytes: [u8; INLINE_NAME_LEN],
@@ -82,8 +83,8 @@ enum NameRepr {
 }
 
 impl RecordName {
-    /// The name's UTF-8 bytes.
-    fn bytes(&self) -> &[u8] {
+    /// The name's UTF-8 bytes, read without checking them again.
+    pub fn as_bytes(&self) -> &[u8] {
         match &self.0 {
             NameRepr::Inline { len, bytes } => bytes.get(..usize::from(*len)).unwrap_or_default(),
             NameRepr::Heap(name) => name.as_bytes(),
@@ -95,7 +96,7 @@ impl RecordName {
     /// or checks the bytes it reads.
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            NameRepr::Inline { .. } => std::str::from_utf8(self.bytes()).unwrap_or_default(),
+            NameRepr::Inline { .. } => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
             NameRepr::Heap(name) => name,
         }
     }
@@ -160,7 +161,7 @@ impl std::ops::Deref for RecordName {
 
 impl PartialEq for RecordName {
     fn eq(&self, other: &RecordName) -> bool {
-        self.bytes() == other.bytes()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -172,11 +173,40 @@ impl PartialOrd for RecordName {
     }
 }
 
-/// Byte order, which is `str`'s order.
+/// Byte order, which is `str`'s order. Two in-place names compare as
+/// their zero-padded bytes, read as big-endian words, and then by
+/// length: the padding is zero, so a name orders before every longer
+/// name it begins, NUL bytes included, exactly as the bytes do.
 impl Ord for RecordName {
+    #[inline]
     fn cmp(&self, other: &RecordName) -> std::cmp::Ordering {
-        self.bytes().cmp(other.bytes())
+        match (&self.0, &other.0) {
+            (NameRepr::Inline { len, bytes }, NameRepr::Inline { len: l, bytes: b }) => {
+                word(bytes, 0)
+                    .cmp(&word(b, 0))
+                    .then_with(|| word(bytes, 8).cmp(&word(b, 8)))
+                    .then_with(|| word(bytes, LAST_WORD).cmp(&word(b, LAST_WORD)))
+                    .then_with(|| len.cmp(l))
+            }
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
     }
+}
+
+/// Where an in-place name's third word starts: it covers bytes 14–21,
+/// repeating bytes 14 and 15, which the second word has already found
+/// equal whenever the third is read, so the three words order as the
+/// 22 bytes do.
+const LAST_WORD: usize = INLINE_NAME_LEN - 8;
+
+/// Bytes `at..at + 8` of an in-place name as a big-endian word.
+#[inline]
+fn word(bytes: &[u8; INLINE_NAME_LEN], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    if let Some(src) = bytes.get(at..at + 8) {
+        word.copy_from_slice(src);
+    }
+    u64::from_be_bytes(word)
 }
 
 impl fmt::Debug for RecordName {
@@ -359,9 +389,13 @@ impl Ledger {
     /// Sort records into the canonical order: `(name, start, end, kind)`
     /// under a total key. Idempotent, and independent of the order the
     /// records were appended in.
+    ///
+    /// The sort is unstable, yet its output bytes are fixed: two records
+    /// that tie are equal in every field, because the kind's sort key
+    /// carries its payload (floats by bit pattern), so no order among
+    /// ties can change a byte. It also needs no scratch buffer.
     pub fn sort_canonical(&mut self) {
-        self.records
-            .sort_by(|a, b| record_key(a).cmp(&record_key(b)));
+        self.records.sort_unstable_by(record_order);
     }
 
     /// Total instance-hours, optionally restricted to one flavor.
@@ -461,9 +495,14 @@ impl IntoIterator for Ledger {
     }
 }
 
-/// The canonical total-order key: `(name, start, end, kind)`.
-fn record_key(r: &UsageRecord) -> (&RecordName, SimTime, SimTime, (u8, u64, u64)) {
-    (&r.name, r.start, r.end, r.kind.sort_key())
+/// The canonical total order: `(name, start, end, kind)`, each part
+/// compared only when every part before it ties.
+#[inline]
+fn record_order(a: &UsageRecord, b: &UsageRecord) -> std::cmp::Ordering {
+    a.name
+        .cmp(&b.name)
+        .then_with(|| (a.start, a.end).cmp(&(b.start, b.end)))
+        .then_with(|| a.kind.sort_key().cmp(&b.kind.sort_key()))
 }
 
 /// A pull source of canonically-sorted usage records: an in-memory
@@ -516,7 +555,7 @@ fn head_less(heads: &[Option<UsageRecord>], a: usize, b: usize) -> bool {
     let ra = ra.expect("heap source has a head");
     // detlint::allow(DL008): heap entries are indices of sources with live heads by construction
     let rb = rb.expect("heap source has a head");
-    (record_key(ra), a) < (record_key(rb), b)
+    record_order(ra, rb).then(a.cmp(&b)).is_lt()
 }
 
 /// Restore the min-heap property at `i` over the buffered heads.
@@ -772,7 +811,8 @@ mod tests {
             .collect()
     }
 
-    /// The independent reference: concatenate, then stable sort.
+    /// The independent reference: concatenate, then sort. Records that
+    /// tie are identical, so the sort's stability cannot show.
     fn concat_then_sort(parts: &[Ledger]) -> Ledger {
         let mut reference = Ledger::new();
         for p in parts {
@@ -916,6 +956,15 @@ mod tests {
             "学生",
             "学",
             "",
+            // NUL bytes look like the in-place padding.
+            "lab2",
+            "lab2\0",
+            "lab2\0\0",
+            "lab2\0a",
+            // A 22-byte name kept in place and a 23-byte one on the heap
+            // that begins with it.
+            "lab2-s001-node0-abcdef",
+            "lab2-s001-node0-abcdefg",
         ];
         let mut strings: Vec<String> = names.iter().map(|n| n.to_string()).collect();
         strings.sort();

@@ -6,7 +6,9 @@
 //! or pool schedule, memory or spill storage — reproduces the serial
 //! in-memory reference byte for byte at 1, 2 and 8 rayon threads: trace
 //! JSONL, ledger bytes, metrics snapshot, scalar counters and fault
-//! stats, the streamed outcome digest, and folded span stacks. Along
+//! stats, the streamed outcome digest, and folded span stacks. Every
+//! arm's streamed digest is also held to its definition, FNV-1a of the
+//! serialized outcome, on the real cohort's records. Along
 //! the way it pins spill hygiene (directories end empty; a one-shard
 //! cohort touches no disk; a run file holds its header and the shard's
 //! records, nothing else). Each suite runs the reference plus its own
@@ -17,6 +19,7 @@ use ml_ops_course::cohort::semester::{
 };
 use ml_ops_course::cohort::spill::{SpillConfig, SpillStats, StreamOutcome};
 use ml_ops_course::experiments::scale::OutcomeDigest;
+use ml_ops_course::simkernel::fnv1a64;
 use ml_ops_course::simkernel::parallel::with_thread_count;
 use ml_ops_course::telemetry::{export_jsonl, Telemetry};
 use ml_ops_course::testbed::ledger::{Ledger, UsageRecord};
@@ -113,10 +116,11 @@ impl RunBytes {
 }
 
 /// Run one arm with recording telemetry; the ledger sink both
-/// materializes the ledger and folds the streamed outcome digest. A
-/// spill arm also sums the encoded size of the delivered records and
-/// holds its shard runs to exactly that plus one header each: the trace
-/// stays in memory.
+/// materializes the ledger and folds the streamed outcome digest, which
+/// must equal FNV-1a of the materialized ledger's JSON and the scalar
+/// suffix. A spill arm also sums the encoded size of the delivered
+/// records and holds its shard runs to exactly that plus one header
+/// each: the trace stays in memory.
 pub(crate) fn run(config: &SemesterConfig, seed: u64, arm: &Arm) -> (RunBytes, StreamOutcome) {
     let telemetry = Telemetry::recording();
     let mut ledger = Ledger::new();
@@ -174,6 +178,16 @@ pub(crate) fn run(config: &SemesterConfig, seed: u64, arm: &Arm) -> (RunBytes, S
         ),
         folded: ml_ops_course::profiler::profile_spans(&events).to_folded(),
     };
+    let definition = format!(
+        "{{\"records\":{}}}|qd={}|pb={}|faults={:?}",
+        bytes.ledger, outcome.quota_denials, outcome.slot_pushbacks, outcome.faults
+    );
+    assert_eq!(
+        bytes.digest,
+        fnv1a64(definition.as_bytes()),
+        "{}: the streamed digest is not FNV-1a of the serialized outcome",
+        arm.name
+    );
     (bytes, outcome)
 }
 

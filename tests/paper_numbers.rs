@@ -10,9 +10,13 @@
 //!
 //! The tolerances let each number drift, so the same run's ledger is
 //! also pinned exactly: its outcome digest must equal the committed
-//! `tests/golden/paper_seed42.digest`. The page rendered from the same
-//! sections must equal the committed EXPERIMENTS.md byte for byte.
+//! `tests/golden/paper_seed42.digest`. So is the 2,000-student
+//! labs-only cohort that `run-experiments scale --enrollment 2000`
+//! digests: 11 shards through the k-way merge, against
+//! `tests/golden/scale_2k_seed42.digest`. The page rendered from the
+//! same sections must equal the committed EXPERIMENTS.md byte for byte.
 
+use ml_ops_course::cohort::semester::{simulate_semester, SemesterConfig};
 use ml_ops_course::experiments::scale::digest_outcome;
 use ml_ops_course::experiments::{
     experiments_markdown, paper_sections, run_paper_course, ExperimentContext, PaperSection,
@@ -77,6 +81,22 @@ fn paper_ledger_matches_golden_digest() {
         got,
         include_str!("golden/paper_seed42.digest").trim(),
         "paper course outcome digest differs from tests/golden/paper_seed42.digest"
+    );
+}
+
+#[test]
+fn scale_2k_ledger_matches_golden_digest() {
+    let config = SemesterConfig {
+        enrollment: 2000,
+        run_projects: false,
+        ..SemesterConfig::paper_course()
+    };
+    assert_eq!(config.shards().len(), 11, "the 2k cohort must shard");
+    let got = format!("{:016x}", digest_outcome(&simulate_semester(&config, 42)));
+    assert_eq!(
+        got,
+        include_str!("golden/scale_2k_seed42.digest").trim(),
+        "2,000-student labs-only outcome digest differs from tests/golden/scale_2k_seed42.digest"
     );
 }
 
