@@ -1,7 +1,7 @@
 //! Sharded-semester scaling bench: wall time, speedup and peak RSS for
 //! the large-cohort sweep, written to `BENCH_semester.json`.
 //!
-//! Four families of arms, all labs-only at seed 42:
+//! Three families of arms, all labs-only at seed 42:
 //!
 //! * **spill** — the out-of-core streaming pipeline at 1M students
 //!   (`BENCH_SPILL_ENROLLMENT` overrides), digest-only, run strictly
@@ -12,9 +12,9 @@
 //!   write and `--check` mode — this is the machine-checked form of the
 //!   issue's "10M under a fixed RSS cap" claim at bench-tractable scale;
 //! * **sharded** — 191-student shards, enrollment × rayon thread count,
-//!   via the parallel driver;
-//! * **serial** — the same shards executed strictly sequentially (the
-//!   byte-identity reference);
+//!   via the parallel driver. The 1-thread arm, whose pool runs the
+//!   shards one after another on the calling thread, is the
+//!   byte-identity and speedup reference;
 //! * **unsharded** — the pre-shard monolithic driver
 //!   (`shard_students = enrollment`), only at enrollments where it is
 //!   still tractable: its shared reservation calendar makes placement
@@ -36,7 +36,7 @@
 //! the multi-thread speedup columns measure scheduling determinism, not
 //! hardware parallelism, and are flagged so nobody reads them as real.
 //!
-//! Every arm's outcome digest is checked against the serial reference;
+//! Every arm's outcome digest is checked against the 1-thread reference;
 //! the bench exits nonzero on any divergence, so `scripts/bench.sh`
 //! doubles as a determinism gate.
 //!
@@ -55,15 +55,12 @@
 //! digest and record gates stay fatal.
 
 use opml_bench::perfgate::{min_of, Gate};
-use opml_cohort::semester::{
-    simulate_semester, simulate_semester_exec, Exec, Schedule, SemesterConfig, Storage,
-};
+use opml_cohort::semester::{simulate_semester, SemesterConfig};
 use opml_cohort::spill::{simulate_semester_streaming_serial, SpillConfig};
 use opml_experiments::scale::{digest_outcome, OutcomeDigest};
 use opml_profiler::{peak_rss_kb, timed, Json};
 use opml_simkernel::parallel::{effective_thread_count, with_thread_count};
 use opml_telemetry::Telemetry;
-use opml_testbed::ledger::Ledger;
 
 const SEED: u64 = 42;
 const SHARD_STUDENTS: u32 = 191;
@@ -74,9 +71,9 @@ const SPILL_RSS_CEILING_KB: u64 = 8 * 1024 * 1024;
 /// Default spill-arm enrollment (1M); `BENCH_SPILL_ENROLLMENT`
 /// overrides for quicker local runs or the 10M endurance run.
 const SPILL_ENROLLMENT: u32 = 1_000_000;
-/// Sharded/serial sweep enrollments.
+/// Sharded sweep enrollments.
 const ENROLLMENTS: [u32; 2] = [10_000, 100_000];
-/// Thread counts for the parallel arms.
+/// Thread counts for the sharded arms; the first is the reference.
 const THREADS: [usize; 3] = [1, 2, 8];
 /// Enrollments where the monolithic driver is still tractable (the
 /// sweep-line calendar pushed this frontier out from 800).
@@ -201,38 +198,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    let serial = Exec {
-        schedule: Schedule::Serial,
-        storage: Storage::Memory,
-    };
     for &enrollment in &ENROLLMENTS {
         let config = labs_config(enrollment, SHARD_STUDENTS);
-        let (reference, serial_wall) = min_of(gate.measure_runs(), || {
-            timed(|| {
-                gate.inject_sleep();
-                let mut ledger = Ledger::new();
-                simulate_semester_exec(&config, SEED, &serial, &Telemetry::disabled(), &mut ledger)
-                    .map(|outcome| outcome.with_ledger(ledger))
-            })
-        });
-        let reference = reference.unwrap_or_else(|e| {
-            eprintln!("bench_semester: FAILED — serial arm errored: {e}");
-            std::process::exit(1);
-        });
-        let ref_digest = digest_outcome(&reference);
-        eprintln!("serial      n={enrollment:>6}            {serial_wall:>8.3}s");
-        arms.push(Arm {
-            family: "serial",
-            enrollment,
-            threads: 1,
-            effective_threads: 1,
-            oversubscribed: false,
-            wall_s: serial_wall,
-            digest: ref_digest,
-            records: reference.ledger.records().len(),
-            speedup_vs_serial: None,
-            matches_serial: true,
-        });
+        // The first (1-thread) arm sets the reference digest and wall.
+        let mut reference: Option<(u64, f64)> = None;
         for &threads in &THREADS {
             let ((outcome, effective_threads), wall) = min_of(gate.measure_runs(), || {
                 timed(|| {
@@ -244,6 +213,7 @@ fn main() {
             });
             let oversubscribed = threads > host_cpus;
             let digest = digest_outcome(&outcome);
+            let (ref_digest, ref_wall) = *reference.get_or_insert((digest, wall));
             let ok = digest == ref_digest;
             divergent |= !ok;
             if enrollment == 100_000 {
@@ -264,7 +234,7 @@ fn main() {
                 wall_s: wall,
                 digest,
                 records: outcome.ledger.records().len(),
-                speedup_vs_serial: Some(serial_wall / wall.max(1e-9)),
+                speedup_vs_serial: Some(ref_wall / wall.max(1e-9)),
                 matches_serial: ok,
             });
         }
@@ -333,7 +303,7 @@ fn main() {
     }
 
     if divergent {
-        eprintln!("bench_semester: FAILED — a sharded arm diverged from the serial reference");
+        eprintln!("bench_semester: FAILED — a sharded arm diverged from the 1-thread reference");
         std::process::exit(1);
     }
 
@@ -444,7 +414,9 @@ fn main() {
         })
         .collect();
     let notes: Vec<String> = vec![
-        "labs-only cohorts at seed 42; sharded/serial arms use 191-student shards".to_string(),
+        "labs-only cohorts at seed 42; sharded arms use 191-student shards, and each \
+         enrollment's 1-thread arm is the digest and speedup_vs_serial reference"
+            .to_string(),
         "unsharded = monolithic driver (shard_students = enrollment); measured only at \
          tractable enrollments — even on the sweep-line calendar a single shared \
          calendar scales super-linearly with the cohort"

@@ -15,11 +15,13 @@
 //! its own replicated campus (own capacity calendar, quota ledger,
 //! fault engine and telemetry buffer), then merged in shard-index
 //! order. The shard structure is a pure function of the config — never
-//! of the executing thread count — so every [`Exec`] (serial or pool
-//! schedule, memory or spill storage) produces a byte-identical outcome
-//! at any rayon pool size; [`simulate_semester_exec`] takes the `Exec`,
-//! and [`simulate_semester`] runs on the pool in memory. A cohort that
-//! fits in one shard takes the legacy single-campus path unchanged.
+//! of the executing thread count — so every [`Storage`] (memory or
+//! spill) produces a byte-identical outcome at any rayon pool size;
+//! [`simulate_semester_exec`] takes the `Storage`, and
+//! [`simulate_semester`] keeps shards in memory. Shards always run on
+//! the ambient pool; a pool pinned to one thread runs them one after
+//! another on the calling thread. A cohort that fits in one shard takes
+//! the legacy single-campus path unchanged.
 
 use crate::behavior::{sample_student, Intent};
 use crate::labspec::lab_specs;
@@ -309,27 +311,8 @@ impl FaultEngine {
     }
 }
 
-/// How a semester executes: where its shards run and where each
-/// shard's output waits for the merge. The shard structure, and so every
-/// byte of the outcome, is the same under every `Exec`.
-#[derive(Debug, Clone)]
-pub struct Exec {
-    /// Where the shards run.
-    pub schedule: Schedule,
-    /// Where shard output waits for the merge.
-    pub storage: Storage,
-}
-
-/// Where a sharded cohort's shards run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// One after another on the calling thread.
-    Serial,
-    /// In parallel on the ambient rayon pool.
-    Pool,
-}
-
-/// Where each shard's output waits for the merge.
+/// Where each shard's output waits for the merge. The shard structure,
+/// and so every byte of the outcome, is the same under every `Storage`.
 #[derive(Debug, Clone)]
 pub enum Storage {
     /// In memory: peak memory is O(cohort).
@@ -385,7 +368,7 @@ impl<F: FnMut(UsageRecord)> LedgerSink for F {
 /// Cohorts larger than [`SemesterConfig::shard_students`] are split
 /// into shards executed in parallel on the ambient rayon pool and
 /// merged deterministically; the outcome is byte-identical under every
-/// [`Exec`] ([`simulate_semester_exec`]) at any thread count.
+/// [`Storage`] ([`simulate_semester_exec`]) at any thread count.
 pub fn simulate_semester(config: &SemesterConfig, seed: u64) -> SemesterOutcome {
     simulate_semester_with(config, seed, &Telemetry::disabled())
 }
@@ -404,34 +387,27 @@ pub fn simulate_semester_with(
     telemetry: &Telemetry,
 ) -> SemesterOutcome {
     let mut ledger = Ledger::new();
-    let Ok(outcome) = drive(
-        config,
-        seed,
-        Schedule::Pool,
-        &InMemory,
-        telemetry,
-        &mut ledger,
-    );
+    let Ok(outcome) = drive(config, seed, &InMemory, telemetry, &mut ledger);
     outcome.with_ledger(ledger)
 }
 
-/// Simulate a full semester under `exec`, emitting its trace through
-/// `telemetry` and delivering its ledger to `sink`. Every `exec`
-/// produces the same trace, ledger and counters; only
-/// [`Storage::Spill`] can fail.
+/// Simulate a full semester with shard output kept in `storage`,
+/// emitting its trace through `telemetry` and delivering its ledger to
+/// `sink`. Every `storage` produces the same trace, ledger and
+/// counters; only [`Storage::Spill`] can fail.
 pub fn simulate_semester_exec(
     config: &SemesterConfig,
     seed: u64,
-    exec: &Exec,
+    storage: &Storage,
     telemetry: &Telemetry,
     sink: &mut impl LedgerSink,
 ) -> Result<StreamOutcome, SpillError> {
-    match &exec.storage {
+    match storage {
         Storage::Memory => {
-            let Ok(outcome) = drive(config, seed, exec.schedule, &InMemory, telemetry, sink);
+            let Ok(outcome) = drive(config, seed, &InMemory, telemetry, sink);
             Ok(outcome)
         }
-        Storage::Spill(spill) => drive(config, seed, exec.schedule, spill, telemetry, sink),
+        Storage::Spill(spill) => drive(config, seed, spill, telemetry, sink),
     }
 }
 
@@ -518,10 +494,10 @@ impl ShardStore for InMemory {
 ///
 /// A cohort that fits in one shard takes the legacy single-campus path:
 /// the parent telemetry handle, the close-order ledger, no merge and no
-/// disk. Larger cohorts run their shards under `schedule` and keep each
-/// shard's ledger in `store` (its telemetry stays in memory), then fold
-/// per-shard results in shard-index order and feed one [`StreamMerge`]
-/// into `sink`.
+/// disk. Larger cohorts map their shards on the ambient rayon pool and
+/// keep each shard's ledger in `store` (its telemetry stays in memory),
+/// then fold per-shard results in shard-index order and feed one
+/// [`StreamMerge`] into `sink`.
 ///
 /// Merge laws, each associative and stable under the fixed shard
 /// order: ledgers merge into the canonical record order, ties broken
@@ -533,7 +509,6 @@ impl ShardStore for InMemory {
 pub(crate) fn drive<S: ShardStore>(
     config: &SemesterConfig,
     seed: u64,
-    schedule: Schedule,
     store: &S,
     telemetry: &Telemetry,
     sink: &mut impl LedgerSink,
@@ -547,18 +522,15 @@ pub(crate) fn drive<S: ShardStore>(
     }
 
     let record = telemetry.is_enabled();
-    let run_and_store = |shard: &ShardSpec| {
+    let stored = map_slice(&shards, |_, shard| {
         let (outcome, aux) = run_shard_buffered(config, seed, shard, record);
         let scalars = StreamOutcome::of(&outcome);
         store
             .store(shard.index, outcome.ledger)
             .map(|stored| (scalars, aux, stored))
-    };
-    let stored: Vec<_> = match schedule {
-        Schedule::Serial => shards.iter().map(run_and_store).collect(),
-        Schedule::Pool => map_slice(&shards, |_, shard| run_and_store(shard)),
-    };
-    let stored = stored.into_iter().collect::<Result<Vec<_>, _>>()?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     telemetry.counter_add("semester.shards", stored.len() as u64);
     let mut outcome = StreamOutcome::default();

@@ -38,10 +38,11 @@
 //! surface as [`SpillError`], never a panic: the spill entry points are
 //! detlint DL008 panic-freedom roots.
 
-use crate::semester::{drive, Schedule, SemesterConfig, SemesterOutcome, ShardStore};
+use crate::semester::{drive, SemesterConfig, SemesterOutcome, ShardStore};
 use opml_faults::FaultStats;
 use opml_profiler::{phases, wall_phase};
 use opml_simkernel::binio;
+use opml_simkernel::parallel::with_thread_count;
 use opml_telemetry::Telemetry;
 use opml_testbed::ledger::{Ledger, RecordSource, StreamMerge, UsageRecord};
 use std::fmt;
@@ -203,7 +204,7 @@ pub(crate) struct RunRef {
 /// Simulate a full semester out of core, shards one after another on
 /// the calling thread, delivering the merged canonical ledger
 /// record-by-record to `consumer`: [`crate::semester::simulate_semester_exec`]
-/// with [`Schedule::Serial`] and spill storage. Peak memory is
+/// with spill storage on a pool pinned to one thread. Peak memory is
 /// O(shard) when `telemetry` is disabled; a recording handle keeps every
 /// shard's trace in memory until the replay.
 pub fn simulate_semester_streaming_serial<F: FnMut(&UsageRecord)>(
@@ -213,14 +214,11 @@ pub fn simulate_semester_streaming_serial<F: FnMut(&UsageRecord)>(
     spill: &SpillConfig,
     mut consumer: F,
 ) -> Result<StreamOutcome, SpillError> {
-    drive(
-        config,
-        seed,
-        Schedule::Serial,
-        spill,
-        telemetry,
-        &mut |r: UsageRecord| consumer(&r),
-    )
+    with_thread_count(1, || {
+        drive(config, seed, spill, telemetry, &mut |r: UsageRecord| {
+            consumer(&r)
+        })
+    })
 }
 
 impl ShardStore for SpillConfig {

@@ -37,16 +37,17 @@
 //! ([`OutDir`] creates `--out` before the run starts; an I/O error
 //! names its path and exits 1), one stdout handle ([`Stdout`]: once
 //! the reader is gone the rest of the output is dropped and the run
-//! carries on, and any other write error exits 1 naming it), and one
-//! `peak rss: <n> kB` line (the process `VmHWM`), printed by `main`
-//! after the subcommand.
+//! carries on, and any other write error exits 1 naming it), one
+//! stderr writer ([`Stderr`]: usage errors, the failure line and
+//! narration; a write it cannot make is dropped, and the exit status
+//! stays the run's), and one `peak rss: <n> kB` line (the process
+//! `VmHWM`), printed by `main` after the subcommand.
 
 use opml_experiments::{
     chaos, experiments_markdown, paper_sections, profile, scale, serve, tolerance_count, trace,
     verify,
 };
-use opml_simkernel::SimTime;
-use opml_telemetry::{narrate, Telemetry};
+use opml_telemetry::Telemetry;
 use std::fmt::Display;
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -68,7 +69,7 @@ type Outcome = Result<(), String>;
 struct Subcommand {
     name: &'static str,
     flags: &'static [&'static str],
-    run: fn(&Args, u64, &Telemetry, &mut Stdout) -> Outcome,
+    run: fn(&Args, u64, &Stderr, &mut Stdout) -> Outcome,
 }
 
 /// The paper run, taken when the first argument is not a subcommand.
@@ -146,23 +147,18 @@ fn main() -> ExitCode {
         .value("--seed", NON_NEGATIVE, non_negative)
         .unwrap_or(42);
 
-    // Harness narration goes through telemetry too, so `--quiet`
-    // silences the runner and the simulator uniformly.
-    let narrator = if args.has("--quiet") {
-        Telemetry::disabled()
-    } else {
-        Telemetry::narrating()
+    let stderr = Stderr {
+        narrating: !args.has("--quiet"),
     };
-
     let mut stdout = Stdout::new();
-    let outcome = (subcommand.run)(&args, seed, &narrator, &mut stdout);
+    let outcome = (subcommand.run)(&args, seed, &stderr, &mut stdout);
     let peak =
         opml_profiler::peak_rss_kb().map_or_else(|| "n/a".to_string(), |kb| format!("{kb} kB"));
     let printed = stdout.line(format_args!("peak rss: {peak}"));
     match outcome.and(printed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
-            eprintln!("{message}");
+            Stderr::line(message);
             ExitCode::FAILURE
         }
     }
@@ -254,7 +250,7 @@ fn bad_value(flag: &str, what: &str, raw: &str) -> ! {
 
 /// A command-line error: print it and exit 2.
 fn usage(message: &str) -> ! {
-    eprintln!("run-experiments: {message}");
+    Stderr::line(format_args!("run-experiments: {message}"));
     std::process::exit(2);
 }
 
@@ -290,6 +286,28 @@ impl Stdout {
     }
 }
 
+/// The process's stderr: usage errors, `main`'s failure line and,
+/// unless `--quiet`, narration. A line it cannot write is dropped:
+/// stderr is where the failure would be reported, so a closed stderr
+/// never panics and never changes the exit status.
+struct Stderr {
+    narrating: bool,
+}
+
+impl Stderr {
+    /// Print `text` and a newline.
+    fn line(text: impl Display) {
+        let _ = writeln!(io::stderr(), "{text}");
+    }
+
+    /// Print a progress line, unless `--quiet`.
+    fn narrate(&self, text: impl Display) {
+        if self.narrating {
+            Stderr::line(text);
+        }
+    }
+}
+
 /// Write `contents` to `path`; an error names the path.
 fn write_file(path: &str, contents: &str) -> Outcome {
     std::fs::write(path, contents).map_err(|e| format!("run-experiments: cannot write {path}: {e}"))
@@ -315,15 +333,11 @@ impl OutDir {
     }
 }
 
-fn run_verify(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
+fn run_verify(args: &Args, seed: u64, stderr: &Stderr, stdout: &mut Stdout) -> Outcome {
     let threads = args
         .list("--threads", POSITIVE_LIST, positive)
         .unwrap_or_default();
-    narrate!(
-        narrator,
-        SimTime::ZERO,
-        "verifying replay equivalence (seed {seed})…"
-    );
+    stderr.narrate(format_args!("verifying replay equivalence (seed {seed})…"));
     let outcome = verify::verify_determinism(seed, &threads);
     stdout.line(outcome.to_table())?;
     if !outcome.is_equivalent() {
@@ -331,28 +345,22 @@ fn run_verify(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout)
             "verify-determinism: FAILED — results differ across runs/thread counts".to_string(),
         );
     }
-    narrate!(
-        narrator,
-        SimTime::ZERO,
-        "verify-determinism: all runs byte-identical"
-    );
+    stderr.narrate("verify-determinism: all runs byte-identical");
     Ok(())
 }
 
-fn run_trace(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
+fn run_trace(args: &Args, seed: u64, stderr: &Stderr, stdout: &mut Stdout) -> Outcome {
     let config = trace::TraceConfig {
         seed,
         enrollment: args.positive("--enrollment", 191),
         labs_only: args.has("--labs-only"),
     };
     let out = OutDir::create(args, "trace_out")?;
-    narrate!(
-        narrator,
-        SimTime::ZERO,
+    stderr.narrate(format_args!(
         "tracing a {}-student semester (seed {seed}, projects {})…",
         config.enrollment,
         if config.labs_only { "off" } else { "on" }
-    );
+    ));
     let artifacts = trace::capture_trace(&config);
     stdout.line(format_args!(
         "captured {} events ({} ledger records, {} quota denials)",
@@ -369,7 +377,7 @@ fn run_trace(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) 
     Ok(())
 }
 
-fn run_chaos(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
+fn run_chaos(args: &Args, seed: u64, stderr: &Stderr, stdout: &mut Stdout) -> Outcome {
     let defaults = chaos::ChaosConfig::default();
     let config = chaos::ChaosConfig {
         seed,
@@ -380,13 +388,10 @@ fn run_chaos(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) 
             .unwrap_or(defaults.rates),
         threads: args.positive("--threads", 1),
     };
-    narrate!(
-        narrator,
-        SimTime::ZERO,
+    stderr.narrate(format_args!(
         "chaos sweep: {}-student semester (seed {seed}), rates {:?}…",
-        config.enrollment,
-        config.rates
-    );
+        config.enrollment, config.rates
+    ));
     let report = chaos::run(&config);
     stdout.line(format_args!(
         "== Chaos: cost of injected faults ==\n{}",
@@ -400,7 +405,7 @@ fn run_chaos(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) 
     Ok(())
 }
 
-fn run_scale(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
+fn run_scale(args: &Args, seed: u64, stderr: &Stderr, stdout: &mut Stdout) -> Outcome {
     let defaults = scale::ScaleConfig::default();
     let config = scale::ScaleConfig {
         seed,
@@ -412,14 +417,10 @@ fn run_scale(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) 
         spill_dir: args.raw("--spill-dir").map(std::path::PathBuf::from),
         mem_budget_mb: args.value("--mem-budget-mb", NON_NEGATIVE, non_negative),
     };
-    narrate!(
-        narrator,
-        SimTime::ZERO,
+    stderr.narrate(format_args!(
         "scale sweep: {} students, {}/shard, threads {:?}…",
-        config.enrollment,
-        config.shard_students,
-        config.threads
-    );
+        config.enrollment, config.shard_students, config.threads
+    ));
     let report = scale::run(&config).map_err(|e| format!("scale: FAILED — {e}"))?;
     stdout.line(format_args!(
         "== Scale: sharded cohort sweep ==\n{}",
@@ -435,14 +436,12 @@ fn run_scale(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) 
         ))?;
     }
     if !report.equivalent {
-        return Err(
-            "scale: FAILED — sharded outcomes differ across execution strategies".to_string(),
-        );
+        return Err("scale: FAILED — sharded outcomes differ across thread counts".to_string());
     }
     Ok(())
 }
 
-fn run_serve(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
+fn run_serve(args: &Args, seed: u64, stderr: &Stderr, stdout: &mut Stdout) -> Outcome {
     let defaults = serve::ServeRunConfig::default();
     let d = &defaults.config;
     let config = opml_serve::ServeConfig {
@@ -464,16 +463,14 @@ fn run_serve(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) 
     };
     let threads = args.positive("--threads", defaults.threads);
     let out = OutDir::create(args, "serve_out")?;
-    narrate!(
-        narrator,
-        SimTime::ZERO,
+    stderr.narrate(format_args!(
         "service soak: seed {seed}, ramp {}→{} (+{}) ops/s, {} tenants, fault rate {} ppm…",
         config.target_rps,
         config.max_rps,
         config.increment_rps,
         config.tenants,
         config.fault_rate_ppm
-    );
+    ));
     let run = serve::run(&serve::ServeRunConfig { config, threads });
     stdout.line(format_args!(
         "== Serve: campus cloud under ramping load ==\n{}",
@@ -486,7 +483,7 @@ fn run_serve(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) 
     ))
 }
 
-fn run_profile(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
+fn run_profile(args: &Args, seed: u64, stderr: &Stderr, stdout: &mut Stdout) -> Outcome {
     let defaults = profile::ProfileConfig::default();
     let config = profile::ProfileConfig {
         seed,
@@ -497,13 +494,10 @@ fn run_profile(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout
         rss_sample_ms: args.positive("--rss-sample-ms", defaults.rss_sample_ms),
     };
     let out = OutDir::create(args, "profile_out")?;
-    narrate!(
-        narrator,
-        SimTime::ZERO,
+    stderr.narrate(format_args!(
         "profiling a {}-student semester (seed {seed}, {} threads)…",
-        config.enrollment,
-        config.threads
-    );
+        config.enrollment, config.threads
+    ));
     let report = profile::run(&config);
     stdout.line(&report.text)?;
     out.write(stdout, "profile.json", &report.json)?;
@@ -511,13 +505,11 @@ fn run_profile(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout
     stdout.line(format_args!("counts_digest={:016x}", report.counts_digest))
 }
 
-fn run_full(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -> Outcome {
+fn run_full(args: &Args, seed: u64, stderr: &Stderr, stdout: &mut Stdout) -> Outcome {
     let want_metrics = args.has("--metrics");
-    narrate!(
-        narrator,
-        SimTime::ZERO,
+    stderr.narrate(format_args!(
         "simulating the 191-student semester (seed {seed})…"
-    );
+    ));
     let sim_telemetry = if want_metrics {
         // Only the metrics are kept; events are dropped as they are
         // stamped, so the per-event cost stays near zero.
@@ -526,19 +518,14 @@ fn run_full(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -
         Telemetry::disabled()
     };
     let ctx = opml_experiments::run_paper_course_with(seed, &sim_telemetry);
-    narrate!(
-        narrator,
-        SimTime::ZERO,
+    stderr.narrate(format_args!(
         "done: {} ledger records, {} quota denials, {} slot pushbacks\n",
         ctx.outcome.ledger.records().len(),
         ctx.outcome.quota_denials,
         ctx.outcome.slot_pushbacks
-    );
-    narrate!(
-        narrator,
-        SimTime::ZERO,
-        "rendering every section (with a 5-seed sweep and a reduced-cohort VM ablation)…"
-    );
+    ));
+    stderr
+        .narrate("rendering every section (with a 5-seed sweep and a reduced-cohort VM ablation)…");
     let sections = paper_sections(&ctx);
     for section in &sections {
         stdout.line(format_args!("== {} ==\n{}", section.title, section.text))?;
@@ -569,11 +556,7 @@ fn run_full(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -
             path,
             &experiments_markdown(seed, &sections, metrics_md.as_deref()),
         )?;
-        narrate!(
-            narrator,
-            SimTime::ZERO,
-            "comparison sections written to {path}"
-        );
+        stderr.narrate(format_args!("comparison sections written to {path}"));
     }
 
     let json = serde_json::json!({
@@ -587,10 +570,6 @@ fn run_full(args: &Args, seed: u64, narrator: &Telemetry, stdout: &mut Stdout) -
         "experiments_results.json",
         &serde_json::to_string_pretty(&json).expect("serialize"),
     )?;
-    narrate!(
-        narrator,
-        SimTime::ZERO,
-        "structured results written to experiments_results.json"
-    );
+    stderr.narrate("structured results written to experiments_results.json");
     Ok(())
 }

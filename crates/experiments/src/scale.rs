@@ -7,12 +7,12 @@
 //! unsharded. The sharded driver replicates the campus per
 //! [`SemesterConfig::shard_students`] students, simulates shards in
 //! parallel and merges deterministically. This sweep runs one cohort at
-//! several rayon thread counts plus the strictly sequential reference,
-//! digests each outcome, and demands byte-equivalence across all of
-//! them.
+//! several rayon thread counts, digests each outcome, and demands
+//! byte-equivalence across all of them. A one-thread arm runs the
+//! shards one after another on the calling thread.
 //!
 //! Every arm feeds the merged record stream straight into an
-//! incremental [`OutcomeDigest`]; only the [`Exec`] differs between
+//! incremental [`OutcomeDigest`]; only the thread count differs between
 //! arms.
 //!
 //! ## Out-of-core mode
@@ -32,9 +32,7 @@
 //! Each arm is wall-timed with [`opml_profiler::timed`]; the measured
 //! times are reported, never fed back into simulation state.
 
-use opml_cohort::semester::{
-    simulate_semester_exec, Exec, Schedule, SemesterConfig, SemesterOutcome, Storage,
-};
+use opml_cohort::semester::{simulate_semester_exec, SemesterConfig, SemesterOutcome, Storage};
 use opml_cohort::spill::{SpillConfig, SpillError};
 use opml_faults::FaultStats;
 use opml_profiler::{peak_rss_kb, timed};
@@ -56,7 +54,8 @@ pub struct ScaleConfig {
     pub enrollment: u32,
     /// Students per shard (the paper's 191 by default).
     pub shard_students: u32,
-    /// Rayon thread counts for the parallel arms.
+    /// Rayon thread counts, one arm each; an empty list runs one
+    /// 1-thread arm.
     pub threads: Vec<usize>,
     /// Spill shard runs to this directory (out-of-core mode). `None`
     /// defaults to a per-process temp directory when spilling is
@@ -84,8 +83,8 @@ impl Default for ScaleConfig {
 /// One arm of the sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleArm {
-    /// Rayon threads (`None` = the strictly sequential reference).
-    pub threads: Option<usize>,
+    /// Rayon threads.
+    pub threads: usize,
     /// Wall time in seconds.
     pub wall_s: f64,
     /// FNV-1a digest of the serialized outcome.
@@ -99,9 +98,9 @@ pub struct ScaleArm {
 pub struct ScaleReport {
     /// Rendered table.
     pub text: String,
-    /// Sequential reference followed by one arm per thread count.
+    /// One arm per thread count, in the requested order.
     pub arms: Vec<ScaleArm>,
-    /// All digests identical (sequential vs every thread count).
+    /// All digests identical across thread counts.
     pub equivalent: bool,
     /// Whether the arms ran through the out-of-core spill path.
     pub spilled: bool,
@@ -312,27 +311,20 @@ pub fn estimated_peak_mb(enrollment: u32) -> u64 {
     (u64::from(enrollment) * 8).div_ceil(1024)
 }
 
-/// Run and time one arm (`threads == None` is the serial reference):
-/// stream the merged ledger into an incremental digest, never
-/// materializing it.
+/// Run and time one arm on a pool of `threads`: stream the merged
+/// ledger into an incremental digest, never materializing it.
 fn run_arm(
     sem: &SemesterConfig,
     seed: u64,
     storage: &Storage,
-    threads: Option<usize>,
+    threads: usize,
 ) -> Result<ScaleArm, SpillError> {
-    let exec = Exec {
-        schedule: threads.map_or(Schedule::Serial, |_| Schedule::Pool),
-        storage: storage.clone(),
-    };
     let mut digest = OutcomeDigest::new();
-    let mut run = || {
-        let mut sink = |r: UsageRecord| digest.push(&r);
-        simulate_semester_exec(sem, seed, &exec, &Telemetry::disabled(), &mut sink)
-    };
-    let (outcome, wall_s) = timed(|| match threads {
-        None => run(),
-        Some(t) => with_thread_count(t, run),
+    let (outcome, wall_s) = timed(|| {
+        with_thread_count(threads, || {
+            let mut sink = |r: UsageRecord| digest.push(&r);
+            simulate_semester_exec(sem, seed, storage, &Telemetry::disabled(), &mut sink)
+        })
     });
     let outcome = outcome?;
     Ok(ScaleArm {
@@ -347,8 +339,8 @@ fn run_arm(
     })
 }
 
-/// Run the sweep: the strictly sequential reference first, then one
-/// sharded arm per requested thread count, each timed.
+/// Run the sweep: one sharded arm per requested thread count (one
+/// 1-thread arm when none is requested), each timed.
 /// Spilling engages when a spill directory is given or the estimated
 /// peak exceeds the memory budget; a spill failure is returned, naming
 /// the file it hit.
@@ -368,12 +360,15 @@ pub fn run(config: &ScaleConfig) -> Result<ScaleReport, SpillError> {
         Storage::Memory
     };
 
-    let mut arms = Vec::new();
-    let mut arm_threads: Vec<Option<usize>> = vec![None];
-    arm_threads.extend(config.threads.iter().map(|&t| Some(t)));
-    for threads in arm_threads {
-        arms.push(run_arm(&sem, config.seed, &storage, threads)?);
-    }
+    let threads = if config.threads.is_empty() {
+        &[1][..]
+    } else {
+        &config.threads
+    };
+    let arms = threads
+        .iter()
+        .map(|&t| run_arm(&sem, config.seed, &storage, t))
+        .collect::<Result<Vec<_>, _>>()?;
     let peak_rss_kb = peak_rss_kb();
     let budget_exceeded = config
         .mem_budget_mb
@@ -383,10 +378,7 @@ pub fn run(config: &ScaleConfig) -> Result<ScaleReport, SpillError> {
     let mut table = Table::new(&["arm", "wall s", "records", "digest"]);
     for arm in &arms {
         table.row(&[
-            match arm.threads {
-                None => "sequential".to_string(),
-                Some(t) => format!("{t} threads"),
-            },
+            format!("{} threads", arm.threads),
             fmt_num(arm.wall_s, 3),
             arm.records.to_string(),
             format!("{:016x}", arm.digest),
@@ -455,9 +447,33 @@ mod tests {
         })
         .expect("in-memory sweep cannot fail");
         assert!(report.equivalent, "{}", report.text);
-        assert_eq!(report.arms.len(), 4);
+        assert_eq!(report.arms.len(), 3);
         assert!(report.arms[0].records > 0);
         assert!(!report.spilled);
+    }
+
+    #[test]
+    fn no_thread_counts_run_one_single_thread_arm() {
+        let report = run(&ScaleConfig {
+            seed: 7,
+            enrollment: 40,
+            shard_students: 12,
+            threads: vec![],
+            spill_dir: None,
+            mem_budget_mb: None,
+        })
+        .expect("in-memory sweep cannot fail");
+        assert_eq!(report.arms.len(), 1, "{}", report.text);
+        assert_eq!(report.arms[0].threads, 1);
+        assert!(report.arms[0].records > 0);
+        assert!(report.equivalent);
+        assert!(
+            report
+                .text
+                .contains(&format!("digest={:016x}", report.arms[0].digest)),
+            "{}",
+            report.text
+        );
     }
 
     #[test]

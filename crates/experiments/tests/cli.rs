@@ -11,6 +11,8 @@
 //! - A stdout whose reader is gone stops the printing, not the run: the
 //!   program finishes its work and exits 0 without a panic. Any other
 //!   stdout error exits 1 naming it.
+//! - A stderr whose reader is gone drops usage errors, the failure line
+//!   and narration, and leaves the exit status as it would have been.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -252,20 +254,24 @@ fn run_into(cwd: &Path, args: &[&str], stdout: Stdio) -> Output {
         .expect("spawn run-experiments")
 }
 
-#[test]
-fn a_closed_stdout_stops_the_printing_not_the_run() {
-    let dir = scratch("closed_stdout");
-    let out = dir.join("trace");
-    let out = out.to_str().expect("scratch path is UTF-8");
-    // A pipe whose only reader, `true`, has exited before the program
-    // starts: its first line meets a broken pipe.
+/// A pipe whose only reader, `true`, has exited before the program
+/// starts: the first line written to it meets a broken pipe.
+fn closed_pipe() -> Stdio {
     let mut reader = Command::new("true")
         .stdin(Stdio::piped())
         .spawn()
         .expect("spawn true");
     let pipe = reader.stdin.take().expect("the reader's stdin is piped");
     reader.wait().expect("wait for true");
-    let o = run_into(&dir, &[TRACE, &["--out", out]].concat(), Stdio::from(pipe));
+    Stdio::from(pipe)
+}
+
+#[test]
+fn a_closed_stdout_stops_the_printing_not_the_run() {
+    let dir = scratch("closed_stdout");
+    let out = dir.join("trace");
+    let out = out.to_str().expect("scratch path is UTF-8");
+    let o = run_into(&dir, &[TRACE, &["--out", out]].concat(), closed_pipe());
     let stderr = text(&o.stderr);
     assert_ne!(o.status.code(), Some(101), "{stderr}");
     assert_eq!(o.status.code(), Some(0), "{stderr}");
@@ -274,6 +280,36 @@ fn a_closed_stdout_stops_the_printing_not_the_run() {
         assert!(
             Path::new(out).join(name).is_file(),
             "the run stopped at the closed pipe before writing {name}"
+        );
+    }
+}
+
+#[test]
+fn a_closed_stderr_keeps_the_exit_status() {
+    let dir = scratch("closed_stderr");
+    let trace_out = dir.join("trace");
+    let trace_out = trace_out.to_str().expect("scratch path is UTF-8");
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, b"not a directory").expect("write blocker file");
+    let blocked_out = blocker.join("out");
+    let blocked_out = blocked_out.to_str().expect("scratch path is UTF-8");
+    let usage_error: &[&str] = &["trace", "--enrollment", "0"];
+    // Without `--quiet`, so the run narrates to the closed stderr.
+    let narrating = [TRACE, &["--out", trace_out]].concat();
+    let failing = [TRACE, &["--out", blocked_out]].concat();
+    for (args, code) in [(usage_error, 2), (&narrating[..], 0), (&failing[..], 1)] {
+        let o = Command::new(env!("CARGO_BIN_EXE_run-experiments"))
+            .args(args)
+            .current_dir(&dir)
+            .stderr(closed_pipe())
+            .output()
+            .expect("spawn run-experiments");
+        assert_eq!(o.status.code(), Some(code), "{args:?}: {}", text(&o.stdout));
+    }
+    for name in ["trace.jsonl", "trace_chrome.json"] {
+        assert!(
+            Path::new(trace_out).join(name).is_file(),
+            "the narrating run stopped at the closed stderr before writing {name}"
         );
     }
 }

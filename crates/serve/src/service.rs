@@ -36,6 +36,15 @@ const FAULT_TAG: u64 = 0x5E12_FA17;
 const RETRY_TAG: u64 = 0x5E12_4E72;
 /// Lead time between a reserve op and its window start, in ticks.
 const RESERVE_LEAD_TICKS: u64 = 30;
+/// A round is "sustainable" only if its unserved fraction stays at or
+/// below this (parts-per-million): the IC suite's
+/// `ALLOWABLE_FAILURE_RATE` of 0.2, separate from the stop gate's
+/// [`ServeConfig::stop_failure_ppm`].
+const ALLOWABLE_FAILURE_PPM: u64 = 200_000;
+/// Consecutive quota failures that trip a tenant's breaker.
+const BREAKER_THRESHOLD: u32 = 5;
+/// Breaker cool-down before a half-open probe, sim seconds.
+const BREAKER_COOLDOWN_S: u64 = 30;
 
 /// Configuration for one service soak. Rates are ops/sec, durations
 /// are sim seconds, and the gate thresholds are integer parts-per-
@@ -61,9 +70,6 @@ pub struct ServeConfig {
     /// Stop the ramp when a round's unserved fraction reaches this
     /// (parts-per-million; 500_000 = the classic STOP_FAILURE_RATE 0.5).
     pub stop_failure_ppm: u64,
-    /// A round is "sustainable" only if its unserved fraction stays at
-    /// or below this (parts-per-million).
-    pub allowable_failure_ppm: u64,
     /// A round is "sustainable" only if its p99 latency stays at or
     /// below this; exceeding it also stops the ramp. Sim seconds.
     pub allowable_latency_s: u64,
@@ -72,10 +78,6 @@ pub struct ServeConfig {
     pub deadline_s: u64,
     /// Uniform fault-injection rate (parts-per-million; 0 = inert).
     pub fault_rate_ppm: u64,
-    /// Consecutive quota failures that trip a tenant's breaker.
-    pub breaker_threshold: u32,
-    /// Breaker cool-down before a half-open probe, sim seconds.
-    pub breaker_cooldown_s: u64,
 }
 
 impl Default for ServeConfig {
@@ -90,12 +92,9 @@ impl Default for ServeConfig {
             max_rps: 64,
             round_secs: 60,
             stop_failure_ppm: 500_000,
-            allowable_failure_ppm: 200_000,
             allowable_latency_s: 30,
             deadline_s: 120,
             fault_rate_ppm: 0,
-            breaker_threshold: 5,
-            breaker_cooldown_s: 30,
         }
     }
 }
@@ -192,10 +191,7 @@ impl Service {
                 .with_deadline(SimDuration(cfg.deadline_s.max(1))),
             retry_seed: cfg.seed ^ RETRY_TAG,
             breakers: vec![
-                CircuitBreaker::new(
-                    cfg.breaker_threshold,
-                    SimDuration(cfg.breaker_cooldown_s.max(1)),
-                );
+                CircuitBreaker::new(BREAKER_THRESHOLD, SimDuration(BREAKER_COOLDOWN_S));
                 t
             ],
             instances: vec![Vec::new(); t],
@@ -552,7 +548,7 @@ pub fn run_service(config: &ServeConfig) -> ServeReport {
         let latency = LatencySummary::from_histogram(&acc.hist);
         let failure_ppm = acc.counts.failure_ppm();
         let sustainable = acc.counts.completed > 0
-            && failure_ppm <= cfg.allowable_failure_ppm
+            && failure_ppm <= ALLOWABLE_FAILURE_PPM
             && latency.p99_s <= cfg.allowable_latency_s;
         rounds.push(RoundStats {
             round,

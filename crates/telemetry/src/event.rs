@@ -10,10 +10,6 @@ use opml_simkernel::SimTime;
 use serde_json::{write_escaped, write_f64};
 use std::fmt;
 
-/// Reserved event name for progress narration (see
-/// [`crate::Telemetry::narrating`]).
-pub const NARRATE: &str = "narrate";
-
 /// Attribute key marking an event as belonging to the harness (meta)
 /// track rather than the simulation timeline; the Chrome exporter puts
 /// such events on their own thread lane.

@@ -27,9 +27,8 @@
 //!
 //! A handle keeps what it records itself. [`Telemetry::recording`]
 //! keeps every event for [`Telemetry::events`] /
-//! [`Telemetry::take_events`], [`Telemetry::metrics_only`] keeps only
-//! the metrics, and [`Telemetry::narrating`] prints narration events to
-//! stderr. Every enabled handle keeps its metrics in one
+//! [`Telemetry::take_events`], and [`Telemetry::metrics_only`] keeps
+//! only the metrics. Every enabled handle keeps its metrics in one
 //! [`MetricsSnapshot`], which [`Telemetry::metrics_snapshot`] copies.
 //!
 //! # Cost when disabled
@@ -56,7 +55,7 @@ pub mod export;
 pub mod metrics;
 pub mod span;
 
-pub use event::{Attr, AttrValue, EventPhase, TelemetryEvent, HARNESS_TRACK, NARRATE, TRACK_ATTR};
+pub use event::{Attr, AttrValue, EventPhase, TelemetryEvent, HARNESS_TRACK, TRACK_ATTR};
 pub use export::{export_chrome_trace, export_jsonl};
 pub use metrics::{MetricsSnapshot, SimTimeHistogram};
 pub use span::SpanGuard;
@@ -72,8 +71,6 @@ enum Mode {
     Recording(Mutex<Vec<TelemetryEvent>>),
     /// Drop every event; only the metrics are kept.
     MetricsOnly,
-    /// Print narration events to stderr and drop the rest.
-    Narrating,
 }
 
 struct Inner {
@@ -89,14 +86,8 @@ struct Inner {
 impl Inner {
     /// Deliver one stamped event according to the handle's mode.
     fn keep(&self, event: TelemetryEvent) {
-        match &self.mode {
-            Mode::Recording(events) => events.lock().push(event),
-            Mode::Narrating if event.name == NARRATE => {
-                if let Some(msg) = event.attr("message").and_then(AttrValue::as_str) {
-                    eprintln!("{msg}");
-                }
-            }
-            Mode::Narrating | Mode::MetricsOnly => {}
+        if let Mode::Recording(events) = &self.mode {
+            events.lock().push(event);
         }
     }
 }
@@ -156,14 +147,6 @@ impl Telemetry {
         Self::enabled(Mode::MetricsOnly)
     }
 
-    /// An enabled handle that prints each narration event's message to
-    /// stderr and drops every other event. It replaces scattered
-    /// `eprintln!` progress lines: `--quiet` swaps it for
-    /// [`Telemetry::disabled`] and every narration line vanishes.
-    pub fn narrating() -> Self {
-        Self::enabled(Mode::Narrating)
-    }
-
     fn enabled(mode: Mode) -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
@@ -199,7 +182,7 @@ impl Telemetry {
     fn recorded(&self) -> Option<&Mutex<Vec<TelemetryEvent>>> {
         match &self.inner.as_deref()?.mode {
             Mode::Recording(events) => Some(events),
-            Mode::MetricsOnly | Mode::Narrating => None,
+            Mode::MetricsOnly => None,
         }
     }
 
@@ -233,16 +216,6 @@ impl Telemetry {
     {
         self.emit(time, EventPhase::Begin, name, attrs);
         SpanGuard::new(self.clone(), name)
-    }
-
-    /// Emit a narration event (progress line). A
-    /// [`Telemetry::narrating`] handle prints it to stderr; a recording
-    /// handle keeps it like any other event.
-    pub fn narrate(&self, time: SimTime, message: impl Into<String>) {
-        if self.is_enabled() {
-            let msg = message.into();
-            self.instant(time, NARRATE, move || vec![("message", msg.into())]);
-        }
     }
 
     /// Add `delta` to a counter.
@@ -294,16 +267,13 @@ impl Telemetry {
         for (i, e) in events.iter_mut().enumerate() {
             e.seq = base + i as u64;
         }
-        match &inner.mode {
-            Mode::Recording(buf) => {
-                let mut buf = buf.lock();
-                if buf.is_empty() {
-                    *buf = events;
-                } else {
-                    buf.extend(events);
-                }
+        if let Mode::Recording(buf) = &inner.mode {
+            let mut buf = buf.lock();
+            if buf.is_empty() {
+                *buf = events;
+            } else {
+                buf.extend(events);
             }
-            Mode::MetricsOnly | Mode::Narrating => events.into_iter().for_each(|e| inner.keep(e)),
         }
     }
 
@@ -343,18 +313,6 @@ where
     });
 }
 
-/// Format-and-narrate convenience: `narrate!(t, time, "sweep {n} done")`.
-///
-/// The format arguments are only evaluated when the handle is enabled.
-#[macro_export]
-macro_rules! narrate {
-    ($telemetry:expr, $time:expr, $($fmt:tt)*) => {
-        if $telemetry.is_enabled() {
-            $telemetry.narrate($time, format!($($fmt)*));
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,29 +340,6 @@ mod tests {
         assert!(!called);
         assert!(t.metrics_snapshot().is_empty());
         assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn narrate_macro_formats_lazily() {
-        let t = Telemetry::recording();
-        narrate!(t, SimTime(5), "step {} of {}", 2, 3);
-        let events = t.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, NARRATE);
-        assert_eq!(
-            events[0].attr("message").and_then(AttrValue::as_str),
-            Some("step 2 of 3")
-        );
-
-        fn boom() -> u32 {
-            unreachable!("format args must not evaluate when disabled")
-        }
-        let off = Telemetry::disabled();
-        narrate!(off, SimTime(5), "never {}", boom());
-
-        let narrator = Telemetry::narrating();
-        narrate!(narrator, SimTime(5), "printed, not kept");
-        assert!(narrator.events().is_empty());
     }
 
     #[test]

@@ -52,24 +52,26 @@ echo "==> chaos smoke run (zero-rate must match the fault-free baseline)"
 cargo run --release -q -p opml-experiments --bin run-experiments -- \
     chaos --rate 0.05 --seed 7 --quiet
 
-echo "==> scale smoke run (100k cohort @ 2 threads vs golden digest)"
-scale_digest=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
-    scale --enrollment 100000 --threads 2 --quiet \
-    | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')
+echo "==> scale smoke run (100k cohort @ 1 and 2 threads vs golden digest)"
+# Captured before parsing: piped straight into sed, the sweep's exit 1
+# on arms that disagree would be sed's exit 0.
+scale_out=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
+    scale --enrollment 100000 --threads 1,2 --quiet)
+scale_digest=$(printf '%s\n' "$scale_out" | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')
 golden_digest=$(cat tests/golden/scale_100k_seed42.digest)
 if [ "$scale_digest" != "$golden_digest" ]; then
     echo "scale smoke FAILED: digest $scale_digest != golden $golden_digest" >&2
     exit 1
 fi
 
-echo "==> scale smoke run (1M cohort @ 2 threads in memory vs golden digest and RSS ceiling)"
+echo "==> scale smoke run (1M cohort @ 1 and 2 threads in memory vs golden digest and RSS ceiling)"
 # Each shard ledger waits for the merge at its exact length, and a
 # record's name sits inside it, so the in-memory peak is about the
 # parked records themselves: 1,767,412 kB measured on a 2-vCPU Xeon.
 # The ceiling is 1.5x that. Parking ledgers at their capacity hint
 # (three times a labs-only shard's fill) peaks near 5.4 GB and fails.
 scale_1m_out=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
-    scale --enrollment 1000000 --threads 2 --quiet)
+    scale --enrollment 1000000 --threads 1,2 --quiet)
 scale_1m_digest=$(printf '%s\n' "$scale_1m_out" | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')
 scale_1m_peak_kb=$(printf '%s\n' "$scale_1m_out" | sed -n 's/^peak rss: \([0-9]*\) kB$/\1/p')
 scale_1m_rss_ceiling_kb=2650000
@@ -91,7 +93,7 @@ echo "==> spill smoke run (2k cohort forced out-of-core vs golden digest)"
 # exceeds it, so the report's EXCEEDED verdict is expected here and not
 # gated (bench_semester owns the RSS gate).
 spill_out=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
-    scale --enrollment 2000 --threads 2 --mem-budget-mb 8 --quiet)
+    scale --enrollment 2000 --threads 1,2 --mem-budget-mb 8 --quiet)
 spill_digest=$(printf '%s\n' "$spill_out" | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')
 golden_spill_digest=$(cat tests/golden/scale_2k_seed42.digest)
 if ! printf '%s\n' "$spill_out" | grep -q "out-of-core path engaged"; then

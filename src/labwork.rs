@@ -494,31 +494,26 @@ pub fn run_all_units(seed: u64) -> Vec<LabWorkOutcome> {
     run_all_units_with(seed, &opml_telemetry::Telemetry::disabled())
 }
 
-/// Run every unit's workload like [`run_all_units`], narrating progress
-/// and emitting one `lab.unit` event per unit through `telemetry`.
+/// Run every unit's workload like [`run_all_units`], emitting one
+/// `lab.unit` event per unit through `telemetry`.
 ///
 /// The lab bodies run at laptop scale outside the semester clock, so
 /// their events sit on the harness track at `SimTime::ZERO`.
 pub fn run_all_units_with(seed: u64, telemetry: &opml_telemetry::Telemetry) -> Vec<LabWorkOutcome> {
     use opml_simkernel::SimTime;
-    use opml_telemetry::{narrate, HARNESS_TRACK, TRACK_ATTR};
+    use opml_telemetry::{HARNESS_TRACK, TRACK_ATTR};
     type UnitBody = fn(u64) -> LabWorkOutcome;
-    let units: [(&str, UnitBody, u64); 7] = [
-        ("unit 2 (cloud computing)", unit2_cloud_computing, seed),
-        ("unit 3 (MLOps pipeline)", unit3_mlops, seed),
-        ("unit 4 (training at scale)", unit4_train_at_scale, seed + 1),
-        (
-            "unit 5 (training infrastructure)",
-            unit5_training_infra,
-            seed + 2,
-        ),
-        ("unit 6 (serving)", unit6_serving, seed + 3),
-        ("unit 7 (monitoring)", unit7_monitoring, seed + 4),
-        ("unit 8 (data systems)", unit8_data, seed + 5),
+    let units: [(UnitBody, u64); 7] = [
+        (unit2_cloud_computing, seed),
+        (unit3_mlops, seed),
+        (unit4_train_at_scale, seed + 1),
+        (unit5_training_infra, seed + 2),
+        (unit6_serving, seed + 3),
+        (unit7_monitoring, seed + 4),
+        (unit8_data, seed + 5),
     ];
     let mut outcomes = Vec::with_capacity(units.len());
-    for (label, body, unit_seed) in units {
-        narrate!(telemetry, SimTime::ZERO, "running lab workload {label}…");
+    for (body, unit_seed) in units {
         let outcome = body(unit_seed);
         telemetry.instant(SimTime::ZERO, "lab.unit", || {
             vec![
