@@ -36,12 +36,13 @@ use opml_testbed::error::CloudError;
 use opml_testbed::flavor::FlavorId;
 use opml_testbed::instance::InstanceId;
 use opml_testbed::lease::LeaseId;
-use opml_testbed::ledger::{Ledger, RecordSource, StreamMerge, UsageRecord};
+use opml_testbed::ledger::{Ledger, UsageRecord};
 use opml_testbed::network::{FloatingIpId, NetworkId};
 use opml_testbed::storage::VolumeId;
 use opml_testbed::Cloud;
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
+use std::sync::{Mutex, PoisonError};
 
 /// A queued on-demand VM deployment.
 #[derive(Debug)]
@@ -337,7 +338,8 @@ pub trait LedgerSink {
     }
 }
 
-/// Materializes the ledger, allocated once at its final size.
+/// Materializes the ledger: adopts a whole ledger's buffer, or allocates
+/// once at the announced size.
 impl LedgerSink for Ledger {
     fn reserve(&mut self, records: usize) {
         Ledger::reserve(self, records);
@@ -352,7 +354,7 @@ impl LedgerSink for Ledger {
             // Adopt the buffer rather than copy it.
             *self = ledger;
         } else {
-            ledger.into_iter().for_each(|record| self.push(record));
+            Ledger::append(self, ledger);
         }
     }
 }
@@ -387,7 +389,7 @@ pub fn simulate_semester_with(
     telemetry: &Telemetry,
 ) -> SemesterOutcome {
     let mut ledger = Ledger::new();
-    let Ok(outcome) = drive(config, seed, &InMemory, telemetry, &mut ledger);
+    let Ok(outcome) = drive(config, seed, &InMemory::default(), telemetry, &mut ledger);
     outcome.with_ledger(ledger)
 }
 
@@ -404,7 +406,7 @@ pub fn simulate_semester_exec(
 ) -> Result<StreamOutcome, SpillError> {
     match storage {
         Storage::Memory => {
-            let Ok(outcome) = drive(config, seed, &InMemory, telemetry, sink);
+            let Ok(outcome) = drive(config, seed, &InMemory::default(), telemetry, sink);
             Ok(outcome)
         }
         Storage::Spill(spill) => drive(config, seed, spill, telemetry, sink),
@@ -417,8 +419,7 @@ const EVENTS_PER_STUDENT: usize = 232;
 
 /// Per-student capacity hint for the shard cloud's ledger. The paper
 /// course fills about half of it (8,798 records for 191 students with
-/// projects) and a labs-only shard about a third (~32 per student), so
-/// [`InMemory`] parks each shard ledger at its exact length.
+/// projects) and a labs-only shard about a third (~32 per student).
 const LEDGER_RECORDS_PER_STUDENT: usize = 96;
 
 /// Event-queue capacity hint per student (peak outstanding future
@@ -437,56 +438,67 @@ type ShardAux = (Vec<TelemetryEvent>, MetricsSnapshot);
 /// memory ([`InMemory`]) or in run files ([`SpillConfig`]). Telemetry
 /// never goes through the store; the driver holds it in memory.
 pub(crate) trait ShardStore: Sync {
-    /// One stored shard ledger.
+    /// What storing one shard's ledger leaves for the merge.
     type Run: Send;
-    /// A stored shard's ledger, read back by the merge.
-    type Source: RecordSource<Error = Self::Error>;
-    /// What storing or reading back can fail with.
+    /// What storing or draining can fail with.
     type Error: Send;
-    /// The wall phase the final merge runs under.
-    const MERGE_PHASE: &'static str;
 
-    /// Keep one shard's canonically sorted ledger until the merge.
+    /// Keep one shard's ledger, in the order it was closed, until the
+    /// merge. Shards may arrive in any order.
     fn store(&self, shard: u32, ledger: Ledger) -> Result<Self::Run, Self::Error>;
 
-    /// Turn the stored shards, in shard order, into merge sources,
-    /// counting disk work in `stats`.
-    fn sources(
+    /// Deliver every stored record to `sink` in canonical order,
+    /// counting disk work in `stats`; returns the records delivered.
+    /// `runs` come in shard order.
+    fn drain(
         &self,
         runs: Vec<Self::Run>,
         stats: &mut SpillStats,
-    ) -> Result<Vec<Self::Source>, Self::Error>;
-
-    /// Release the store once the merge delivered `merged` of the
-    /// `expected` records.
-    fn finish(&self, _merged: u64, _expected: u64) -> Result<(), Self::Error> {
-        Ok(())
-    }
+        sink: &mut impl LedgerSink,
+    ) -> Result<u64, Self::Error>;
 }
 
-/// Shard ledgers held in memory until the merge.
-struct InMemory;
+/// The cohort's one ledger: each shard appends its records as it
+/// finishes, and the merge sorts the whole buffer in place.
+///
+/// Records that tie on the canonical key are equal in every field
+/// ([`Ledger::sort_canonical`]), so the sorted bytes do not depend on
+/// the order the shards appended in. A poisoned lock is taken as is:
+/// an append grows the buffer before it moves a record, so a panic
+/// mid-append leaves the ledger whole.
+#[derive(Default)]
+struct InMemory {
+    ledger: Mutex<Ledger>,
+}
 
 impl ShardStore for InMemory {
-    type Run = Ledger;
-    type Source = std::vec::IntoIter<UsageRecord>;
+    type Run = ();
     type Error = Infallible;
-    const MERGE_PHASE: &'static str = opml_profiler::phases::MERGE_LEDGER;
 
-    /// Parks the ledger at its exact length: a labs-only shard fills
-    /// about a third of its capacity hint, and the slack would stay
-    /// resident until the merge.
-    fn store(&self, _shard: u32, mut ledger: Ledger) -> Result<Ledger, Infallible> {
-        ledger.shrink_to_fit();
-        Ok(ledger)
+    /// Moves the records into the cohort ledger and frees the shard's
+    /// buffer.
+    fn store(&self, _shard: u32, ledger: Ledger) -> Result<(), Infallible> {
+        self.ledger
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .append(ledger);
+        Ok(())
     }
 
-    fn sources(
+    /// Sorts the cohort ledger in place and hands the buffer to `sink`.
+    fn drain(
         &self,
-        runs: Vec<Ledger>,
+        _runs: Vec<()>,
         _stats: &mut SpillStats,
-    ) -> Result<Vec<Self::Source>, Infallible> {
-        Ok(runs.into_iter().map(Ledger::into_iter).collect())
+        sink: &mut impl LedgerSink,
+    ) -> Result<u64, Infallible> {
+        let _phase = opml_profiler::wall_phase(opml_profiler::phases::MERGE_LEDGER);
+        let mut ledger =
+            std::mem::take(&mut *self.ledger.lock().unwrap_or_else(PoisonError::into_inner));
+        ledger.sort_canonical();
+        let records = ledger.records().len() as u64;
+        sink.append(ledger);
+        Ok(records)
     }
 }
 
@@ -495,17 +507,17 @@ impl ShardStore for InMemory {
 /// A cohort that fits in one shard takes the legacy single-campus path:
 /// the parent telemetry handle, the close-order ledger, no merge and no
 /// disk. Larger cohorts map their shards on the ambient rayon pool and
-/// keep each shard's ledger in `store` (its telemetry stays in memory),
-/// then fold per-shard results in shard-index order and feed one
-/// [`StreamMerge`] into `sink`.
+/// hand each shard's ledger to `store` (its telemetry stays in memory),
+/// then fold per-shard results in shard-index order and let `store`
+/// drain the ledger into `sink`.
 ///
 /// Merge laws, each associative and stable under the fixed shard
-/// order: ledgers merge into the canonical record order, ties broken
-/// by shard index (the stable sort of their concatenation); `u64`
-/// counters sum exactly; [`FaultStats`] sum fieldwise; telemetry
-/// buffers replay through the parent handle in shard-index order
-/// (fresh, gapless sequence stamps); metric snapshots fold via
-/// [`Telemetry::merge_metrics`].
+/// order: ledgers merge into the canonical record order, which is the
+/// sort of their concatenation in any order, since records that tie
+/// are equal in every field; `u64` counters sum exactly;
+/// [`FaultStats`] sum fieldwise; telemetry buffers replay through the
+/// parent handle in shard-index order (fresh, gapless sequence stamps);
+/// metric snapshots fold via [`Telemetry::merge_metrics`].
 pub(crate) fn drive<S: ShardStore>(
     config: &SemesterConfig,
     seed: u64,
@@ -550,23 +562,9 @@ pub(crate) fn drive<S: ShardStore>(
         outcome.quota_denials += shard.quota_denials;
         outcome.slot_pushbacks += shard.slot_pushbacks;
         outcome.faults.merge(&shard.faults);
-        outcome.records += shard.records;
         runs.push(run);
     }
-
-    let sources = store.sources(runs, &mut outcome.stats)?;
-    let merged = {
-        let _phase = opml_profiler::wall_phase(S::MERGE_PHASE);
-        sink.reserve(outcome.records as usize);
-        let mut merge = StreamMerge::new(sources)?;
-        let mut merged = 0u64;
-        while let Some(record) = merge.next()? {
-            sink.push(record);
-            merged += 1;
-        }
-        merged
-    };
-    store.finish(merged, outcome.records)?;
+    outcome.records = store.drain(runs, &mut outcome.stats, sink)?;
     Ok(outcome)
 }
 
@@ -590,11 +588,7 @@ fn run_shard_buffered(
     } else {
         Telemetry::disabled()
     };
-    let mut outcome = run_shard(config, seed, shard, &telemetry, true);
-    // Sort here, inside the (possibly parallel) shard map, so the merge
-    // only interleaves presorted runs. The single-shard legacy path
-    // never comes through here and keeps its close-order ledger.
-    outcome.ledger.sort_canonical();
+    let outcome = run_shard(config, seed, shard, &telemetry, true);
     // Drain rather than clone: the buffer moves wholesale into the
     // merge's restamp pass.
     let aux = record.then(|| (telemetry.take_events(), telemetry.metrics_snapshot()));
@@ -1265,6 +1259,7 @@ fn deploy_vm(
 mod tests {
     use super::*;
     use opml_metering::rollup::AssignmentRollup;
+    use opml_simkernel::parallel::with_thread_count;
 
     #[test]
     fn small_semester_runs_clean() {
@@ -1431,5 +1426,33 @@ mod tests {
                 r.name
             );
         }
+    }
+
+    /// The in-memory store sorts whatever order the shards appended in:
+    /// shard ledgers stored last-shard-first merge to the bytes a
+    /// one-thread pool, which stores them first-shard-first, produces.
+    #[test]
+    fn in_memory_store_merges_shards_appended_in_reverse_order() {
+        let config = SemesterConfig {
+            enrollment: 60,
+            shard_students: 24,
+            ..SemesterConfig::paper_course()
+        };
+        let shards = config.shards();
+        assert_eq!(shards.len(), 3);
+        let store = InMemory::default();
+        for shard in shards.iter().rev() {
+            let (outcome, _) = run_shard_buffered(&config, 5, shard, false);
+            let Ok(()) = store.store(shard.index, outcome.ledger);
+        }
+        let mut merged = Ledger::new();
+        let Ok(records) = store.drain(Vec::new(), &mut SpillStats::default(), &mut merged);
+
+        let reference = with_thread_count(1, || simulate_semester(&config, 5)).ledger;
+        assert_eq!(records, reference.records().len() as u64);
+        assert_eq!(
+            serde_json::to_string(&merged).expect("ledger serializes"),
+            serde_json::to_string(&reference).expect("ledger serializes")
+        );
     }
 }

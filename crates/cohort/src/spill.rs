@@ -1,16 +1,17 @@
 //! Out-of-core storage for the semester driver: spill-to-disk shard
 //! runs and a hierarchical k-way merge with O(shard) peak memory.
 //!
-//! With in-memory storage the driver holds every shard's ledger until
-//! the global merge, so peak RSS is O(cohort) — ~1.8 GB at 1M students,
-//! where 31.8M records of 56 bytes wait at their exact length.
+//! With in-memory storage every shard appends its ledger to one cohort
+//! ledger, which the merge sorts in place, so peak RSS is O(cohort) —
+//! ~1.8 GB at 1M students, whose 31.8M records of 56 bytes sit in that
+//! one buffer.
 //! With [`Storage::Spill`](crate::semester::Storage::Spill) the
 //! *simulation* is identical but each shard's ledger goes to an on-disk
 //! **run** the moment the shard finishes, releasing its buffer, and the
 //! driver consumes the runs incrementally:
 //!
-//! 1. **Spill** (`merge.spill` phase): each shard's canonically sorted
-//!    ledger is encoded into `run-0-<shard>.bin` with
+//! 1. **Spill** (`merge.spill` phase): each shard's ledger is sorted
+//!    canonically and encoded into `run-0-<shard>.bin` with
 //!    [`opml_testbed::ledger::UsageRecord::encode_into`]. A recording
 //!    run's telemetry buffers and metrics snapshots never reach disk:
 //!    the driver holds them in memory and replays them in shard order,
@@ -38,7 +39,7 @@
 //! surface as [`SpillError`], never a panic: the spill entry points are
 //! detlint DL008 panic-freedom roots.
 
-use crate::semester::{drive, SemesterConfig, SemesterOutcome, ShardStore};
+use crate::semester::{drive, LedgerSink, SemesterConfig, SemesterOutcome, ShardStore};
 use opml_faults::FaultStats;
 use opml_profiler::{phases, wall_phase};
 use opml_simkernel::binio;
@@ -152,7 +153,7 @@ pub struct SpillStats {
 }
 
 /// Scalar outcome of a semester whose ledger went to a
-/// [`LedgerSink`](crate::semester::LedgerSink): the out-of-core
+/// [`LedgerSink`]: the out-of-core
 /// path's result, since its ledger is never held.
 #[derive(Debug, Default)]
 pub struct StreamOutcome {
@@ -223,15 +224,14 @@ pub fn simulate_semester_streaming_serial<F: FnMut(&UsageRecord)>(
 
 impl ShardStore for SpillConfig {
     type Run = RunRef;
-    type Source = RunRecordSource;
     type Error = SpillError;
-    const MERGE_PHASE: &'static str = phases::MERGE_STREAM;
 
-    /// Write one shard's ledger as a run file. Consumes the ledger,
-    /// releasing its buffer on return — this is what makes peak RSS
-    /// O(shard) instead of O(cohort).
-    fn store(&self, shard: u32, ledger: Ledger) -> Result<RunRef, SpillError> {
+    /// Sort one shard's ledger canonically and write it as a run file.
+    /// Consumes the ledger, releasing its buffer on return — this is
+    /// what makes peak RSS O(shard) instead of O(cohort).
+    fn store(&self, shard: u32, mut ledger: Ledger) -> Result<RunRef, SpillError> {
         let _phase = wall_phase(phases::MERGE_SPILL);
+        ledger.sort_canonical();
         fs::create_dir_all(&self.dir).map_err(|e| SpillError::from_io(&self.dir, e))?;
         let path = self.dir.join(format!("run-0-{shard}.bin"));
         let records = ledger.records().len() as u64;
@@ -244,6 +244,42 @@ impl ShardStore for SpillConfig {
         })
     }
 
+    /// Stream one [`StreamMerge`] over the runs into `sink`, after any
+    /// intermediate passes, and check that it delivered every record
+    /// the shards wrote.
+    fn drain(
+        &self,
+        runs: Vec<RunRef>,
+        stats: &mut SpillStats,
+        sink: &mut impl LedgerSink,
+    ) -> Result<u64, SpillError> {
+        let expected = runs.iter().map(|run| run.records).sum();
+        let sources = self.sources(runs, stats)?;
+        let merged = {
+            let _phase = wall_phase(phases::MERGE_STREAM);
+            sink.reserve(expected as usize);
+            let mut merge = StreamMerge::new(sources)?;
+            let mut merged = 0u64;
+            while let Some(record) = merge.next()? {
+                sink.push(record);
+                merged += 1;
+            }
+            merged
+        };
+        // Every run deleted itself once read; this only removes the
+        // directory if nothing else lives in it.
+        let _ = fs::remove_dir(&self.dir);
+        if merged != expected {
+            return Err(SpillError::Corrupt {
+                path: self.dir.clone(),
+                detail: format!("merged {merged} records, shards produced {expected}"),
+            });
+        }
+        Ok(merged)
+    }
+}
+
+impl SpillConfig {
     /// Merge contiguous groups of runs into intermediate runs until one
     /// level fits the fan-in, then open that level for the final merge.
     fn sources(
@@ -288,19 +324,6 @@ impl ShardStore for SpillConfig {
         let _phase = wall_phase(phases::MERGE_STREAM);
         stats.max_open_runs = stats.max_open_runs.max(level.len());
         open_all(&level)
-    }
-
-    fn finish(&self, merged: u64, expected: u64) -> Result<(), SpillError> {
-        // Every run deleted itself once read; this only removes the
-        // directory if nothing else lives in it.
-        let _ = fs::remove_dir(&self.dir);
-        if merged != expected {
-            return Err(SpillError::Corrupt {
-                path: self.dir.clone(),
-                detail: format!("merged {merged} records, shards produced {expected}"),
-            });
-        }
-        Ok(())
     }
 }
 

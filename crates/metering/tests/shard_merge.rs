@@ -1,13 +1,14 @@
 //! Property tests for the shard-merge laws.
 //!
 //! The sharded semester driver folds per-shard results with three
-//! merges: the canonical [`StreamMerge`] over canonically sorted shard
-//! ledgers for usage records, fieldwise [`FaultStats::merge`] for
-//! failure counters, and rollups rebuilt from the canonically merged
-//! ledger. Each law must be associative and invariant to shard order,
-//! or a parallel semester could not promise byte-identical outcomes at
-//! any thread count. These properties pin exactly that, on arbitrary
-//! synthetic fragments.
+//! merges: the canonical record order for usage records (one
+//! [`Ledger::sort_canonical`] of every shard's records in memory, a
+//! [`StreamMerge`] over canonically sorted runs on disk), fieldwise
+//! [`FaultStats::merge`] for failure counters, and rollups rebuilt from
+//! the canonically merged ledger. Each law must be associative and
+//! invariant to shard order, or a parallel semester could not promise
+//! byte-identical outcomes at any thread count. These properties pin
+//! exactly that, on arbitrary synthetic fragments.
 
 use opml_faults::FaultStats;
 use opml_metering::attribution::student_name;
@@ -181,10 +182,9 @@ proptest! {
 
 proptest! {
     /// The k-way merge over sorted sources is record-for-record
-    /// identical to concatenating the fragments and stably sorting —
-    /// the law that lets the semester driver merge shard ledgers, in
-    /// memory or as disk runs, without perturbing a single byte of the
-    /// canonical ledger.
+    /// identical to concatenating the fragments and sorting — the law
+    /// that lets the semester driver merge shard ledgers as disk runs
+    /// without perturbing a single byte of the canonical ledger.
     #[test]
     fn stream_merge_equals_in_memory_merge(
         draws in prop::collection::vec((0u32..40, 0usize..12, 0u64..2000, 1u64..200), 1..80),
@@ -199,5 +199,37 @@ proptest! {
         }
         reference.sort_canonical();
         prop_assert_eq!(ledger_bytes(&merge(frags)), ledger_bytes(&reference));
+    }
+
+    /// Concatenating the fragments in any order and sorting once
+    /// serializes like the forward [`StreamMerge`], even when records
+    /// tie exactly across fragments — the law that lets the in-memory
+    /// store append shard ledgers in whatever order the shards finish.
+    #[test]
+    fn sorted_concatenation_in_any_order_equals_the_stream_merge(
+        draws in prop::collection::vec((0u32..40, 0usize..12, 0u64..2000, 1u64..200), 1..80),
+        shards in 2usize..6,
+        copies in prop::collection::vec(0usize..80, 1..20),
+        keys in prop::collection::vec(0u64..1000, 5),
+    ) {
+        let mut frags = fragments(&draws, shards);
+        // Draw `i` lives in fragment `i % shards`; a verbatim copy in the
+        // next fragment ties with it on every field.
+        for &copy in &copies {
+            let i = copy % draws.len();
+            let (student, kind_sel, start, len) = draws[i];
+            frags[(i + 1) % shards].push(record(student, kind_sel, start, len));
+        }
+        let forward = merge(frags.clone());
+
+        // Append order: fragments ranked by a drawn key.
+        let mut order: Vec<usize> = (0..shards).collect();
+        order.sort_by_key(|&f| (keys[f], f));
+        let mut concatenated = Ledger::new();
+        for f in order {
+            concatenated.append(frags[f].clone());
+        }
+        concatenated.sort_canonical();
+        prop_assert_eq!(ledger_bytes(&concatenated), ledger_bytes(&forward));
     }
 }

@@ -46,10 +46,12 @@ pub mod phases {
     pub const MERGE_REPLAY: &str = "merge.replay_restamp";
     /// Folding shard metrics snapshots into the parent handle's metrics.
     pub const MERGE_METRICS: &str = "merge.metrics";
-    /// K-way merge of shard ledgers.
+    /// In-memory merge of shard ledgers: one canonical sort of the
+    /// cohort ledger they were appended to.
     pub const MERGE_LEDGER: &str = "merge.ledger";
-    /// Encoding shard ledgers into on-disk spill runs (out-of-core
-    /// path), plus intermediate merge passes that rewrite runs.
+    /// Sorting and encoding shard ledgers into on-disk spill runs
+    /// (out-of-core path), plus intermediate merge passes that rewrite
+    /// runs.
     pub const MERGE_SPILL: &str = "merge.spill";
     /// Final streaming k-way merge over on-disk runs (decode +
     /// heap merge + consumer callback).

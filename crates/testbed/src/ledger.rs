@@ -381,9 +381,10 @@ impl Ledger {
         self.records.reserve_exact(additional);
     }
 
-    /// Release the capacity beyond the records held.
-    pub fn shrink_to_fit(&mut self) {
-        self.records.shrink_to_fit();
+    /// Move every record of `other` to the end of this ledger, then free
+    /// `other`'s buffer.
+    pub fn append(&mut self, mut other: Ledger) {
+        self.records.append(&mut other.records);
     }
 
     /// Sort records into the canonical order: `(name, start, end, kind)`
@@ -505,9 +506,9 @@ fn record_order(a: &UsageRecord, b: &UsageRecord) -> std::cmp::Ordering {
         .then_with(|| a.kind.sort_key().cmp(&b.kind.sort_key()))
 }
 
-/// A pull source of canonically-sorted usage records: an in-memory
-/// ledger, or an on-disk spill run whose errors (I/O, corruption)
-/// surface through the associated error type rather than panicking.
+/// A pull source of canonically-sorted usage records: an on-disk spill
+/// run whose errors (I/O, corruption) surface through the associated
+/// error type rather than panicking, or an in-memory ledger.
 pub trait RecordSource {
     /// Error produced by a failed pull.
     type Error;

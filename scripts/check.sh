@@ -65,11 +65,13 @@ if [ "$scale_digest" != "$golden_digest" ]; then
 fi
 
 echo "==> scale smoke run (1M cohort @ 1 and 2 threads in memory vs golden digest and RSS ceiling)"
-# Each shard ledger waits for the merge at its exact length, and a
-# record's name sits inside it, so the in-memory peak is about the
-# parked records themselves: 1,767,412 kB measured on a 2-vCPU Xeon.
-# The ceiling is 1.5x that. Parking ledgers at their capacity hint
-# (three times a labs-only shard's fill) peaks near 5.4 GB and fails.
+# Each shard appends its ledger to one cohort ledger and frees its
+# own, and a record's name sits inside it, so the in-memory peak is
+# about the records themselves: 1,747,204 kB measured on a 2-vCPU
+# Xeon. The ceiling is 1.5x the 1,767,412 kB measured when shard
+# ledgers waited for the merge at their exact length. Keeping shard
+# ledgers at their capacity hint (three times a labs-only shard's
+# fill) until the merge peaks near 5.4 GB and fails.
 scale_1m_out=$(cargo run --release -q -p opml-experiments --bin run-experiments -- \
     scale --enrollment 1000000 --threads 1,2 --quiet)
 scale_1m_digest=$(printf '%s\n' "$scale_1m_out" | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')

@@ -52,7 +52,9 @@ fn config(threads: usize) -> ProfileConfig {
 const SHARD_SIM_ALLOC_CEILING: u64 = 360_000;
 const MERGE_REPLAY_ALLOC_CEILING: u64 = 50;
 const MERGE_METRICS_ALLOC_CEILING: u64 = 4;
-const MERGE_LEDGER_ALLOC_CEILING: u64 = 20;
+/// The in-memory merge sorts the one cohort ledger in place and the
+/// sink adopts its buffer, so it allocates nothing at all.
+const MERGE_LEDGER_ALLOC_CEILING: u64 = 0;
 
 fn phase_allocs(report: &ProfileReport, phase: &str) -> u64 {
     let alloc = Json::parse(&report.alloc_json).expect("alloc subtree parses");
