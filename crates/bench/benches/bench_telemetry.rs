@@ -1,19 +1,17 @@
 //! Telemetry overhead at the event-queue hot seam.
 //!
-//! Three variants of the same push/pop churn: no telemetry calls at all
-//! (baseline), instrumented with a *disabled* handle (what production
-//! runs pay when tracing is off), and instrumented with a metrics-only
-//! handle (`Telemetry::metrics_only`: the cost of formatting attrs and
-//! sequencing, with every event dropped rather than kept).
+//! Two variants of the same push/pop churn: no telemetry calls at all
+//! (baseline), and instrumented with a *disabled* handle (what
+//! production runs pay when tracing is off).
 //!
-//! Besides the criterion samples, this bench enforces the observability
-//! contract from DESIGN.md §8: the disabled-handle variant must stay
-//! within 5% of the uninstrumented baseline. On violation it exits
-//! nonzero so `scripts/check.sh` fails.
+//! This bench enforces the observability contract from DESIGN.md §8:
+//! the disabled-handle variant must stay within 5% of the
+//! uninstrumented baseline. On violation it exits nonzero so
+//! `scripts/check.sh` fails.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opml_simkernel::{EventQueue, SimTime};
 use opml_telemetry::Telemetry;
+use std::hint::black_box;
 
 /// Events pushed/popped per iteration.
 const EVENTS: u64 = 4_096;
@@ -99,23 +97,10 @@ fn median_paired_ratio(
     (best_a, best_b, ratios[ratios.len() / 2])
 }
 
-fn bench_telemetry(c: &mut Criterion) {
+fn main() {
     let disabled = Telemetry::disabled();
-    let metrics_only = Telemetry::metrics_only();
-
-    let mut group = c.benchmark_group("telemetry");
-    group.sample_size(20);
-    group.bench_function("queue_churn/baseline", |b| b.iter(churn_baseline));
-    group.bench_function("queue_churn/disabled", |b| {
-        b.iter(|| churn_instrumented(&disabled))
-    });
-    group.bench_function("queue_churn/metrics_only", |b| {
-        b.iter(|| churn_instrumented(&metrics_only))
-    });
-    group.finish();
-
-    // Overhead gate. Paired rounds; warm-up first so the comparison
-    // isn't dominated by first-touch allocation.
+    // Paired rounds; warm-up first so the comparison isn't dominated by
+    // first-touch allocation.
     let _ = churn_baseline();
     let _ = churn_instrumented(&disabled);
     let (base, off, ratio) =
@@ -133,6 +118,3 @@ fn bench_telemetry(c: &mut Criterion) {
     }
     println!("[telemetry] disabled-overhead gate passed (<5%)");
 }
-
-criterion_group!(benches, bench_telemetry);
-criterion_main!(benches);

@@ -27,7 +27,10 @@ use crate::behavior::{sample_student, Intent};
 use crate::labspec::lab_specs;
 use crate::project::{plan_projects_range, GROUPS};
 use crate::spill::{SpillConfig, SpillError, SpillStats, StreamOutcome};
-use opml_faults::{site_key, CircuitBreaker, FaultKind, FaultPlan, FaultProfile, FaultStats};
+use opml_faults::{
+    site_key, CircuitBreaker, FaultKind, FaultPlan, FaultProfile, FaultStats, RetryPolicy,
+    LEAK_PROB,
+};
 use opml_metering::attribution::student_name;
 use opml_simkernel::parallel::map_slice;
 use opml_simkernel::{split_seed, EventQueue, Rng, SimDuration, SimTime};
@@ -98,8 +101,9 @@ pub struct SemesterConfig {
     /// duration, emulating Chameleon's later addition of VM advance
     /// reservations with automatic termination (§5).
     pub vm_auto_terminate_after: Option<SimDuration>,
-    /// Fault injection and recovery policy. [`FaultProfile::none`] (the
-    /// default) reproduces the fault-free semester byte-identically.
+    /// Fault injection rate; recovery follows from it.
+    /// [`FaultProfile::none`] (the default) reproduces the fault-free
+    /// semester byte-identically.
     pub faults: FaultProfile,
     /// Maximum students per shard. Cohorts at or below this size run on
     /// the legacy single-campus path; larger cohorts are split into
@@ -272,11 +276,13 @@ const FAULT_STREAM: u64 = 0xFA57_0001;
 /// Stream tag for the walk-away (leak) decision.
 const LEAK_TAG: u64 = 0x1EAC;
 
-/// Runtime fault state for one semester run: the immutable plan plus the
-/// mutable breaker and counters.
+/// Runtime fault state for one semester run: the immutable plan, the
+/// recovery policies the profile derives from its rate, and the mutable
+/// breaker and counters.
 struct FaultEngine {
     plan: FaultPlan,
-    profile: FaultProfile,
+    quota_retry: RetryPolicy,
+    fault_retry: RetryPolicy,
     breaker: Option<CircuitBreaker>,
     stats: FaultStats,
 }
@@ -284,31 +290,22 @@ struct FaultEngine {
 impl FaultEngine {
     fn new(profile: &FaultProfile, seed: u64) -> FaultEngine {
         FaultEngine {
-            plan: FaultPlan::new(split_seed(seed, FAULT_STREAM), profile.rates.clone()),
-            // An inert profile must reproduce the fault-free semester
-            // byte-identically, so the breaker (which would reshape the
-            // quota-retry schedule) only arms when something can inject.
-            breaker: if profile.is_inert() {
-                None
-            } else {
-                profile.breaker.as_ref().map(|b| b.build())
-            },
-            profile: profile.clone(),
+            plan: FaultPlan::new(split_seed(seed, FAULT_STREAM), profile.rate),
+            quota_retry: profile.quota_retry(),
+            fault_retry: profile.fault_retry(),
+            breaker: profile.breaker(),
             stats: FaultStats::default(),
         }
     }
 
     /// Does the student walk away without cleaning up? Deterministic
-    /// per-site draw; never consulted when `leak_prob` is zero.
+    /// per-site draw, reached only after an injected crash.
     fn leaks(&self, site: u64, attempt: u32) -> bool {
-        if self.profile.leak_prob <= 0.0 {
-            return false;
-        }
         Rng::for_stream(
             split_seed(self.plan.seed() ^ LEAK_TAG, site),
             u64::from(attempt),
         )
-        .chance(self.profile.leak_prob)
+        .chance(LEAK_PROB)
     }
 }
 
@@ -893,7 +890,6 @@ impl Campus<'_> {
                 vm.attempts += 1;
                 let fe = &mut self.fe;
                 let mut retry_at = fe
-                    .profile
                     .quota_retry
                     .backoff(fe.plan.seed(), site, vm.attempts)
                     .map(|d| t + d);
@@ -917,7 +913,6 @@ impl Campus<'_> {
                 vm.fault_attempts += 1;
                 let fe = &self.fe;
                 let retry_at = fe
-                    .profile
                     .fault_retry
                     .backoff(fe.plan.seed(), site, vm.fault_attempts)
                     .map(|d| t + d);
@@ -949,7 +944,6 @@ impl Campus<'_> {
         vm.fault_attempts += 1;
         let fe = &mut self.fe;
         match fe
-            .profile
             .fault_retry
             .backoff(fe.plan.seed(), site, vm.fault_attempts)
         {
@@ -1026,7 +1020,7 @@ impl Campus<'_> {
         self.inject(t, FaultKind::LeaseRevoke, &name, None);
         let remaining = end.since(t);
         let next_attempt = attempt + 1;
-        let rebooked = if next_attempt < self.fe.profile.fault_retry.max_attempts
+        let rebooked = if next_attempt < self.fe.fault_retry.max_attempts
             && remaining >= SimDuration::minutes(30)
         {
             flavor.and_then(|fl| {
@@ -1071,11 +1065,7 @@ impl Campus<'_> {
             self.inject(t, attach, &v.name, Some(v.attempts));
             v.attempts += 1;
             let fe = &mut self.fe;
-            match fe
-                .profile
-                .fault_retry
-                .backoff(fe.plan.seed(), site, v.attempts)
-            {
+            match fe.fault_retry.backoff(fe.plan.seed(), site, v.attempts) {
                 Some(d) if t + d < v.end => {
                     fe.stats.retries += 1;
                     self.telemetry.instant(t, "retry.attempt", || {

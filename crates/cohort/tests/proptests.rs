@@ -1,7 +1,7 @@
 //! Property-based tests for the cohort simulator.
 
 use opml_cohort::semester::{simulate_semester, SemesterConfig};
-use opml_faults::{FaultProfile, FaultRates};
+use opml_faults::FaultProfile;
 use opml_metering::rollup::AssignmentRollup;
 use opml_simkernel::SimDuration;
 use opml_testbed::ledger::UsageKind;
@@ -71,36 +71,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Under an arbitrary fault profile — any mix of injection rates and
-    /// walk-away probability, labs or the full course — the semester
+    /// At any injection rate, labs or the full course, the semester
     /// never panics, every ledger record is balanced, and nothing
     /// survives past finalize.
     #[test]
     fn semester_survives_arbitrary_faults(
         seed in any::<u64>(),
-        launch in 0.0f64..1.0,
-        crash in 0.0f64..1.0,
-        fip in 0.0f64..1.0,
-        vol in 0.0f64..1.0,
-        lease in 0.0f64..1.0,
-        leak in 0.0f64..1.0,
+        rate in 0.0f64..1.0,
         projects in any::<bool>(),
     ) {
-        let mut faults = FaultProfile::chaos(0.0);
-        faults.rates = FaultRates {
-            launch_fail: launch,
-            instance_crash: crash,
-            fip_fail: fip,
-            volume_attach: vol,
-            lease_revoke: lease,
-            spot_preempt: 0.0,
-        };
-        faults.leak_prob = leak;
         let config = SemesterConfig {
             enrollment: 5,
             run_projects: projects,
             vm_auto_terminate_after: None,
-            faults,
+            faults: FaultProfile::chaos(rate),
             shard_students: 191,
         };
         let outcome = simulate_semester(&config, seed);

@@ -92,7 +92,7 @@ const SUBCOMMANDS: [Subcommand; 6] = [
     },
     Subcommand {
         name: "chaos",
-        flags: &["--enrollment", "--rates", "--rate", "--threads"],
+        flags: &["--enrollment", "--rates", "--threads"],
         run: run_chaos,
     },
     Subcommand {
@@ -125,20 +125,13 @@ const SUBCOMMANDS: [Subcommand; 6] = [
     },
     Subcommand {
         name: "profile",
-        flags: &[
-            "--enrollment",
-            "--shard-students",
-            "--threads",
-            "--projects",
-            "--rss-sample-ms",
-            "--out",
-        ],
+        flags: &["--enrollment", "--shard-students", "--threads", "--out"],
         run: run_profile,
     },
 ];
 
 /// Flags that take no value; every other flag takes the argument after it.
-const SWITCHES: [&str; 4] = ["--quiet", "--labs-only", "--metrics", "--projects"];
+const SWITCHES: [&str; 3] = ["--quiet", "--labs-only", "--metrics"];
 
 fn main() -> ExitCode {
     let args = Args(std::env::args().collect());
@@ -384,7 +377,6 @@ fn run_chaos(args: &Args, seed: u64, stderr: &Stderr, stdout: &mut Stdout) -> Ou
         enrollment: args.positive("--enrollment", 191),
         rates: args
             .list("--rates", RATE_LIST, rate)
-            .or_else(|| args.value("--rate", RATE, rate).map(|r| vec![r]))
             .unwrap_or(defaults.rates),
         threads: args.positive("--threads", 1),
     };
@@ -490,8 +482,6 @@ fn run_profile(args: &Args, seed: u64, stderr: &Stderr, stdout: &mut Stdout) -> 
         enrollment: args.positive("--enrollment", defaults.enrollment),
         shard_students: args.positive("--shard-students", defaults.shard_students),
         threads: args.positive("--threads", defaults.threads),
-        run_projects: args.has("--projects"),
-        rss_sample_ms: args.positive("--rss-sample-ms", defaults.rss_sample_ms),
     };
     let out = OutDir::create(args, "profile_out")?;
     stderr.narrate(format_args!(

@@ -41,6 +41,9 @@ use serde_json::{json, Value};
 /// Schema tag written into `profile.json`.
 pub const PROFILE_SCHEMA: &str = "opml_profile/v2";
 
+/// How often the background sampler reads RSS.
+const RSS_SAMPLE_INTERVAL: Duration = Duration::from_millis(25);
+
 /// What to profile.
 #[derive(Debug, Clone)]
 pub struct ProfileConfig {
@@ -52,11 +55,6 @@ pub struct ProfileConfig {
     pub shard_students: u32,
     /// Rayon thread count to pin for the run.
     pub threads: usize,
-    /// Include the project phase (off by default: the sharded sweep the
-    /// profiler exists to explain is labs-only, like `scale`).
-    pub run_projects: bool,
-    /// RSS sampling interval in milliseconds.
-    pub rss_sample_ms: u64,
 }
 
 impl Default for ProfileConfig {
@@ -66,8 +64,6 @@ impl Default for ProfileConfig {
             enrollment: 10_000,
             shard_students: SemesterConfig::paper_course().shard_students,
             threads: 2,
-            run_projects: false,
-            rss_sample_ms: 25,
         }
     }
 }
@@ -108,12 +104,14 @@ pub fn run(config: &ProfileConfig) -> ProfileReport {
     if alloc_counted {
         opml_profiler::enable_counting();
     }
-    let sampler = RssSampler::start(Duration::from_millis(config.rss_sample_ms.max(1)));
+    let sampler = RssSampler::start(RSS_SAMPLE_INTERVAL);
 
     let telemetry = Telemetry::recording();
+    // Labs only: the sharded sweep the profiler exists to explain is
+    // labs-only, like `scale`.
     let sem = SemesterConfig {
         enrollment: config.enrollment,
-        run_projects: config.run_projects,
+        run_projects: false,
         shard_students: config.shard_students,
         ..SemesterConfig::paper_course()
     };
@@ -250,7 +248,9 @@ fn render_counts(
         "seed": config.seed,
         "enrollment": config.enrollment,
         "shard_students": config.shard_students,
-        "run_projects": config.run_projects,
+        // Always false (the profile is labs-only), but part of the
+        // digested bytes that the committed golden covers.
+        "run_projects": false,
         "events": spans.events,
         "instants": spans.instants,
         "begins": spans.begins,
@@ -475,7 +475,6 @@ mod tests {
             seed: 7,
             enrollment: 500,
             threads: 2,
-            rss_sample_ms: 5,
             ..ProfileConfig::default()
         }
     }

@@ -176,9 +176,10 @@ fn unknown_flags_and_subcommands_exit_2_before_any_work() {
         ),
         // The value after a value-taking flag is skipped, whatever it is.
         (
-            &["chaos", "--rate", "--bogus", "--enrollment", "4", "extra"],
+            &["chaos", "--rates", "--bogus", "--enrollment", "4", "extra"],
             "chaos does not take extra",
         ),
+        (&["chaos", "--rate", "0.05"], "chaos does not take --rate"),
         // A value-taking flag given last has no value.
         (&["trace", "--out"], "--out takes a value, got nothing"),
         (
@@ -214,7 +215,7 @@ fn every_subcommand_prints_one_peak_rss_line() {
         vec![],
         vec!["verify-determinism", "--threads", "1"],
         [TRACE, &["--out", &trace_out]].concat(),
-        vec!["chaos", "--rate", "0.05", "--enrollment", "10"],
+        vec!["chaos", "--rates", "0.05", "--enrollment", "10"],
         vec![
             "scale",
             "--enrollment",

@@ -12,9 +12,9 @@
 //!   from its own RNG stream derived from `(plan seed, fault kind, site
 //!   key, attempt)` with [`opml_simkernel::split_seed`], so decisions are
 //!   bit-identical regardless of thread schedule, entity iteration
-//!   order, or how many *other* sites consult the plan. A zero-rate plan
-//!   never draws and never fires, so it is byte-identical to running
-//!   with no plan at all.
+//!   order, or how many *other* sites consult the plan. Every kind fires
+//!   at the plan's one rate. A zero-rate plan never draws and never
+//!   fires, so it is byte-identical to running with no plan at all.
 //! * [`retry`] — [`RetryPolicy`]: bounded exponential backoff with
 //!   seeded jitter and an optional total-deadline budget. The legacy
 //!   fixed-interval quota retry is the `factor = 1, jitter = 0` special
@@ -22,9 +22,11 @@
 //! * [`breaker`] — [`CircuitBreaker`]: opens after N consecutive quota
 //!   denials and defers retries for a cooldown, modelling students who
 //!   stop hammering a full project allocation.
-//! * [`profile`] — [`FaultProfile`]: the serializable bundle (rates +
-//!   policies + recovery behaviour) carried by `SemesterConfig`, and
-//!   [`FaultStats`], the counters a simulation reports back.
+//! * [`profile`] — [`FaultProfile`]: the one injection rate carried by
+//!   `SemesterConfig`, with the recovery it implies (the retry
+//!   policies, the breaker and the [`LEAK_PROB`] walk-away chance)
+//!   derived in one place, and [`FaultStats`], the counters a
+//!   simulation reports back.
 //!
 //! ## Determinism contract
 //!
@@ -39,6 +41,6 @@ pub mod profile;
 pub mod retry;
 
 pub use breaker::{BreakerState, CircuitBreaker};
-pub use plan::{site_key, FaultKind, FaultPlan, FaultRates};
-pub use profile::{FaultProfile, FaultStats};
+pub use plan::{site_key, FaultKind, FaultPlan};
+pub use profile::{FaultProfile, FaultStats, LEAK_PROB};
 pub use retry::RetryPolicy;

@@ -57,82 +57,33 @@ impl FaultKind {
     }
 }
 
-/// Per-kind base injection probabilities (per decision point, in `[0,1]`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultRates {
-    /// Launch-failure probability per deployment attempt.
-    pub launch_fail: f64,
-    /// Mid-lab crash probability per successful deployment.
-    pub instance_crash: f64,
-    /// Floating-IP allocation failure probability per allocation.
-    pub fip_fail: f64,
-    /// Volume-attach failure probability per volume creation.
-    pub volume_attach: f64,
-    /// Lease-revocation probability per provisioned lease.
-    pub lease_revoke: f64,
-    /// Spot-preemption probability per job start.
-    pub spot_preempt: f64,
-}
-
-impl FaultRates {
-    /// All rates zero — the inert plan.
-    pub fn none() -> FaultRates {
-        FaultRates::uniform(0.0)
-    }
-
-    /// The same rate for every kind (clamped to `[0,1]`).
-    pub fn uniform(rate: f64) -> FaultRates {
-        let r = rate.clamp(0.0, 1.0);
-        FaultRates {
-            launch_fail: r,
-            instance_crash: r,
-            fip_fail: r,
-            volume_attach: r,
-            lease_revoke: r,
-            spot_preempt: r,
-        }
-    }
-
-    /// Base rate for a kind.
-    pub fn rate(&self, kind: FaultKind) -> f64 {
-        match kind {
-            FaultKind::LaunchFail => self.launch_fail,
-            FaultKind::InstanceCrash => self.instance_crash,
-            FaultKind::FipFail => self.fip_fail,
-            FaultKind::VolumeAttach => self.volume_attach,
-            FaultKind::LeaseRevoke => self.lease_revoke,
-            FaultKind::SpotPreempt => self.spot_preempt,
-        }
-    }
-
-    /// True when every rate is zero.
-    pub fn is_zero(&self) -> bool {
-        FaultKind::ALL.iter().all(|&k| self.rate(k) <= 0.0)
-    }
-}
-
 /// An immutable, seeded fault plan.
 ///
 /// Every decision is drawn from a stream derived from the plan seed, the
 /// fault kind, a caller-supplied stable **site key** (hash the resource
 /// name with [`site_key`]), and an attempt number. Two queries with the
 /// same arguments always agree; queries at different sites never share
-/// state, so adding or removing one site cannot perturb another.
+/// state, so adding or removing one site cannot perturb another. Every
+/// kind fires at the plan's one rate; the kind only picks the stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     seed: u64,
-    rates: FaultRates,
+    rate: f64,
 }
 
 impl FaultPlan {
-    /// A plan with the given seed and base rates.
-    pub fn new(seed: u64, rates: FaultRates) -> FaultPlan {
-        FaultPlan { seed, rates }
+    /// A plan with the given seed, firing every kind at `rate`
+    /// (clamped to `[0,1]`).
+    pub fn new(seed: u64, rate: f64) -> FaultPlan {
+        FaultPlan {
+            seed,
+            rate: rate.clamp(0.0, 1.0),
+        }
     }
 
     /// The inert plan: never fires, never draws.
     pub fn none() -> FaultPlan {
-        FaultPlan::new(0, FaultRates::none())
+        FaultPlan::new(0, 0.0)
     }
 
     /// The plan seed.
@@ -140,19 +91,9 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Base rates.
-    pub fn rates(&self) -> &FaultRates {
-        &self.rates
-    }
-
-    /// Rate for a kind.
-    pub fn rate(&self, kind: FaultKind) -> f64 {
-        self.rates.rate(kind)
-    }
-
-    /// True when no query can ever fire (every rate is zero).
+    /// True when no query can ever fire (the rate is zero).
     pub fn is_inert(&self) -> bool {
-        self.rates.is_zero()
+        self.rate <= 0.0
     }
 
     /// The decision stream for `(kind, site, attempt)`.
@@ -165,11 +106,10 @@ impl FaultPlan {
     /// Zero-rate queries return `false` without constructing a stream, so
     /// an inert plan is free and byte-identical to no plan.
     pub fn fires(&self, kind: FaultKind, site: u64, attempt: u32) -> bool {
-        let rate = self.rate(kind);
-        if rate <= 0.0 {
+        if self.is_inert() {
             return false;
         }
-        self.stream(kind, site, attempt).chance(rate)
+        self.stream(kind, site, attempt).chance(self.rate)
     }
 
     /// A uniform draw in `[lo, hi)` on a stream decorrelated from the
@@ -209,7 +149,7 @@ mod tests {
 
     #[test]
     fn full_rate_always_fires() {
-        let plan = FaultPlan::new(7, FaultRates::uniform(1.0));
+        let plan = FaultPlan::new(7, 1.0);
         for &kind in &FaultKind::ALL {
             assert!(plan.fires(kind, 42, 3));
         }
@@ -217,7 +157,7 @@ mod tests {
 
     #[test]
     fn decisions_are_replay_stable() {
-        let plan = FaultPlan::new(99, FaultRates::uniform(0.3));
+        let plan = FaultPlan::new(99, 0.3);
         for &kind in &FaultKind::ALL {
             for site in 0..200u64 {
                 let a = plan.fires(kind, site, 1);
@@ -229,7 +169,7 @@ mod tests {
 
     #[test]
     fn sites_and_attempts_decorrelate() {
-        let plan = FaultPlan::new(5, FaultRates::uniform(0.5));
+        let plan = FaultPlan::new(5, 0.5);
         let hits = |f: &dyn Fn(u64) -> bool| (0..1000).filter(|&i| f(i)).count();
         let by_site = hits(&|i| plan.fires(FaultKind::LaunchFail, i, 0));
         let by_attempt = hits(&|i| plan.fires(FaultKind::LaunchFail, 7, i as u32));
@@ -240,7 +180,7 @@ mod tests {
 
     #[test]
     fn observed_rate_tracks_configured_rate() {
-        let plan = FaultPlan::new(11, FaultRates::uniform(0.2));
+        let plan = FaultPlan::new(11, 0.2);
         let n = 20_000;
         let fired = (0..n)
             .filter(|&i| plan.fires(FaultKind::InstanceCrash, i, 0))
@@ -251,7 +191,7 @@ mod tests {
 
     #[test]
     fn fraction_in_bounds_and_stable() {
-        let plan = FaultPlan::new(13, FaultRates::uniform(0.5));
+        let plan = FaultPlan::new(13, 0.5);
         for site in 0..500 {
             let f = plan.fraction(FaultKind::InstanceCrash, site, 0, 0.05, 0.95);
             assert!((0.05..0.95).contains(&f));
@@ -272,7 +212,7 @@ mod tests {
 
     #[test]
     fn serialization_is_stable() {
-        let plan = FaultPlan::new(21, FaultRates::uniform(0.1));
+        let plan = FaultPlan::new(21, 0.1);
         let a = serde_json::to_string(&plan).expect("serialize");
         let b = serde_json::to_string(&plan.clone()).expect("serialize");
         assert_eq!(a, b);

@@ -1,50 +1,35 @@
-//! The serializable fault configuration carried by `SemesterConfig`,
-//! and the recovery counters a simulation reports back.
+//! The serializable fault configuration carried by `SemesterConfig`
+//! (one injection rate), the recovery policy derived from it, and the
+//! recovery counters a simulation reports back.
 
 use crate::breaker::CircuitBreaker;
-use crate::plan::FaultRates;
 use crate::retry::RetryPolicy;
 use opml_simkernel::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// Circuit-breaker settings (see [`CircuitBreaker`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BreakerSettings {
-    /// Consecutive quota denials before the breaker opens.
-    pub threshold: u32,
-    /// How long an open breaker defers retries.
-    pub cooldown: SimDuration,
-}
+/// Probability that a student whose lab instance crashed walks away
+/// **without** releasing what it still holds: the paper's signature
+/// cost pathology (leaked instances, IPs and volumes metered until
+/// semester finalize).
+pub const LEAK_PROB: f64 = 0.35;
 
-impl BreakerSettings {
-    /// Build the runtime breaker.
-    pub fn build(&self) -> CircuitBreaker {
-        CircuitBreaker::new(self.threshold, self.cooldown)
-    }
-}
-
-/// Everything a semester needs to know about failure handling: which
-/// faults to inject and how students recover.
+/// How a semester fails: every fault kind is injected at one rate.
 ///
-/// [`FaultProfile::none`] is the exact pre-fault behaviour: zero rates,
-/// the legacy fixed 4-hour quota retry, no breaker, no leaks — a
-/// semester run with it is byte-identical to one run before this module
-/// existed.
+/// Recovery is not configured; it follows from the rate. Quota denials
+/// retry on the legacy fixed schedule ([`FaultProfile::quota_retry`]),
+/// injected faults on a jittered exponential one
+/// ([`FaultProfile::fault_retry`]), a quota breaker arms only when
+/// something can be injected ([`FaultProfile::breaker`]), and a crashed
+/// lab is walked away from with probability [`LEAK_PROB`].
+///
+/// [`FaultProfile::none`] is the exact pre-fault behaviour: no
+/// injections, the fixed 4-hour quota retry, no breaker and no leaks —
+/// a semester run with it is byte-identical to one run before this
+/// module existed. It equals `chaos(0.0)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultProfile {
-    /// Injection rates per fault kind.
-    pub rates: FaultRates,
-    /// Retry schedule for quota denials (legacy: fixed 4 h, 100 tries).
-    pub quota_retry: RetryPolicy,
-    /// Retry schedule for injected transient faults.
-    pub fault_retry: RetryPolicy,
-    /// Optional circuit breaker on repeated quota denial.
-    pub breaker: Option<BreakerSettings>,
-    /// Probability that a student who abandons a lab after repeated
-    /// failures walks away **without** releasing held resources — the
-    /// paper's signature cost pathology (leaked instances/IPs/volumes
-    /// metered until semester finalize).
-    pub leak_prob: f64,
+    /// Injection probability for every fault kind, in `[0,1]`.
+    pub rate: f64,
 }
 
 impl Default for FaultProfile {
@@ -56,43 +41,40 @@ impl Default for FaultProfile {
 impl FaultProfile {
     /// The fault-free profile reproducing the legacy semester exactly.
     pub fn none() -> FaultProfile {
-        FaultProfile {
-            rates: FaultRates::none(),
-            quota_retry: RetryPolicy::fixed(SimDuration::hours(4), 100),
-            fault_retry: FaultProfile::default_fault_retry(),
-            breaker: None,
-            leak_prob: 0.0,
-        }
+        FaultProfile::chaos(0.0)
     }
 
-    /// A chaos profile: every kind injected at `rate`, exponential
-    /// backoff with jitter, a quota breaker, and a 35% walk-away leak
-    /// probability on abandonment.
+    /// Every kind injected at `rate` (clamped to `[0,1]`).
     pub fn chaos(rate: f64) -> FaultProfile {
         FaultProfile {
-            rates: FaultRates::uniform(rate),
-            quota_retry: RetryPolicy::fixed(SimDuration::hours(4), 100),
-            fault_retry: FaultProfile::default_fault_retry(),
-            breaker: Some(BreakerSettings {
-                threshold: 8,
-                cooldown: SimDuration::hours(12),
-            }),
-            leak_prob: 0.35,
+            rate: rate.clamp(0.0, 1.0),
         }
     }
 
-    /// The default transient-fault retry: 30 min doubling to an 8-hour
-    /// cap, 5 attempts, 50% jitter, two-day budget.
-    fn default_fault_retry() -> RetryPolicy {
+    /// True when this profile cannot change a fault-free run: nothing
+    /// is injected, so no breaker arms and no crash can leak.
+    pub fn is_inert(&self) -> bool {
+        self.rate <= 0.0
+    }
+
+    /// Retry schedule for quota denials: the legacy fixed 4 hours, 100
+    /// tries, which draws nothing.
+    pub fn quota_retry(&self) -> RetryPolicy {
+        RetryPolicy::fixed(SimDuration::hours(4), 100)
+    }
+
+    /// Retry schedule for injected transient faults: 30 min doubling to
+    /// an 8-hour cap, 5 attempts, 50% jitter, two-day budget.
+    pub fn fault_retry(&self) -> RetryPolicy {
         RetryPolicy::exponential(SimDuration::minutes(30), 2.0, SimDuration::hours(8), 5, 0.5)
             .with_deadline(SimDuration::days(2))
     }
 
-    /// True when this profile cannot change a fault-free run: no
-    /// injections (retry policies only matter once something fails, and
-    /// quota denials follow `quota_retry`, which callers keep legacy).
-    pub fn is_inert(&self) -> bool {
-        self.rates.is_zero()
+    /// The quota breaker: 8 consecutive denials open it for 12 hours.
+    /// It would reshape the quota-retry schedule, so it arms only when
+    /// something can be injected.
+    pub fn breaker(&self) -> Option<CircuitBreaker> {
+        (!self.is_inert()).then(|| CircuitBreaker::new(8, SimDuration::hours(12)))
     }
 }
 
@@ -177,21 +159,30 @@ mod tests {
     fn none_profile_is_inert_and_legacy_shaped() {
         let p = FaultProfile::none();
         assert!(p.is_inert());
+        assert_eq!(p, FaultProfile::chaos(0.0));
         assert_eq!(
-            p.quota_retry,
+            p.quota_retry(),
             RetryPolicy::fixed(SimDuration::hours(4), 100)
         );
-        assert!(p.breaker.is_none());
-        assert_eq!(p.leak_prob, 0.0);
+        assert!(p.breaker().is_none());
     }
 
     #[test]
     fn chaos_profile_injects() {
         let p = FaultProfile::chaos(0.1);
         assert!(!p.is_inert());
-        assert!(p.breaker.is_some());
-        assert!(p.leak_prob > 0.0);
-        assert_eq!(p.rates.launch_fail, 0.1);
+        assert_eq!(p.rate, 0.1);
+        assert_eq!(
+            p.breaker(),
+            Some(CircuitBreaker::new(8, SimDuration::hours(12)))
+        );
+        assert_eq!(
+            p.fault_retry(),
+            RetryPolicy::exponential(SimDuration::minutes(30), 2.0, SimDuration::hours(8), 5, 0.5)
+                .with_deadline(SimDuration::days(2))
+        );
+        assert_eq!(FaultProfile::chaos(1.5).rate, 1.0);
+        assert!(FaultProfile::chaos(-0.5).is_inert());
     }
 
     #[test]
@@ -208,6 +199,6 @@ mod tests {
         let p = FaultProfile::chaos(0.25);
         let a = serde_json::to_string(&p).expect("serialize");
         assert_eq!(a, serde_json::to_string(&p.clone()).expect("serialize"));
-        assert!(a.contains("leak_prob"));
+        assert_eq!(a, r#"{"rate":0.25}"#);
     }
 }

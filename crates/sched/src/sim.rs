@@ -102,8 +102,8 @@ impl SchedSim {
         }
     }
 
-    /// Attach a fault plan (builder style). A plan with a nonzero
-    /// `spot_preempt` rate reclaims running jobs partway through; the
+    /// Attach a fault plan (builder style). A plan with a nonzero rate
+    /// reclaims running jobs partway through (spot preemption); the
     /// job checkpoints and re-enters the queue with its remaining
     /// duration after a [`RetryPolicy`] backoff. The inert plan draws
     /// nothing and reproduces the fault-free schedule byte-identically.
@@ -672,19 +672,16 @@ mod tests {
 
     #[test]
     fn preempted_jobs_checkpoint_and_complete() {
-        use opml_faults::FaultRates;
         let jobs: Vec<Job> = (0..25)
             .map(|i| job(i, (i % 3) as u32, 1 + (i % 4) as u32, 2 + i % 5, i / 2))
             .collect();
-        let mut rates = FaultRates::none();
-        rates.spot_preempt = 0.6;
         let run = || {
             SchedSim::new(
                 Cluster::homogeneous(2, 4),
                 Policy::EasyBackfill,
                 Placement::Packed,
             )
-            .with_faults(FaultPlan::new(9, rates.clone()))
+            .with_faults(FaultPlan::new(9, 0.6))
             .run(&jobs)
         };
         let s = run();

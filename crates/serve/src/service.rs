@@ -23,7 +23,7 @@ use crate::report::{
     TenantStats, SERVE_SCHEMA,
 };
 use crate::workload::{generate_round, OpKind, OpSpec};
-use opml_faults::{BreakerState, CircuitBreaker, FaultKind, FaultPlan, FaultRates, RetryPolicy};
+use opml_faults::{BreakerState, CircuitBreaker, FaultKind, FaultPlan, RetryPolicy};
 use opml_simkernel::{SimDuration, SimTime};
 use opml_telemetry::SimTimeHistogram;
 use opml_testbed::{Cloud, CloudError, InstanceId, LeaseId};
@@ -179,14 +179,9 @@ impl Service {
     fn new(cfg: &ServeConfig) -> Service {
         let t = cfg.tenants as usize;
         let rate = cfg.fault_rate_ppm.min(1_000_000) as f64 / 1_000_000.0;
-        let rates = if cfg.fault_rate_ppm == 0 {
-            FaultRates::none()
-        } else {
-            FaultRates::uniform(rate)
-        };
         Service {
             cloud: Cloud::paper_course(),
-            plan: FaultPlan::new(cfg.seed ^ FAULT_TAG, rates),
+            plan: FaultPlan::new(cfg.seed ^ FAULT_TAG, rate),
             policy: RetryPolicy::exponential(SimDuration(2), 2.0, SimDuration(16), 4, 0.25)
                 .with_deadline(SimDuration(cfg.deadline_s.max(1))),
             retry_seed: cfg.seed ^ RETRY_TAG,

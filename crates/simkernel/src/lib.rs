@@ -17,7 +17,7 @@
 //! * [`stats`] — the statistics the paper's evaluation needs: streaming
 //!   moments (Welford), exact percentiles, histograms (Fig. 2 is a
 //!   per-student cost histogram), and the distribution samplers used by the
-//!   behaviour model (lognormal, exponential, Pareto, Beta, Gamma), plus the
+//!   behaviour model (lognormal, exponential, Beta, Gamma), plus the
 //!   two-sample Kolmogorov–Smirnov statistic and Population Stability Index
 //!   used by the drift-detection substrate.
 //! * [`event`] — a generic time-ordered event queue with stable FIFO

@@ -158,12 +158,6 @@ impl Rng {
         -mean * self.f64_open().ln()
     }
 
-    /// Pareto (Lomax-style, `x ≥ x_min`) with shape `alpha`.
-    #[inline]
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        x_min / self.f64_open().powf(1.0 / alpha)
-    }
-
     /// Gamma(shape k, scale θ) via Marsaglia–Tsang, with the standard boost
     /// for `k < 1`.
     pub fn gamma(&mut self, k: f64, theta: f64) -> f64 {
@@ -349,14 +343,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| r.exponential(3.0)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn pareto_min_respected() {
-        let mut r = Rng::new(29);
-        for _ in 0..10_000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]

@@ -359,28 +359,6 @@ pub fn psi(expected: &[f64], actual: &[f64], bins: usize) -> f64 {
         .sum()
 }
 
-/// Pearson correlation of two equal-length samples.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "pearson needs equal-length samples");
-    assert!(a.len() >= 2, "pearson needs at least 2 points");
-    let n = a.len() as f64;
-    let ma = a.iter().sum::<f64>() / n;
-    let mb = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va == 0.0 || vb == 0.0 {
-        0.0
-    } else {
-        cov / (va.sqrt() * vb.sqrt())
-    }
-}
-
 /// Two-proportion z-statistic (pooled), used by the A/B-test substrate.
 pub fn two_proportion_z(success_a: u64, n_a: u64, success_b: u64, n_b: u64) -> f64 {
     assert!(n_a > 0 && n_b > 0, "z-test needs non-empty groups");
@@ -539,15 +517,6 @@ mod tests {
         let a: Vec<f64> = (0..5000).map(|_| r.normal()).collect();
         let b: Vec<f64> = (0..5000).map(|_| r.normal() + 2.0).collect();
         assert!(psi(&a, &b, 10) > 0.25);
-    }
-
-    #[test]
-    fn pearson_perfect_and_none() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
-        let c = [5.0, 5.0, 5.0, 5.0];
-        assert_eq!(pearson(&a, &c), 0.0);
     }
 
     #[test]

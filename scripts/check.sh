@@ -50,7 +50,7 @@ rm -rf "$trace_dir"
 
 echo "==> chaos smoke run (zero-rate must match the fault-free baseline)"
 cargo run --release -q -p opml-experiments --bin run-experiments -- \
-    chaos --rate 0.05 --seed 7 --quiet
+    chaos --rates 0.05 --seed 7 --quiet
 
 echo "==> scale smoke run (100k cohort @ 1 and 2 threads vs golden digest)"
 # Captured before parsing: piped straight into sed, the sweep's exit 1
